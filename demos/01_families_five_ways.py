@@ -40,6 +40,6 @@ for route, fam in families.items():
 same = all(residue_a[n] == baseline.a(n) for n in range(N + 1))
 print(f"  {'residue_recurrence':24s} {'agrees exactly (A only)' if same else 'DISAGREES'}")
 
-checks = route_equivalence_checks(N)
+checks = route_equivalence_checks(baseline)
 print(f"\n{len(checks)} exact equality checks, "
       f"{sum(c.status == 'pass' for c in checks)} passed")

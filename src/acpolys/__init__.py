@@ -7,19 +7,13 @@ triangles, and verifies — exactly where possible, numerically where an
 integral is involved — the identities linking them to Bernoulli and
 Euler polynomials, to the transform T(f)(x) = int_0^1 (f(t)-f(x))/(t-x) dt,
 and to a family of closed-form log-kernel integrals.
+
+The package namespace re-exports the documented API (README.md and
+``demos/``); every other name is importable from its submodule.
 """
 
 from .ac_families import (
-    ACFamily,
-    CoeffTables,
     FAMILY_ROUTES,
-    REFERENCE_A,
-    REFERENCE_C,
-    ROUTE_CLOSED_FORM,
-    ROUTE_COEFFICIENT,
-    ROUTE_GENERATING_FUNCTION,
-    ROUTE_RECURRENCE,
-    ROUTE_RESIDUE,
     build_a_by_residue_recurrence,
     build_by_closed_form,
     build_by_coefficient_formula,
@@ -29,56 +23,16 @@ from .ac_families import (
     check_difference_identities,
     check_euler_identity,
     check_tangent_expansion,
-    golden_table_checks,
     identities_report,
     lambda_alpha_tables,
     route_equivalence_checks,
-    structural_checks,
 )
-from .exact_core import (
-    GaussianRational,
-    I,
-    Polynomial,
-    TruncatedSeries,
-    TWO_I,
-    X,
-    format_rational,
-    parse_rational,
-    poly_from_json,
-    poly_to_json,
-    scalar_from_json,
-    scalar_to_json,
-)
-from .generalized_uv import UVTables, build_uv, check_uv_consistency, row_width
-from .operator_lab import (
-    GridFunction,
-    QuadratureError,
-    QuadratureResult,
-    apply_T,
-    apply_T_phi0,
-    classical_log_integral,
-    classical_log_target,
-    eigenfunction_checks,
-    evaluate_polynomial_float,
-    gauss_legendre_grid,
-    graded_gauss_grid,
-    integral_a_form,
-    integral_c_form,
-    integrals_report,
-    moment_check,
-    operator_identity_check,
-    phi0_grid_function,
-    sample_function,
-    tanh_sinh,
-    transform_moment_identity,
-    transform_moment_lhs,
-)
-from .report import Check, VerificationReport, exact_check
+from .exact_core import GaussianRational, I, Polynomial, poly_from_json
+from .generalized_uv import build_uv, check_uv_consistency, row_width
+from .operator_lab import integrals_report
 from .special_numbers import (
-    BernoulliTable,
     bernoulli_numbers,
     bernoulli_numbers_series,
-    bernoulli_poly,
     cosecant_number,
     cosecant_numbers_series,
     euler_poly,
@@ -89,34 +43,12 @@ from .special_numbers import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ACFamily",
-    "BernoulliTable",
-    "Check",
-    "CoeffTables",
     "FAMILY_ROUTES",
     "GaussianRational",
-    "GridFunction",
     "I",
     "Polynomial",
-    "QuadratureError",
-    "QuadratureResult",
-    "REFERENCE_A",
-    "REFERENCE_C",
-    "ROUTE_CLOSED_FORM",
-    "ROUTE_COEFFICIENT",
-    "ROUTE_GENERATING_FUNCTION",
-    "ROUTE_RECURRENCE",
-    "ROUTE_RESIDUE",
-    "TWO_I",
-    "TruncatedSeries",
-    "UVTables",
-    "VerificationReport",
-    "X",
-    "apply_T",
-    "apply_T_phi0",
     "bernoulli_numbers",
     "bernoulli_numbers_series",
-    "bernoulli_poly",
     "build_a_by_residue_recurrence",
     "build_by_closed_form",
     "build_by_coefficient_formula",
@@ -128,38 +60,15 @@ __all__ = [
     "check_euler_identity",
     "check_tangent_expansion",
     "check_uv_consistency",
-    "classical_log_integral",
-    "classical_log_target",
     "cosecant_number",
     "cosecant_numbers_series",
-    "eigenfunction_checks",
     "euler_poly",
-    "evaluate_polynomial_float",
-    "exact_check",
-    "format_rational",
-    "gauss_legendre_grid",
-    "golden_table_checks",
-    "graded_gauss_grid",
     "identities_report",
-    "integral_a_form",
-    "integral_c_form",
     "integrals_report",
     "lambda_alpha_tables",
-    "moment_check",
-    "operator_identity_check",
-    "parse_rational",
-    "phi0_grid_function",
     "poly_from_json",
-    "poly_to_json",
     "route_equivalence_checks",
     "row_width",
-    "sample_function",
-    "scalar_from_json",
-    "scalar_to_json",
-    "structural_checks",
     "tangent_half_coeff",
     "tangent_half_coeffs_series",
-    "tanh_sinh",
-    "transform_moment_identity",
-    "transform_moment_lhs",
 ]

@@ -61,6 +61,13 @@ FAMILY_ROUTES = (
 )
 
 
+def _index(n: int) -> int:
+    """n itself, or IndexError for n < 0 (a tuple would wrap around)."""
+    if n < 0:
+        raise IndexError(f"family index must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ACFamily:
     """A_0..A_max_n and C_0..C_max_n with the route that produced them."""
@@ -71,10 +78,10 @@ class ACFamily:
     route: str
 
     def a(self, n: int) -> Polynomial:
-        return self.a_polys[n]
+        return self.a_polys[_index(n)]
 
     def c(self, n: int) -> Polynomial:
-        return self.c_polys[n]
+        return self.c_polys[_index(n)]
 
 
 @dataclass(frozen=True)
@@ -228,10 +235,17 @@ def build_route(route: str, n_max: int) -> ACFamily:
 # mathematical failure, so a bug surfaces as a failed report line.
 
 
-def route_equivalence_checks(n_max: int) -> list:
+def route_equivalence_checks(baseline: ACFamily) -> list:
     """All five routes agree exactly: pairwise identical A_n (five ways)
-    and identical C_n (four ways), compared against the recurrence."""
-    baseline = build_by_recurrence(n_max)
+    and identical C_n (four ways), compared against ``baseline``, which
+    must be the recurrence family.  The other four routes are built here
+    to the same n_max."""
+    if baseline.route != ROUTE_RECURRENCE:
+        raise ValueError(
+            f"route equivalence compares against the {ROUTE_RECURRENCE} "
+            f"family, got {baseline.route}"
+        )
+    n_max = baseline.max_n
     checks = []
     for route in (ROUTE_CLOSED_FORM, ROUTE_COEFFICIENT, ROUTE_GENERATING_FUNCTION):
         other = build_route(route, n_max)
@@ -509,14 +523,13 @@ def golden_table_checks(family: ACFamily) -> list:
     return checks
 
 
-def identities_report(n_max: int) -> VerificationReport:
-    """Run every exact suite for the families up to n_max: golden tables,
+def identities_report(family: ACFamily) -> VerificationReport:
+    """Run every exact suite on the recurrence family: golden tables,
     pairwise route agreement, shifted-argument identities, the Euler link,
     the tangent expansion, and structural facts (degrees, roots, parity)."""
     report = VerificationReport(suite="identities")
-    family = build_by_recurrence(n_max)
     report.extend(golden_table_checks(family))
-    report.extend(route_equivalence_checks(n_max))
+    report.extend(route_equivalence_checks(family))
     report.extend(check_difference_identities(family))
     report.extend(check_euler_identity(family))
     report.extend(check_tangent_expansion(family))

@@ -44,6 +44,7 @@ from .special_numbers import (
 )
 
 ALL_ROUTES = FAMILY_ROUTES + (ROUTE_RESIDUE,)
+VERIFY_SUITES = ("identities", "uv", "integrals")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -237,47 +238,36 @@ def _cmd_coeffs(args) -> tuple:
     return EXIT_OK, emit_csv(rows)
 
 
-def _report_output(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return canonical_json(report.to_json_dict())
-    rows = [
-        (report.suite, c.id, c.status, c.error_metric) for c in report.checks
-    ]
-    return emit_csv(rows)
+def _report_rows(report: VerificationReport) -> list:
+    return [(report.suite, c.id, c.status, c.error_metric) for c in report.checks]
 
 
-def _cmd_verify(args) -> tuple:
-    report = _build_verify_report(args)
-    return report.exit_code(), _report_output(report, args.format)
-
-
-def _build_verify_report(args) -> VerificationReport:
-    if args.suite_name == "identities":
-        return identities_report(args.max_n)
-    if args.suite_name == "uv":
-        family = build_by_recurrence(args.max_n)
+def _suite_report(name: str, args, family) -> VerificationReport:
+    """The report of one ``verify`` suite; ``family`` is the recurrence
+    family to n = ``args.max_n`` (unused by ``integrals``)."""
+    if name == "identities":
+        return identities_report(family)
+    if name == "uv":
         uv = build_uv(args.max_n)
-        report = VerificationReport(suite="uv")
-        report.extend(check_uv_consistency(uv, family))
-        return report
+        return VerificationReport(suite="uv").extend(check_uv_consistency(uv, family))
     return integrals_report(
         suite=args.suite, tolerance=args.tolerance, grid_size=args.grid_size
     )
 
 
+def _cmd_verify(args) -> tuple:
+    family = None  # verify integrals builds its own small family
+    if args.suite_name != "integrals":
+        family = build_by_recurrence(args.max_n)
+    report = _suite_report(args.suite_name, args, family)
+    if args.format == "json":
+        return report.exit_code(), canonical_json(report.to_json_dict())
+    return report.exit_code(), emit_csv(_report_rows(report))
+
+
 def _cmd_selftest(args) -> tuple:
-    reports = [
-        identities_report(args.max_n),
-    ]
     family = build_by_recurrence(args.max_n)
-    uv_report = VerificationReport(suite="uv")
-    uv_report.extend(check_uv_consistency(build_uv(max(args.max_n, 1)), family))
-    reports.append(uv_report)
-    reports.append(
-        integrals_report(
-            suite="all", tolerance=args.tolerance, grid_size=args.grid_size
-        )
-    )
+    reports = [_suite_report(name, args, family) for name in VERIFY_SUITES]
     code = max(r.exit_code() for r in reports)
     if args.format == "json":
         totals = {"total": 0, "passed": 0, "failed": 0, "errors": 0}
@@ -289,14 +279,34 @@ def _cmd_selftest(args) -> tuple:
             "summary": totals,
         }
         return code, canonical_json(doc)
-    rows = []
-    for r in reports:
-        rows.extend((r.suite, c.id, c.status, c.error_metric) for c in r.checks)
-    return code, emit_csv(rows)
+    return code, emit_csv(row for r in reports for row in _report_rows(r))
 
 
 class UsageError(Exception):
     pass
+
+
+def _checked(convert, accept, expected: str):
+    """argparse type: ``convert(text)`` if it parses and passes ``accept``,
+    else a usage error naming what was ``expected``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_grid_size = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_tolerance = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="emit A_n or C_n by a chosen route")
     p_poly.add_argument("--family", choices=("a", "c"), required=True)
-    p_poly.add_argument("--n", type=int, required=True, metavar="N")
+    p_poly.add_argument("--n", type=_non_negative, required=True, metavar="N")
     p_poly.add_argument("--route", choices=ALL_ROUTES, default=ROUTE_RECURRENCE)
     p_poly.add_argument(
         "--format", choices=("json", "csv", "latex"), default="json"
@@ -319,34 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument(
         "--kind", choices=tuple(_NUMBER_KINDS), required=True
     )
-    p_num.add_argument("--max-n", type=int, default=24, metavar="N")
+    p_num.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
     p_num.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_coeffs = sub.add_parser("coeffs", help="coefficient triangles")
     p_coeffs.add_argument("table", choices=("alpha-lambda", "uv"))
-    p_coeffs.add_argument("--max-n", type=int, default=24, metavar="N")
+    p_coeffs.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
     p_coeffs.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite_name", choices=("identities", "uv", "integrals")
-    )
-    p_verify.add_argument("--max-n", type=int, default=24, metavar="N")
+    p_verify.add_argument("suite_name", choices=VERIFY_SUITES)
     p_verify.add_argument(
         "--suite", choices=SUITES + ("all",), default="all",
         help="which integral suite (verify integrals only)",
     )
-    p_verify.add_argument("--tolerance", type=float, default=1e-8)
-    p_verify.add_argument("--grid-size", type=int, default=200)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_self = sub.add_parser(
         "selftest", help="all exact suites plus all quadrature suites"
     )
-    p_self.add_argument("--max-n", type=int, default=24, metavar="N")
-    p_self.add_argument("--tolerance", type=float, default=1e-8)
-    p_self.add_argument("--grid-size", type=int, default=200)
-    p_self.add_argument("--format", choices=("json", "csv"), default="json")
+    p_self.set_defaults(suite="all")
+
+    for p_report in (p_verify, p_self):
+        p_report.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
+        p_report.add_argument("--tolerance", type=_tolerance, default=1e-8)
+        p_report.add_argument("--grid-size", type=_grid_size, default=200)
+        p_report.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 

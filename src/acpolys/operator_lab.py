@@ -184,12 +184,6 @@ def phi0_grid_function(grid) -> GridFunction:
     return GridFunction(nodes, weights, values, complements)
 
 
-def phi0_derivative(grid) -> np.ndarray:
-    """phi_0'(x) = 1/(x (1-x)) at the nodes."""
-    nodes, _, complements = grid
-    return 1.0 / (nodes * complements)
-
-
 def finite_difference_derivative(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Second-order derivative estimate on a non-uniform grid.
 
@@ -558,7 +552,7 @@ def operator_identity_check(grid_size: int = 200, tol: float = 1e-4,
     )
 
 
-def moment_check(n: int, family: ACFamily | None = None, tol: float = 1e-7) -> list:
+def moment_check(n: int, family: ACFamily, tol: float = 1e-7) -> list:
     """Grid moments of T-iterates of phi_0 against the exact lambda tables.
 
     n = 1: integral of phi_0 is 0 (= lam_1^1 * pi); n = 2: integral of
@@ -570,8 +564,6 @@ def moment_check(n: int, family: ACFamily | None = None, tol: float = 1e-7) -> l
     """
     if n not in (1, 2):
         raise ValueError("moment checks are implemented for n in {1, 2}")
-    if family is None or family.max_n < n:
-        family = build_by_recurrence(2)
     lam_n1 = family.c(n).coefficient(1)
     grid = graded_gauss_grid()
     checks = []
@@ -611,7 +603,7 @@ def moment_check(n: int, family: ACFamily | None = None, tol: float = 1e-7) -> l
     return checks
 
 
-def transform_moment_identity(a: float, n: int, family: ACFamily | None = None,
+def transform_moment_identity(a: float, n: int, family: ACFamily,
                               tol: float = 1e-8) -> list:
     """integral phi_0**n/(x+a) dx against both exact renderings.
 
@@ -621,8 +613,6 @@ def transform_moment_identity(a: float, n: int, family: ACFamily | None = None,
     """
     if a <= 0:
         raise ValueError("requires a > 0")
-    if family is None or family.max_n < n:
-        family = build_by_recurrence(max(n, 1))
     gamma = math.log(a / (1.0 + a))
     target_poly = -(PI ** (n + 1)) * evaluate_polynomial_float(family.a(n), gamma / PI)
     target_sum = 0.0

@@ -86,8 +86,8 @@ class TestGoldenTables:
 
 
 class TestRouteEquivalence:
-    def test_all_routes_agree_to_n_max(self):
-        checks = route_equivalence_checks(N_MAX)
+    def test_all_routes_agree_to_n_max(self, family):
+        checks = route_equivalence_checks(family)
         failures = [c.id for c in checks if c.status != PASS]
         assert not failures
 
@@ -115,6 +115,10 @@ class TestRouteEquivalence:
             assert fam.a(3) == GOLDEN_A[3]
         with pytest.raises(ValueError):
             build_route("newton", 3)
+
+    def test_baseline_must_be_recurrence(self):
+        with pytest.raises(ValueError, match="recurrence"):
+            route_equivalence_checks(build_by_coefficient_formula(3))
 
 
 class TestExactIdentities:
@@ -176,6 +180,13 @@ class TestStructure:
                 elif k > 0:
                     assert c != 0, f"A_{n} X^{k}"
 
+    def test_negative_index_raises(self, family):
+        for member in (family.a, family.c):
+            with pytest.raises(IndexError):
+                member(-1)
+        with pytest.raises(IndexError):
+            family.a(N_MAX + 1)
+
 
 class TestCoefficientTables:
     def test_spot_values(self, family):
@@ -207,14 +218,14 @@ class TestCoefficientTables:
 
 class TestReport:
     def test_identities_report_all_pass(self):
-        report = identities_report(10)
+        report = identities_report(build_by_recurrence(10))
         assert report.all_passed
         assert report.exit_code() == 0
         counts = report.counts
         assert counts["total"] == counts["passed"] > 0
 
     def test_report_shape(self):
-        report = identities_report(0)
+        report = identities_report(build_by_recurrence(0))
         doc = report.to_json_dict()
         assert doc["suite"] == "identities"
         assert {"id", "description", "status", "lhs", "rhs", "error_metric"} <= set(

@@ -65,7 +65,7 @@ def test_criterion_1_golden_tables(capsys):
 
 def test_criterion_2_route_equivalence(capsys):
     def body():
-        _all_pass(route_equivalence_checks(N_MAX))
+        _all_pass(route_equivalence_checks(build_by_recurrence(N_MAX)))
 
     _criterion(
         capsys, f"criterion 2: route equivalence to n={N_MAX}", 10.0, body

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, round-trips, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -212,6 +213,28 @@ class TestUsageErrors:
             run(["verify", "identities", "--format", "latex"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poly", "--family", "a", "--n", "-1"),
+            ("verify", "identities", "--max-n", "-1"),
+            ("verify", "integrals", "--grid-size", "1"),
+            ("numbers", "--kind", "bernoulli", "--max-n", "-3"),
+            ("coeffs", "alpha-lambda", "--max-n", "-2"),
+            ("selftest", "--max-n", "two"),
+            ("verify", "integrals", "--tolerance", "nan"),
+            ("verify", "integrals", "--tolerance", "-1"),
+            ("selftest", "--tolerance", "inf"),
+        ],
+    )
+    def test_out_of_range_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
 
 class TestSelftest:
     def test_deterministic_and_passing(self, capsys):
@@ -225,3 +248,34 @@ class TestSelftest:
         assert {r["suite"] for r in doc["reports"]} == {
             "identities", "uv", "integrals/all",
         }
+
+
+class TestByteStability:
+    # SHA-256 of the stdout of the exact suites; exact output does not
+    # depend on the platform.
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("identities",
+             "614ae3fb82c6a844feacc567fb3bfc68e4923ef11bfd0af46a6a3e12ee524308"),
+            ("uv",
+             "4e93a784930527489b174c006332882f7ef7cfd16811386d595c45875c7fb9bd"),
+        ],
+    )
+    def test_exact_report_digest(self, capsys, suite, digest):
+        code, out, _ = invoke(
+            capsys, "verify", suite, "--max-n", "8", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_selftest_csv_joins_verify_csv(self, capsys):
+        code, out, _ = invoke(
+            capsys, "selftest", "--max-n", "4", "--format", "csv"
+        )
+        assert code == 0
+        parts = [
+            invoke(capsys, "verify", suite, "--max-n", "4", "--format", "csv")[1]
+            for suite in ("identities", "uv", "integrals")
+        ]
+        assert out == "\n".join(part.removesuffix("\n") for part in parts) + "\n"

@@ -247,27 +247,27 @@ class TestIntegralReductions:
 
 class TestMoments:
     def test_moment_one_vanishes(self):
-        checks = moment_check(1)
+        checks = moment_check(1, build_by_recurrence(2))
         assert all(c.status == PASS for c in checks)
 
     def test_moment_two(self):
-        checks = moment_check(2)
+        checks = moment_check(2, build_by_recurrence(2))
         assert all(c.status == PASS for c in checks)
         ids = [c.id for c in checks]
         assert "moment/lambda_beta" in ids
 
     def test_moment_bad_n(self):
         with pytest.raises(ValueError):
-            moment_check(3)
+            moment_check(3, build_by_recurrence(3))
 
     def test_transform_moment_identity_checks(self):
         for n, a in ((0, 1.0), (1, 1.0), (2, 2.0)):
-            checks = transform_moment_identity(a, n)
+            checks = transform_moment_identity(a, n, build_by_recurrence(2))
             assert all(c.status == PASS for c in checks), f"(n,a)=({n},{a})"
 
     def test_transform_moment_requires_positive_a(self):
         with pytest.raises(ValueError):
-            transform_moment_identity(-1.0, 1)
+            transform_moment_identity(-1.0, 1, build_by_recurrence(1))
 
 
 class TestReportAssembly:
