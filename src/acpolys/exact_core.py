@@ -17,6 +17,7 @@ share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -32,8 +33,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @property
     def is_real(self) -> bool:
@@ -61,33 +62,39 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussianRational):
+            re, im = other.re, other.im
+            if not im:
+                return GaussianRational(self.re * re, self.im * re)
+            if not re:
+                return GaussianRational(-(self.im * im), self.re * im)
+            return GaussianRational(
+                self.re * re - self.im * im, self.re * im + self.im * re
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -167,6 +174,18 @@ I = GaussianRational(0, 1)
 TWO_I = GaussianRational(0, 2)
 
 
+def _gaussian_integer_over(value: Scalar) -> tuple:
+    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0."""
+    if isinstance(value, GaussianRational):
+        x, y = value.re, value.im
+    elif isinstance(value, (int, Fraction)):
+        x, y = value, 0
+    else:
+        raise TypeError(f"not an exact scalar: {value!r}")
+    d = lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
 def _as_coefficient(value) -> Scalar:
     """Coerce a constructor argument to an exact scalar."""
     if isinstance(value, (Fraction, GaussianRational)):
@@ -235,7 +254,16 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        a, b = self._coeffs, other._coeffs
+        if len(a) >= len(b):
+            diff = list(a)
+            for k, c in enumerate(b):
+                diff[k] = diff[k] - c
+        else:
+            diff = [-c for c in b]
+            for k, c in enumerate(a):
+                diff[k] = c - b[k]
+        return Polynomial(diff)
 
     def __neg__(self):
         return Polynomial([-c for c in self._coeffs])
@@ -277,20 +305,77 @@ class Polynomial:
         return acc
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """Return p(a*X + b), computed exactly by Horner steps.
+        """Return p(a*X + b), computed exactly by a Taylor shift over Z[i].
 
-        Each step multiplies the accumulator by the linear factor, so the
-        whole composition costs O(degree**2) scalar operations.
+        With a common denominator D of the coefficients, b = beta/d_b and
+        a = alpha/d_a (beta, alpha Gaussian integers, d_b, d_a positive
+        integers), and N = degree,
+
+            D * d_b**N * p(X + b) = s(d_b*X + beta)
+                where s(Z) = sum_j D*c_j * d_b**(N-j) * Z**j,
+
+        so the Gaussian-integer polynomial s is shifted by beta with the
+        classical O(N**2) additions-only scheme (von zur Gathen & Gerhard,
+        "Fast algorithms for Taylor shifts and certain difference
+        equations", ISSAC 1997), and coefficient k of the result is
+        s(Z + beta)_k * (d_b*alpha)**k / (D * d_b**N * d_a**k).  Each output
+        coefficient is reduced once.  The coefficients are all
+        GaussianRational when a, b or any coefficient of p is one, and all
+        Fraction otherwise.
         """
-        acc: list = []
-        for c in reversed(self._coeffs):
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for j, t in enumerate(acc):
-                nxt[j] = nxt[j] + t * b
-                nxt[j + 1] = nxt[j + 1] + t * a
-            nxt[0] = nxt[0] + c
-            acc = nxt
-        return Polynomial(acc)
+        coeffs = self._coeffs
+        if not coeffs:
+            return Polynomial()
+        gaussian = any(
+            isinstance(v, GaussianRational) for v in (a, b, *coeffs)
+        )
+        parts = [
+            (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+            for c in coeffs
+        ]
+        den = lcm(*(x.denominator for pair in parts for x in pair))
+        beta_re, beta_im, d_b = _gaussian_integer_over(b)
+        alpha_re, alpha_im, d_a = _gaussian_integer_over(a)
+
+        # s_j = D*c_j * d_b**(N-j), as separate integer real/imaginary lists.
+        n = len(coeffs) - 1
+        re = [0] * (n + 1)
+        im = [0] * (n + 1)
+        scale = den
+        for j in range(n, -1, -1):
+            x, y = parts[j]
+            re[j] = x.numerator * (scale // x.denominator)
+            im[j] = y.numerator * (scale // y.denominator)
+            scale *= d_b
+
+        # s(Z) -> s(Z + beta); after pass i, coefficient i is final.
+        if beta_im == 0 and not any(im):
+            if beta_re:
+                for i in range(n):
+                    for j in range(n - 1, i - 1, -1):
+                        re[j] += beta_re * re[j + 1]
+        elif beta_re or beta_im:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    x, y = re[j + 1], im[j + 1]
+                    re[j] += beta_re * x - beta_im * y
+                    im[j] += beta_re * y + beta_im * x
+
+        # Coefficient k: times (d_b*alpha)**k, over D * d_b**N * d_a**k.
+        w_re, w_im = d_b * alpha_re, d_b * alpha_im
+        p_re, p_im = 1, 0
+        denom = den * d_b ** n
+        out = []
+        for k in range(n + 1):
+            x = re[k] * p_re - im[k] * p_im
+            y = re[k] * p_im + im[k] * p_re
+            if gaussian:
+                out.append(GaussianRational(Fraction(x, denom), Fraction(y, denom)))
+            else:
+                out.append(Fraction(x, denom))
+            p_re, p_im = p_re * w_re - p_im * w_im, p_re * w_im + p_im * w_re
+            denom *= d_a
+        return Polynomial(out)
 
     def lift_gaussian(self) -> "Polynomial":
         """The same polynomial with every coefficient in Q(i)."""

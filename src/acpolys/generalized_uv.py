@@ -43,10 +43,12 @@ def build_uv(n_max: int) -> UVTables:
     v_{n+1}^1 = (n+1) + (n-1)/n v_n^1, u_{n+1}^1 = u_n^1 + v_n^1/n;
     the interior rule for 2 <= q <= floor((n+1)/2); and, when n is even,
     a top-index rule supplying the new entry q = (n+2)/2.  Initial row:
-    u_1^1 = 0, v_1^1 = 1.
+    u_1^1 = 0, v_1^1 = 1.  Rows start at n = 1, so ``build_uv(0)`` is empty.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max == 0:
+        return UVTables({}, {}, 0)
     u = {(1, 1): Fraction(0)}
     v = {(1, 1): Fraction(1)}
     for n in range(1, n_max):

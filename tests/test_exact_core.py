@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acpolys.ac_families import build_by_recurrence
 from acpolys.exact_core import (
     GaussianRational,
     I,
@@ -26,6 +27,28 @@ HALF = Fraction(1, 2)
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 gaussians_st = st.builds(GaussianRational, fractions_st, fractions_st)
 polys_st = st.lists(fractions_st, min_size=0, max_size=6).map(Polynomial)
+scalars_st = st.one_of(st.integers(-3, 3), fractions_st, gaussians_st)
+gaussian_polys_st = st.lists(
+    st.one_of(fractions_st, gaussians_st), min_size=0, max_size=8
+).map(Polynomial)
+
+
+def horner_compose_affine(p, a, b):
+    """Reference p(a*X + b): Horner steps in one scalar domain, Q(i) when
+    a, b or any coefficient is Gaussian and Q otherwise."""
+    lift = any(isinstance(v, GaussianRational) for v in (a, b, *p.coeffs))
+    zero = GaussianRational(0) if lift else Fraction(0)
+    if lift:
+        a, b = GaussianRational(0) + a, GaussianRational(0) + b
+    acc = []
+    for c in reversed(p.coeffs):
+        nxt = [zero] * (len(acc) + 1)
+        for j, t in enumerate(acc):
+            nxt[j] = nxt[j] + t * b
+            nxt[j + 1] = nxt[j + 1] + t * a
+        nxt[0] = nxt[0] + c
+        acc = nxt
+    return Polynomial(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +78,18 @@ class TestGaussianRational:
         assert 2 * z == GaussianRational(2, 4)
         assert z - 1 == GaussianRational(0, 2)
         assert 1 - z == GaussianRational(0, -2)
+
+    def test_mixed_results_have_fraction_parts(self):
+        z = GaussianRational(HALF, -3)
+        results = (
+            z * 2, 2 * z, z * HALF, z * GaussianRational(HALF), z * I, z * z,
+            z + 1, 1 + z, z - HALF, HALF - z,
+        )
+        for w in results:
+            assert type(w.re) is Fraction and type(w.im) is Fraction
+        assert z * I == GaussianRational(3, HALF)
+        assert z * GaussianRational(0, HALF) == GaussianRational(Fraction(3, 2), Fraction(1, 4))
+        assert HALF - z == GaussianRational(0, 3)
 
     def test_division(self):
         z = GaussianRational(1, 1)
@@ -181,6 +216,42 @@ class TestPolynomial:
     @settings(max_examples=60)
     def test_compose_affine_matches_evaluation(self, p, a, b, x):
         assert p.compose_affine(a, b)(x) == p(a * x + b)
+
+    @given(
+        gaussian_polys_st,
+        st.one_of(st.just(0), st.just(GaussianRational(0)), scalars_st),
+        scalars_st,
+    )
+    @example(  # denominators well beyond those drawn above
+        Polynomial([GaussianRational(Fraction(1, 3**k), Fraction(-k, 7)) for k in range(12)]),
+        GaussianRational(Fraction(2, 9), Fraction(-5, 4)),
+        GaussianRational(Fraction(7, 6), Fraction(3, 10)),
+    )
+    @settings(max_examples=100)
+    def test_compose_affine_matches_horner(self, p, a, b):
+        got = p.compose_affine(a, b)
+        ref = horner_compose_affine(p, a, b)
+        assert got == ref
+        assert [type(c) for c in got.coeffs] == [type(c) for c in ref.coeffs]
+
+    def test_compose_affine_coefficient_types_are_uniform(self):
+        fam = build_by_recurrence(8)
+        shifted = fam.a(7).compose_affine(1, I)
+        euler = fam.c(6).compose_affine(I, 0)
+        for p in (shifted, euler):
+            assert p.degree > 0
+            assert all(type(c) is GaussianRational for c in p.coeffs)
+        rational = fam.a(7).compose_affine(Fraction(1, 2), Fraction(-1, 3))
+        assert rational.degree == fam.a(7).degree
+        assert all(type(c) is Fraction for c in rational.coeffs)
+
+    def test_subtraction_matches_negated_addition(self):
+        p = Polynomial([1, I, HALF])
+        q = Polynomial([GaussianRational(2, 1), 3, HALF, -I])
+        for x, y in ((p, q), (q, p), (p, p)):
+            diff = x - y
+            assert diff == x + (-y)
+            assert [type(c) for c in diff.coeffs] == [type(c) for c in (x + (-y)).coeffs]
 
     @given(polys_st, fractions_st)
     @settings(max_examples=60)

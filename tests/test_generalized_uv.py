@@ -40,9 +40,16 @@ class TestRowWidth:
 
 
 class TestBuildUV:
-    def test_requires_positive_max(self):
+    def test_zero_max_is_empty(self):
+        # The rows start at n = 1; n = 0 is a valid, empty table.
+        uv = build_uv(0)
+        assert uv.u == {} and uv.v == {}
+        assert uv.max_n == 0
+        assert check_uv_consistency(uv, build_by_recurrence(0)) == []
+
+    def test_rejects_negative_max(self):
         with pytest.raises(ValueError):
-            build_uv(0)
+            build_uv(-1)
 
     def test_seed_row(self):
         uv = build_uv(1)
