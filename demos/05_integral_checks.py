@@ -10,7 +10,8 @@ Four families of checks, all against exact rational/pi-power targets:
   and a compound identity T(2 phi_0 f - T f) = (phi_0^2 + pi^2) f.
 
 Improper integrals use tanh-sinh quadrature; the endpoint-singular
-moment integrals run on a dyadically graded composite Gauss grid.
+moment integrals and the compound identity run on a dyadically graded
+composite Gauss grid.
 """
 
 from acpolys import integrals_report

@@ -352,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p_report in (p_verify, p_self):
         p_report.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
         p_report.add_argument("--tolerance", type=_tolerance, default=1e-8)
-        p_report.add_argument("--grid-size", type=_grid_size, default=200)
+        p_report.add_argument(
+            "--grid-size", type=_grid_size, default=200,
+            help="Gauss-Legendre nodes of the eigenfunction checks",
+        )
         p_report.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
@@ -381,9 +384,5 @@ def run(argv=None) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

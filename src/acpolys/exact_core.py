@@ -614,10 +614,6 @@ def format_rational(value: Rat) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def scalar_to_json(value: Scalar):
     if isinstance(value, GaussianRational):
         return {"re": str(value.re), "im": str(value.im)}

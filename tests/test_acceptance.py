@@ -143,8 +143,7 @@ EXPECTED_QUADRATURE_IDS = {
 def test_criterion_6_quadrature_suite(capsys):
     def body():
         # tolerance=1e-8 applies to the pure quadrature checks; the report
-        # internally runs grid checks at 1e-7 and the compound identity at
-        # 1e-4, which are the stated acceptance thresholds.
+        # runs every grid check, the compound identity included, at 1e-7.
         report = integrals_report(suite="all", tolerance=1e-8, grid_size=200)
         assert {c.id for c in report.checks} == EXPECTED_QUADRATURE_IDS
         _all_pass(report.checks)

@@ -15,7 +15,6 @@ from acpolys.exact_core import (
     TWO_I,
     X,
     format_rational,
-    parse_rational,
     poly_from_json,
     poly_to_json,
     scalar_from_json,
@@ -354,8 +353,6 @@ class TestSerialization:
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(5)) == "5"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
-        assert parse_rational("7/2") == Fraction(7, 2)
-        assert parse_rational("-3") == Fraction(-3)
 
     def test_scalar_json_shapes(self):
         assert scalar_to_json(Fraction(1, 3)) == "1/3"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from acpolys import operator_lab
 from acpolys.ac_families import build_by_recurrence
 from acpolys.exact_core import Polynomial
 from acpolys.operator_lab import (
@@ -17,7 +18,6 @@ from acpolys.operator_lab import (
     classical_log_target,
     eigenfunction_checks,
     evaluate_polynomial_float,
-    finite_difference_derivative,
     gauss_legendre_grid,
     graded_gauss_grid,
     integral_a_form,
@@ -75,15 +75,16 @@ class TestTanhSinh:
 class TestGrids:
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_grid_invariants(self, grid_builder):
-        nodes, weights, complements = grid_builder()
+        nodes, weights, complements, bary, panel = grid_builder()
         assert np.all(np.diff(nodes) > 0), "nodes strictly increasing"
         assert nodes[0] > 0 and nodes[-1] < 1
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) < 1e-12
-        assert len(complements) == len(nodes)
+        assert len(complements) == len(bary) == len(nodes)
+        assert len(nodes) % panel == 0
 
     def test_complements_match_nodes(self):
-        nodes, _, complements = graded_gauss_grid()
+        nodes, _, complements, _, _ = graded_gauss_grid()
         # mirror symmetry: complement array is the reversed node array
         assert np.array_equal(complements, nodes[::-1])
 
@@ -104,18 +105,9 @@ class TestGrids:
         assert list(interior_mask(nodes)) == [False, True, True, True, False]
 
 
-class TestFiniteDifferences:
-    def test_exact_on_quadratics(self):
-        x = np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0])
-        v = 3.0 * x**2 - 2.0 * x + 1.0
-        d = finite_difference_derivative(x, v)
-        expected = 6.0 * x - 2.0
-        assert np.allclose(d[1:-1], expected[1:-1], atol=1e-12)
-
-
 class TestTransform:
     def test_eigenfunctions(self):
-        checks = eigenfunction_checks()
+        checks = eigenfunction_checks(gauss_legendre_grid(200))
         assert len(checks) == 4
         assert all(c.status == PASS for c in checks)
 
@@ -137,16 +129,28 @@ class TestTransform:
         gamma = math.log(a / (1.0 + a))
         assert abs(r1.value + r2.value - gamma / (x0 + a)) < 1e-9
 
-    def test_apply_T_finite_difference_fallback(self):
-        grid = gauss_legendre_grid(200)
-        f = sample_function(grid, lambda x: 1.0 / (x + 1.0))
-        g_analytic = apply_T(f, -1.0 / (grid[0] + 1.0) ** 2)
-        g_fd = apply_T(f)
-        mask = interior_mask(grid[0])
-        assert np.max(np.abs(g_fd.values[mask] - g_analytic.values[mask])) < 1e-6
+    @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
+    def test_apply_T_diagonal_is_the_derivative(self, grid_builder):
+        # With a single unit weight at node i, apply_T returns the kernel
+        # diagonal K_ii at node i: the removable limit f'(x_i).  Outside the
+        # interior window the graded panels are so narrow that every
+        # difference quotient of f, this one included, is only good to
+        # about eps / (panel width).
+        grid = grid_builder()
+        a = 0.75
+        inside = np.flatnonzero(interior_mask(grid.nodes))
+        picks = inside[np.linspace(0, len(inside) - 1, 25).astype(int)]
+        diag = []
+        for i in picks:
+            weights = np.zeros_like(grid.weights)
+            weights[i] = 1.0
+            f = sample_function(grid._replace(weights=weights), lambda x: 1.0 / (x + a))
+            diag.append(apply_T(f).values[i])
+        expected = -1.0 / (grid.nodes[picks] + a) ** 2
+        assert np.max(np.abs(np.array(diag) - expected) / np.abs(expected)) < 1e-9
 
     def test_compound_identity(self):
-        check = operator_identity_check()
+        check = operator_identity_check(graded_gauss_grid())
         assert check.status == PASS
 
     def test_phi0_transform_matches_exact_polynomial(self):
@@ -247,18 +251,18 @@ class TestIntegralReductions:
 
 class TestMoments:
     def test_moment_one_vanishes(self):
-        checks = moment_check(1, build_by_recurrence(2))
+        checks = moment_check(1, build_by_recurrence(2), graded_gauss_grid())
         assert all(c.status == PASS for c in checks)
 
     def test_moment_two(self):
-        checks = moment_check(2, build_by_recurrence(2))
+        checks = moment_check(2, build_by_recurrence(2), graded_gauss_grid())
         assert all(c.status == PASS for c in checks)
         ids = [c.id for c in checks]
         assert "moment/lambda_beta" in ids
 
     def test_moment_bad_n(self):
         with pytest.raises(ValueError):
-            moment_check(3, build_by_recurrence(3))
+            moment_check(3, build_by_recurrence(3), graded_gauss_grid())
 
     def test_transform_moment_identity_checks(self):
         for n, a in ((0, 1.0), (1, 1.0), (2, 2.0)):
@@ -276,6 +280,24 @@ class TestReportAssembly:
         assert report.all_passed
         assert report.exit_code() == 0
         assert report.counts["total"] == 25
+
+    def test_each_grid_is_built_once(self, monkeypatch):
+        calls = {"gauss_legendre_grid": 0, "graded_gauss_grid": 0}
+        for name in calls:
+            builder = getattr(operator_lab, name)
+
+            def counted(*args, _name=name, _builder=builder, **kwargs):
+                calls[_name] += 1
+                return _builder(*args, **kwargs)
+
+            monkeypatch.setattr(operator_lab, name, counted)
+        integrals_report("all")
+        assert calls == {"gauss_legendre_grid": 1, "graded_gauss_grid": 1}
+
+    def test_compound_identity_ignores_grid_size(self):
+        report = integrals_report(suite="eigen", grid_size=17)
+        compound = [c for c in report.checks if c.id == "compound_operator_identity"]
+        assert [c.status for c in compound] == [PASS]
 
     def test_single_suite_selection(self):
         report = integrals_report(suite="classical")
