@@ -19,14 +19,14 @@ from acpolys import (
 
 N = 16
 
-table = bernoulli_numbers(N + 1)
+beta = bernoulli_numbers(N)
 
 print("n    beta_n        cs(n)         d_n")
 for n in range(N + 1):
     print(
-        f"{n:<4d} {str(table[n]):<13s} "
-        f"{str(cosecant_number(n, table)):<13s} "
-        f"{str(tangent_half_coeff(n, table))}"
+        f"{n:<4d} {str(beta[n]):<13s} "
+        f"{str(cosecant_number(n)):<13s} "
+        f"{str(tangent_half_coeff(n))}"
     )
 
 print("\nCross-checks against exact series quotients:")
@@ -34,9 +34,9 @@ beta_series = bernoulli_numbers_series(N)
 cs_series = cosecant_numbers_series(N)
 d_series = tangent_half_coeffs_series(N)
 
-ok_beta = all(table[n] == beta_series[n] for n in range(N + 1))
-ok_cs = all(cosecant_number(n, table) == cs_series[n] for n in range(N + 1))
-ok_d = all(tangent_half_coeff(n, table) == d_series[n] for n in range(N + 1))
+ok_beta = all(beta[n] == beta_series[n] for n in range(N + 1))
+ok_cs = all(cosecant_number(n) == cs_series[n] for n in range(N + 1))
+ok_d = all(tangent_half_coeff(n) == d_series[n] for n in range(N + 1))
 
 print(f"  beta_n  vs  t/(e^t - 1):  {'exact match' if ok_beta else 'MISMATCH'}")
 print(f"  cs(n)   vs  t/sin(t):     {'exact match' if ok_cs else 'MISMATCH'}")

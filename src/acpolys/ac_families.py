@@ -129,13 +129,12 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     imaginary part (which would indicate an implementation bug; the
     construction is real for every n).
     """
-    table = bernoulli_numbers(n_max + 1)
     half = Fraction(1, 2)
     inv_2i = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
     a_list = []
     c_list = []
     for n in range(n_max + 1):
-        b = bernoulli_poly(n + 1, table)
+        b = bernoulli_poly(n + 1)
         b_at_half = Polynomial([b(half)])
         factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
         a_gauss = (b.compose_affine(inv_2i, half) - b_at_half) * factor
@@ -155,24 +154,24 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
     lam_n^{n+1} = n/(n+1).  Parities where the Bernoulli index would be
     odd (>= 3) give exactly zero and are skipped.
     """
-    table = bernoulli_numbers(n_max + 2)
+    beta = bernoulli_numbers(n_max)
     a_list = []
     c_list = []
     for n in range(n_max + 1):
         a_coeffs = [Fraction(0)] * (n + 2)
         for k in range(1, n + 2):
-            cs = cosecant_number(n + 1 - k, table)
+            cs = cosecant_number(n + 1 - k)
             if cs:
                 a_coeffs[k] = Fraction(comb(n + 1, k), n + 1) * cs
         a_list.append(Polynomial(a_coeffs))
         c_coeffs = [Fraction(0)] * (n + 2)
-        c_coeffs[0] = tangent_half_coeff(n, table)
+        c_coeffs[0] = tangent_half_coeff(n)
         c_coeffs[n + 1] = Fraction(n, n + 1)
         for k in range(1, n + 1):
             m = n - k + 1
             if m % 2 == 0:
                 sign = (-1) ** ((n - k - 1) // 2)
-                c_coeffs[k] = sign * comb(n, k) * Fraction(2**m) * table[m] / m
+                c_coeffs[k] = sign * comb(n, k) * Fraction(2**m) * beta[m] / m
         c_list.append(Polynomial(c_coeffs))
     return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_COEFFICIENT)
 
@@ -337,7 +336,6 @@ def check_difference_identities(family: ACFamily) -> list:
 
 def check_euler_identity(family: ACFamily) -> list:
     """E_n(X) = X**n - X**(n+1) + (-i)**(n+1) [A_n(iX) + C_n(iX)], exactly."""
-    table = bernoulli_numbers(family.max_n + 1)
     checks = []
     for n in range(family.max_n + 1):
         inner = family.a(n).compose_affine(I, 0) + family.c(n).compose_affine(I, 0)
@@ -350,7 +348,7 @@ def check_euler_identity(family: ACFamily) -> list:
             exact_check(
                 f"euler_link/n={n}",
                 f"E_{n}(X) = X^{n} - X^{n + 1} + (-i)^{n + 1} [A_{n}(iX) + C_{n}(iX)]",
-                euler_poly(n, table),
+                euler_poly(n),
                 rhs,
             )
         )
@@ -359,12 +357,9 @@ def check_euler_identity(family: ACFamily) -> list:
 
 def check_tangent_expansion(family: ACFamily) -> list:
     """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly."""
-    table = bernoulli_numbers(family.max_n + 2)
     checks = []
     for n in range(family.max_n + 1):
-        rhs_coeffs = [
-            comb(n, k) * tangent_half_coeff(n - k, table) for k in range(n)
-        ]
+        rhs_coeffs = [comb(n, k) * tangent_half_coeff(n - k) for k in range(n)]
         rhs_coeffs.extend([Fraction(0), Fraction(1)])  # X**(n+1); no X**n term
         checks.append(
             exact_check(

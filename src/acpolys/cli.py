@@ -160,17 +160,15 @@ def _cmd_poly(args) -> tuple:
     return EXIT_OK, latex_polynomial(p)
 
 
-_NUMBER_KINDS = {
-    "bernoulli": lambda n, table: table[n],
-    "cosecant": lambda n, table: cosecant_number(n, table),
-    "tangent": lambda n, table: tangent_half_coeff(n, table),
-}
+_NUMBER_KINDS = {"cosecant": cosecant_number, "tangent": tangent_half_coeff}
 
 
 def _cmd_numbers(args) -> tuple:
-    table = bernoulli_numbers(args.max_n + 1)
-    fn = _NUMBER_KINDS[args.kind]
-    values = [fn(n, table) for n in range(args.max_n + 1)]
+    if args.kind == "bernoulli":
+        values = bernoulli_numbers(args.max_n)
+    else:
+        fn = _NUMBER_KINDS[args.kind]
+        values = [fn(n) for n in range(args.max_n + 1)]
     if args.format == "json":
         doc = {
             "kind": args.kind,
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_num = sub.add_parser("numbers", help="special-number tables")
     p_num.add_argument(
-        "--kind", choices=tuple(_NUMBER_KINDS), required=True
+        "--kind", choices=("bernoulli", *_NUMBER_KINDS), required=True
     )
     p_num.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
     p_num.add_argument("--format", choices=("json", "csv"), default="json")

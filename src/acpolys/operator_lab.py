@@ -400,8 +400,7 @@ def classical_log_integral(n: int, target: float = 1e-12) -> QuadratureResult:
 
 def classical_log_target(n: int) -> float:
     """(4**n - 1) * (-1)**(n-1) * beta_{2n} * pi**(2n) / n, as a float."""
-    table = bernoulli_numbers(2 * n)
-    coeff = Fraction((4**n - 1) * (-1) ** (n - 1), n) * table[2 * n]
+    coeff = Fraction((4**n - 1) * (-1) ** (n - 1), n) * bernoulli_numbers(2 * n)[2 * n]
     return rational_to_float(coeff) * PI ** (2 * n)
 
 
@@ -590,13 +589,12 @@ def moment_check(n: int, family: ACFamily, grid: Grid, tol: float = 1e-7) -> lis
                 tol,
             )
         )
-        beta = bernoulli_numbers(2)
         checks.append(
             exact_check(
                 "moment/lambda_beta",
                 "lam_2^1 = 4 beta_2 (exact rational identity)",
                 lam_n1,
-                4 * beta[2],
+                4 * bernoulli_numbers(2)[2],
             )
         )
     return checks

@@ -9,111 +9,110 @@ d_n are n! times the t**n coefficient of tan(t/2) (zero for even n).
 Each closed formula has an independent series-quotient construction in
 this module used as a cross-check.
 
+The beta_n are computed once per process: ``bernoulli_numbers`` keeps
+them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
+``tangent_half_coeff`` take only ``n`` and read beta from it.  The
+series constructions never read that memo.
+
 The sine/cosine/exponential reference series are generated from
 factorials, not hardcoded, so any truncation order is available.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .exact_core import Polynomial, TruncatedSeries
 
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """beta_0 .. beta_n, exact, indexable by n."""
-
-    values: tuple
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
+# beta_0 .. beta_m for the largest m requested so far in this process.  It
+# is only ever replaced by a longer tuple, never changed in place, so a
+# reader always holds a consistent prefix.
+_BETA = (Fraction(1),)
 
 
-def bernoulli_numbers(n_max: int) -> BernoulliTable:
-    """beta_0..beta_{n_max} via sum(binom(n+1,k)*beta_k, k=0..n) = 0."""
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += comb(n + 1, k) * values[k]
-        values.append(-acc / (n + 1))
-    return BernoulliTable(tuple(values))
+def _require_index(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
-def bernoulli_poly(n: int, table: BernoulliTable | None = None) -> Polynomial:
+def bernoulli_numbers(n_max: int) -> tuple:
+    """beta_0..beta_{n_max} via sum(binom(n+1,k)*beta_k, k=0..n) = 0.
+
+    Each beta_n is computed once per process; later calls slice the memo.
+    """
+    global _BETA
+    _require_index(n_max)
+    values = _BETA
+    if len(values) <= n_max:
+        extended = list(values)
+        for n in range(len(values), n_max + 1):
+            acc = Fraction(0)
+            for k in range(n):
+                acc += comb(n + 1, k) * extended[k]
+            extended.append(-acc / (n + 1))
+        values = tuple(extended)
+        if len(_BETA) < len(values):
+            _BETA = values
+    return values[: n_max + 1]
+
+
+def bernoulli_poly(n: int) -> Polynomial:
     """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k."""
-    if table is None or table.max_n < n:
-        table = bernoulli_numbers(n)
-    return Polynomial([comb(n, k) * table[n - k] for k in range(n + 1)])
+    beta = bernoulli_numbers(n)
+    return Polynomial([comb(n, k) * beta[n - k] for k in range(n + 1)])
 
 
-def euler_poly(n: int, table: BernoulliTable | None = None) -> Polynomial:
+def euler_poly(n: int) -> Polynomial:
     """E_n(X) = 2**(n+1)/(n+1) * [B_{n+1}(X/2 + 1/2) - B_{n+1}(X/2)]."""
-    if table is None or table.max_n < n + 1:
-        table = bernoulli_numbers(n + 1)
-    b = bernoulli_poly(n + 1, table)
+    _require_index(n)
+    b = bernoulli_poly(n + 1)
     half = Fraction(1, 2)
     diff = b.compose_affine(half, half) - b.compose_affine(half, 0)
     return diff * Fraction(2 ** (n + 1), n + 1)
 
 
-def cosecant_number(n: int, table: BernoulliTable | None = None) -> Fraction:
+def cosecant_number(n: int) -> Fraction:
     """cs(n) = (-1)**(n/2+1) * (2**n - 2) * beta_n for even n; 0 for odd n.
 
     The sign exponent is non-integral for odd n, where the series
     coefficient vanishes anyway (t/sin t is even).
     """
+    _require_index(n)
     if n % 2:
         return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    if table is None or table.max_n < n:
-        table = bernoulli_numbers(n)
-    return Fraction((-1) ** (n // 2 + 1) * (2**n - 2)) * table[n]
+    return Fraction((-1) ** (n // 2 + 1) * (2**n - 2)) * bernoulli_numbers(n)[n]
 
 
-def tangent_half_coeff(n: int, table: BernoulliTable | None = None) -> Fraction:
+def tangent_half_coeff(n: int) -> Fraction:
     """d_n = 2*(-1)**((n-1)/2)*(2**(n+1) - 1)*beta_{n+1}/(n+1) for odd n; 0 for even n.
 
     tan(t/2) is odd, so the even coefficients vanish (the sign exponent is
     non-integral there, including the n = 0 case d_0 = 0).
     """
+    _require_index(n)
     if n % 2 == 0:
         return Fraction(0)
-    if table is None or table.max_n < n + 1:
-        table = bernoulli_numbers(n + 1)
     sign = (-1) ** ((n - 1) // 2)
-    return 2 * sign * (2 ** (n + 1) - 1) * table[n + 1] / (n + 1)
+    return 2 * sign * (2 ** (n + 1) - 1) * bernoulli_numbers(n + 1)[n + 1] / (n + 1)
 
 
 # ---------------------------------------------------------------------------
 # Reference series, generated from factorials.
 
 
-def exp_xt_series(order: int, scale: Fraction | int = 1) -> TruncatedSeries:
-    """exp(scale * t * x): coefficient of t**n is scale**n x**n / n!."""
-    scale = Fraction(scale)
+def exp_xt_series(order: int) -> TruncatedSeries:
+    """exp(t * x): coefficient of t**n is x**n / n!."""
     return TruncatedSeries(
-        [Polynomial.monomial(n, scale**n / factorial(n)) for n in range(order + 1)],
+        [Polynomial.monomial(n, Fraction(1, factorial(n))) for n in range(order + 1)],
         order,
     )
 
 
-def exp_series(order: int, scale: Fraction | int = 1) -> TruncatedSeries:
-    """exp(scale * t) as a series with constant polynomial coefficients."""
-    scale = Fraction(scale)
+def exp_series(order: int) -> TruncatedSeries:
+    """exp(t) as a series with constant polynomial coefficients."""
     return TruncatedSeries(
-        [Polynomial([scale**n / factorial(n)]) for n in range(order + 1)],
+        [Polynomial([Fraction(1, factorial(n))]) for n in range(order + 1)],
         order,
     )
 

@@ -19,7 +19,6 @@ from acpolys.generalized_uv import build_uv, check_uv_consistency
 from acpolys.operator_lab import integrals_report
 from acpolys.report import PASS
 from acpolys.special_numbers import (
-    bernoulli_numbers,
     cosecant_number,
     cosecant_numbers_series,
     tangent_half_coeff,
@@ -100,9 +99,8 @@ def test_criterion_4_uv_consistency(capsys):
 
 def test_criterion_5_special_number_oracles(capsys):
     def body():
-        table = bernoulli_numbers(42)
-        closed_cs = [cosecant_number(n, table) for n in range(41)]
-        closed_d = [tangent_half_coeff(n, table) for n in range(41)]
+        closed_cs = [cosecant_number(n) for n in range(41)]
+        closed_d = [tangent_half_coeff(n) for n in range(41)]
         assert closed_cs == cosecant_numbers_series(40)
         assert closed_d == tangent_half_coeffs_series(40)
 

@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: output formats, round-trips, exit codes."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acpolys.cli import canonical_json, latex_polynomial, run
+from acpolys.cli import ALL_ROUTES, VERIFY_SUITES, canonical_json, latex_polynomial, run
+from acpolys.operator_lab import SUITES
 from acpolys.exact_core import Polynomial, poly_from_json, poly_to_json
 
 F = Fraction
@@ -240,6 +245,74 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "Traceback" not in err
+
+
+def _option(flag, values):
+    """``[flag, value]`` or nothing, so each option may be left at its default."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_small_n = st.integers(-2, 12)
+_formats = st.sampled_from(("json", "csv", "latex"))
+_report_options = (
+    _option("--max-n", _small_n),
+    _option(
+        "--tolerance", st.sampled_from(("1e-8", "1e-14", "1e-300", "1", "0", "nan"))
+    ),
+    _option("--grid-size", st.integers(0, 64)),
+    _option("--format", _formats),
+)
+
+_argv = st.one_of(
+    st.tuples(
+        st.just(["poly"]),
+        st.sampled_from(("a", "c")).map(lambda f: ["--family", f]),
+        _small_n.map(lambda n: ["--n", str(n)]),
+        _option("--route", st.sampled_from(ALL_ROUTES)),
+        _option("--format", _formats),
+    ),
+    st.tuples(
+        st.just(["numbers"]),
+        st.sampled_from(("bernoulli", "cosecant", "tangent")).map(
+            lambda k: ["--kind", k]
+        ),
+        _option("--max-n", _small_n),
+        _option("--format", _formats),
+    ),
+    st.tuples(
+        st.just(["coeffs"]),
+        st.sampled_from(("alpha-lambda", "uv")).map(lambda t: [t]),
+        _option("--max-n", _small_n),
+        _option("--format", _formats),
+    ),
+    st.tuples(
+        st.just(["verify"]),
+        st.sampled_from(VERIFY_SUITES).map(lambda s: [s]),
+        _option("--suite", st.sampled_from(SUITES + ("all",))),
+        *_report_options,
+    ),
+    st.tuples(st.just(["selftest"]), *_report_options),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_argv)
+def test_random_argv_has_a_defined_outcome(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out + err, argv
+    if code == 0:
+        assert err == "", argv
 
 
 class TestSelftest:

@@ -6,9 +6,12 @@ series-quotient constructors then cross-check the closed formulas to
 n = 40 through a completely independent mechanism.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
 
+from acpolys import special_numbers
 from acpolys.exact_core import Polynomial
 from acpolys.special_numbers import (
     bernoulli_numbers,
@@ -18,7 +21,6 @@ from acpolys.special_numbers import (
     cosecant_number,
     cosecant_numbers_series,
     euler_poly,
-    exp_series,
     exp_xt_series,
     sin_series,
     tangent_half_coeff,
@@ -111,6 +113,46 @@ class TestBernoulliNumbers:
         assert [table[n] for n in range(41)] == series_values
 
 
+class TestBernoulliMemo:
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(special_numbers, "_BETA", (F(1),))
+
+    def test_values_are_reused(self):
+        short, long = bernoulli_numbers(20), bernoulli_numbers(40)
+        assert len(short) == 21 and len(long) == 41
+        assert all(short[k] is long[k] for k in range(21))
+
+    def test_independent_of_call_order(self, fresh_memo):
+        series = bernoulli_numbers_series(48)
+        for n_max in (40, 7, 0, 48):
+            assert list(bernoulli_numbers(n_max)) == series[: n_max + 1]
+
+    def test_concurrent_callers_agree(self, fresh_memo):
+        serial = bernoulli_numbers_series(60)
+        sizes = [60, 13, 45, 2, 31, 60, 5, 52]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(bernoulli_numbers, sizes))
+        for n_max, values in zip(sizes, results):
+            assert list(values) == serial[: n_max + 1]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        bernoulli_numbers,
+        bernoulli_poly,
+        euler_poly,
+        cosecant_number,
+        tangent_half_coeff,
+    ],
+)
+@pytest.mark.parametrize("n", [-1, -2, -3])
+def test_negative_index_raises(fn, n):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fn(n)
+
+
 class TestBernoulliPolynomials:
     def test_oracle_polys(self):
         for n, expected in BERNOULLI_POLY_ORACLE.items():
@@ -119,13 +161,12 @@ class TestBernoulliPolynomials:
     def test_constant_term_is_bernoulli_number(self):
         table = bernoulli_numbers(15)
         for n in range(16):
-            assert bernoulli_poly(n, table).coefficient(0) == table[n]
+            assert bernoulli_poly(n).coefficient(0) == table[n]
 
     def test_forward_difference(self):
         # B_n(X+1) - B_n(X) = n X^(n-1)
-        table = bernoulli_numbers(20)
         for n in range(1, 21):
-            b = bernoulli_poly(n, table)
+            b = bernoulli_poly(n)
             diff = b.compose_affine(1, 1) - b
             assert diff == Polynomial.monomial(n - 1, n), f"n={n}"
 
@@ -158,45 +199,37 @@ class TestEulerPolynomials:
 
 class TestCosecantNumbers:
     def test_oracle_values(self):
-        table = bernoulli_numbers(9)
         for n, expected in COSECANT_ORACLE.items():
-            assert cosecant_number(n, table) == expected, f"cs({n})"
+            assert cosecant_number(n) == expected, f"cs({n})"
 
     def test_odd_vanish(self):
-        table = bernoulli_numbers(42)
         for n in range(1, 41, 2):
-            assert cosecant_number(n, table) == 0
+            assert cosecant_number(n) == 0
 
     def test_even_positive(self):
-        table = bernoulli_numbers(42)
         for n in range(0, 41, 2):
-            assert cosecant_number(n, table) > 0
+            assert cosecant_number(n) > 0
 
     def test_series_cross_check_to_40(self):
-        table = bernoulli_numbers(41)
-        closed = [cosecant_number(n, table) for n in range(41)]
+        closed = [cosecant_number(n) for n in range(41)]
         assert closed == cosecant_numbers_series(40)
 
 
 class TestTangentHalfCoeffs:
     def test_oracle_values(self):
-        table = bernoulli_numbers(11)
         for n, expected in TANGENT_ORACLE.items():
-            assert tangent_half_coeff(n, table) == expected, f"d_{n}"
+            assert tangent_half_coeff(n) == expected, f"d_{n}"
 
     def test_even_vanish(self):
-        table = bernoulli_numbers(42)
         for n in range(0, 41, 2):
-            assert tangent_half_coeff(n, table) == 0
+            assert tangent_half_coeff(n) == 0
 
     def test_odd_positive(self):
-        table = bernoulli_numbers(42)
         for n in range(1, 41, 2):
-            assert tangent_half_coeff(n, table) > 0
+            assert tangent_half_coeff(n) > 0
 
     def test_series_cross_check_to_40(self):
-        table = bernoulli_numbers(42)
-        closed = [tangent_half_coeff(n, table) for n in range(41)]
+        closed = [tangent_half_coeff(n) for n in range(41)]
         assert closed == tangent_half_coeffs_series(40)
 
 
@@ -212,10 +245,6 @@ class TestSeriesConstructors:
         expected = [1, 0, F(-1, 2), 0, F(1, 24)]
         for n, c in enumerate(expected):
             assert s.coefficient(n) == Polynomial([c]), f"t^{n}"
-
-    def test_exp_series_scaling(self):
-        s = exp_series(3, F(1, 2))
-        assert s.coefficient(2) == Polynomial([F(1, 8)])
 
     def test_exp_xt_coefficients_are_monomials(self):
         from math import factorial
