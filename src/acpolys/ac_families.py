@@ -61,6 +61,12 @@ FAMILY_ROUTES = (
 )
 
 
+def _require_n_max(n_max: int) -> None:
+    """Every builder rejects a negative n_max rather than guess a family."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+
+
 def _index(n: int) -> int:
     """n itself, or IndexError for n < 0 (a tuple would wrap around)."""
     if n < 0:
@@ -102,6 +108,7 @@ def build_by_recurrence(n_max: int) -> ACFamily:
     where lam_n^k is the coefficient of X**k in C_n (the leading
     coefficient n/(n+1) of C_n sits at k = n+1 and is excluded).
     """
+    _require_n_max(n_max)
     a_list = [X]
     c_list = [Polynomial()]
     for n in range(n_max):
@@ -129,6 +136,7 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     imaginary part (which would indicate an implementation bug; the
     construction is real for every n).
     """
+    _require_n_max(n_max)
     half = Fraction(1, 2)
     inv_2i = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
     a_list = []
@@ -154,6 +162,7 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
     lam_n^{n+1} = n/(n+1).  Parities where the Bernoulli index would be
     odd (>= 3) give exactly zero and are skipped.
     """
+    _require_n_max(n_max)
     beta = bernoulli_numbers(n_max)
     a_list = []
     c_list = []
@@ -184,6 +193,7 @@ def build_by_generating_function(n_max: int) -> ACFamily:
     The inputs are built at order n_max + 1 because dividing by sin t
     (valuation 1) costs one order.
     """
+    _require_n_max(n_max)
     order = n_max + 1
     ext = exp_xt_series(order)
     one = TruncatedSeries([Polynomial([1])], order)
@@ -203,6 +213,7 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     seeded with A_0 = X.  Raises ValueError on any nonzero imaginary
     residue (the recurrence provably stays real).
     """
+    _require_n_max(n_max)
     a_gauss = [X.lift_gaussian()]
     x_plus_i = Polynomial([I, GaussianRational(1)])
     power = x_plus_i * x_plus_i  # (X+i)**(n+2) for the current step

@@ -10,7 +10,8 @@ Subcommands::
 
 Exact values are printed as "p/q" strings, never floats; floats appear
 only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage error, 3 quadrature failed to converge.
+1 a check failed, 2 usage error, 3 quadrature failed to converge, 4 internal
+error (an unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 
 def canonical_json(obj) -> str:
@@ -377,6 +379,9 @@ def run(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"acpolys: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: keep exit 1 meaning "a check failed"
+        print(f"acpolys: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     if output:
         print(output)
     return code

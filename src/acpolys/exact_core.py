@@ -4,10 +4,16 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always stored
 reduced with a positive denominator) or :class:`GaussianRational`, a pair
 of Fractions representing ``re + im*i``, i.e. an element of the field Q(i).
 
-:class:`Polynomial` is a dense coefficient vector over either scalar kind,
-lowest degree first, with the highest stored coefficient nonzero (the zero
-polynomial stores no coefficients).  :class:`TruncatedSeries` is a vector
-of polynomials in x indexed by the power of t, exact modulo t**(order+1).
+:class:`Polynomial` is a dense polynomial over Q or Q(i) stored as
+integers: the numerators of its coefficients, lowest degree first, over one
+positive common denominator, with the highest stored coefficient nonzero
+and the whole reduced by its gcd (FLINT's ``fmpq_poly`` layout).  Its
+arithmetic is integer vector arithmetic, reduced once per operation, and
+Fraction/GaussianRational coefficients are built only when read or
+printed.  The coefficient type is uniform per polynomial: GaussianRational
+throughout if any input coefficient or operand was Gaussian, Fraction
+otherwise.  :class:`TruncatedSeries` is a vector of polynomials in x
+indexed by the power of t, exact modulo t**(order+1).
 
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
@@ -17,7 +23,7 @@ share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -35,13 +41,6 @@ class GaussianRational:
     def __init__(self, re: Rat = 0, im: Rat = 0):
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """The field norm re**2 + im**2 (a nonnegative rational)."""
@@ -121,15 +120,17 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return GaussianRational(1) / self ** (-exponent)
-        result = GaussianRational(1)
-        base = self
+        # Square-and-multiply on the Gaussian integer x + y*i = self * d.
+        x, y, d = _gaussian_integer_over(self)
+        re, im = 1, 0
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                re, im = re * x - im * y, re * y + im * x
+            x, y = x * x - y * y, 2 * x * y
             e >>= 1
-        return result
+        d **= exponent
+        return GaussianRational(Fraction(re, d), Fraction(im, d))
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -186,30 +187,95 @@ def _gaussian_integer_over(value: Scalar) -> tuple:
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
-def _as_coefficient(value) -> Scalar:
-    """Coerce a constructor argument to an exact scalar."""
-    if isinstance(value, (Fraction, GaussianRational)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
+def _axpy(a: Sequence[int], ma: int, b: Sequence[int], mb: int) -> list:
+    """[ma*a_k + mb*b_k] over the longer length, the shorter vector padded
+    with zeros."""
+    if len(a) < len(b):
+        a, ma, b, mb = b, mb, a, ma
+    out = [x * ma + y * mb for x, y in zip(a, b)]
+    out.extend(x * ma for x in a[len(b):])
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """The integer convolution of a and b (the product of two polynomials'
+    numerator vectors); zero entries of the shorter vector are skipped."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    width = len(b)
+    out = [0] * (len(a) + width - 1)
+    for j, x in enumerate(a):
+        if x:
+            out[j:j + width] = [o + x * y for o, y in zip(out[j:j + width], b)]
+    return out
 
 
 class Polynomial:
-    """Dense polynomial over Fraction or GaussianRational coefficients.
+    """Dense polynomial over Q or Q(i), stored as integers over one denominator.
 
-    Coefficients are stored lowest degree first; trailing zeros are
-    stripped so the highest stored coefficient is nonzero.  The zero
-    polynomial stores an empty tuple and has degree -1.
+    ``_re`` holds the integer numerators of the real parts, lowest degree
+    first; ``_im`` holds those of the imaginary parts, or is ``None`` for a
+    polynomial over Q; ``_den`` is the one positive common denominator.  So
+    coefficient k is ``(_re[k] + _im[k]*i) / _den``.  Every instance is
+    canonical: trailing zero coefficients are stripped (the zero polynomial
+    stores empty vectors and has degree -1) and ``gcd(_den, *_re, *_im)``
+    is 1, which makes ``_den == 1`` for the zero polynomial.  This is the
+    content/primitive-part layout of FLINT's ``fmpq_poly``: each operation
+    works on integer vectors and reduces once, at the end.
+
+    The coefficient type is uniform per polynomial: every coefficient is a
+    GaussianRational if any input coefficient or operand was one, and a
+    Fraction otherwise.  Scalars are built only when a coefficient is read
+    (``coeffs``, ``coefficient``, ``leading``, evaluation, printing).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_re", "_im", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        items = [_as_coefficient(c) for c in coeffs]
-        while items and not items[-1]:
-            items.pop()
-        self._coeffs = tuple(items)
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        items = tuple(coeffs)
+        parts = [_gaussian_integer_over(c) for c in items]
+        den = lcm(*(d for _, _, d in parts))
+        re = [x * (den // d) for x, _, d in parts]
+        im = None
+        if any(isinstance(c, GaussianRational) for c in items):
+            im = [y * (den // d) for _, y, d in parts]
+        return cls._of(re, im, den)
+
+    @classmethod
+    def _of(cls, re: Sequence[int], im, den: int) -> "Polynomial":
+        """The polynomial (re + im*i)/den, for integer vectors re and im
+        (im None for a polynomial over Q, and no longer than re) and
+        den > 0: trailing zeros stripped, reduced once."""
+        p = object.__new__(cls)
+        n = len(re)
+        if im is None:
+            while n and not re[n - 1]:
+                n -= 1
+        else:
+            if len(im) < n:
+                im = [*im, *(0,) * (n - len(im))]
+            while n and not (re[n - 1] or im[n - 1]):
+                n -= 1
+        if not n:
+            p._re, p._im, p._den = (), None if im is None else (), 1
+            return p
+        re = re[:n]
+        g = gcd(den, *re)
+        if im is not None:
+            im = im[:n]
+            if g != 1:
+                g = gcd(g, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            if im is not None:
+                im = [y // g for y in im]
+            den //= g
+        p._re = tuple(re)
+        p._im = None if im is None else tuple(im)
+        p._den = den
+        return p
 
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
@@ -218,135 +284,176 @@ class Polynomial:
             raise ValueError("negative power")
         return cls([0] * power + [coeff])
 
+    def _scalar(self, k: int) -> Scalar:
+        re = Fraction(self._re[k], self._den)
+        if self._im is None:
+            return re
+        return GaussianRational(re, Fraction(self._im[k], self._den))
+
+    def _zero_scalar(self) -> Scalar:
+        return Fraction(0) if self._im is None else GaussianRational(0)
+
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple(self._scalar(k) for k in range(len(self._re)))
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._re
 
     def coefficient(self, power: int) -> Scalar:
         """The coefficient of X**power (zero beyond the degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
+        if 0 <= power < len(self._re):
+            return self._scalar(power)
+        return self._zero_scalar()
 
     def leading(self) -> Scalar:
         """The highest nonzero coefficient; zero for the zero polynomial."""
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self._scalar(-1) if self._re else self._zero_scalar()
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other over the lcm of the two denominators."""
+        g = gcd(self._den, other._den)
+        ma, mb = other._den // g, sign * (self._den // g)
+        re = _axpy(self._re, ma, other._re, mb)
+        im = None
+        if self._im is not None or other._im is not None:
+            im = _axpy(self._im or (), ma, other._im or (), mb)
+        return Polynomial._of(re, im, self._den * ma)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for k, c in enumerate(b):
-            summed[k] = summed[k] + c
-        return Polynomial(summed)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) >= len(b):
-            diff = list(a)
-            for k, c in enumerate(b):
-                diff[k] = diff[k] - c
-        else:
-            diff = [-c for c in b]
-            for k, c in enumerate(a):
-                diff[k] = c - b[k]
-        return Polynomial(diff)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Polynomial([-c for c in self._coeffs])
+        im = None if self._im is None else [-y for y in self._im]
+        return Polynomial._of([-x for x in self._re], im, self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for j, cj in enumerate(self._coeffs):
-                if not cj:
-                    continue
-                for k, ck in enumerate(other._coeffs):
-                    out[j + k] = out[j + k] + cj * ck
-            return Polynomial(out)
+            ar, br = self._re, other._re
+            # An all-zero imaginary vector contributes no products.
+            ai = self._im if self._im and any(self._im) else None
+            bi = other._im if other._im and any(other._im) else None
+            re = _convolve(ar, br)
+            if ai and bi:
+                re = _axpy(re, 1, _convolve(ai, bi), -1)
+            im = None
+            if self._im is not None or other._im is not None:
+                im = []
+                if bi:
+                    im = _convolve(ar, bi)
+                if ai:
+                    im = _axpy(im, 1, _convolve(ai, br), 1)
+            return Polynomial._of(re, im, self._den * other._den)
         try:
-            scalar = _as_coefficient(other)
+            sr, si, sd = _gaussian_integer_over(other)
         except TypeError:
             return NotImplemented
-        return Polynomial([c * scalar for c in self._coeffs])
+        re, im = self._re, self._im
+        if im is None:
+            new_re = [x * sr for x in re]
+            new_im = [x * si for x in re] if isinstance(other, GaussianRational) else None
+        elif si:
+            new_re = [x * sr - y * si for x, y in zip(re, im)]
+            new_im = [x * si + y * sr for x, y in zip(re, im)]
+        else:
+            new_re = [x * sr for x in re]
+            new_im = [y * sr for y in im]
+        return Polynomial._of(new_re, new_im, self._den * sd)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(self._coeffs) != len(other._coeffs):
+        if self._den != other._den or self._re != other._re:
             return False
-        return all(a == b for a, b in zip(self._coeffs, other._coeffs))
+        a, b = self._im, other._im
+        if a is None:
+            return b is None or not any(b)
+        if b is None:
+            return not any(a)
+        return a == b
 
     def __hash__(self):
-        return hash(self._coeffs)
+        # A Q(i) polynomial with no imaginary part equals, so hashes like,
+        # the same polynomial over Q.
+        im = self._im if self._im and any(self._im) else None
+        return hash((self._re, im, self._den))
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Exact evaluation at x (Horner)."""
-        acc: Scalar = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact evaluation at x, by Horner's rule on integers.
+
+        With x = (u + v*i)/q, n = degree and numerators
+        n_k = _re[k] + _im[k]*i, the value is
+        sum_k n_k (u + v*i)**k q**(n-k) over _den * q**n.
+        """
+        u, v, q = _gaussian_integer_over(x)
+        re, im = self._re, self._im
+        gaussian = im is not None or isinstance(x, GaussianRational)
+        if not re:
+            return GaussianRational(0) if gaussian else Fraction(0)
+        if im is None:
+            im = (0,) * len(re)
+        acc_re = acc_im = 0
+        scale = 1  # q**(n-k) for the coefficient k being added
+        for k in range(len(re) - 1, -1, -1):
+            acc_re, acc_im = (
+                acc_re * u - acc_im * v + re[k] * scale,
+                acc_re * v + acc_im * u + im[k] * scale,
+            )
+            scale *= q
+        den = self._den * (scale // q)
+        if gaussian:
+            return GaussianRational(Fraction(acc_re, den), Fraction(acc_im, den))
+        return Fraction(acc_re, den)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """Return p(a*X + b), computed exactly by a Taylor shift over Z[i].
 
-        With a common denominator D of the coefficients, b = beta/d_b and
-        a = alpha/d_a (beta, alpha Gaussian integers, d_b, d_a positive
-        integers), and N = degree,
+        With p = sum_j c_j X**j where c_j = n_j / D (n_j Gaussian integers,
+        D = _den), b = beta/d_b and a = alpha/d_a (beta, alpha Gaussian
+        integers, d_b, d_a positive integers), and N = degree,
 
             D * d_b**N * p(X + b) = s(d_b*X + beta)
-                where s(Z) = sum_j D*c_j * d_b**(N-j) * Z**j,
+                where s(Z) = sum_j n_j * d_b**(N-j) * Z**j,
 
         so the Gaussian-integer polynomial s is shifted by beta with the
         classical O(N**2) additions-only scheme (von zur Gathen & Gerhard,
         "Fast algorithms for Taylor shifts and certain difference
         equations", ISSAC 1997), and coefficient k of the result is
-        s(Z + beta)_k * (d_b*alpha)**k / (D * d_b**N * d_a**k).  Each output
-        coefficient is reduced once.  The coefficients are all
-        GaussianRational when a, b or any coefficient of p is one, and all
-        Fraction otherwise.
+        s(Z + beta)_k * (d_b*alpha)**k * d_a**(N-k) over the one
+        denominator D * d_b**N * d_a**N, reduced once.  The result is over
+        Q(i) when a, b or p is, and over Q otherwise.
         """
-        coeffs = self._coeffs
-        if not coeffs:
-            return Polynomial()
-        gaussian = any(
-            isinstance(v, GaussianRational) for v in (a, b, *coeffs)
-        )
-        parts = [
-            (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
-            for c in coeffs
-        ]
-        den = lcm(*(x.denominator for pair in parts for x in pair))
+        gaussian = (self._im is not None or isinstance(a, GaussianRational)
+                    or isinstance(b, GaussianRational))
+        if not self._re:
+            return Polynomial._of((), [] if gaussian else None, 1)
         beta_re, beta_im, d_b = _gaussian_integer_over(b)
         alpha_re, alpha_im, d_a = _gaussian_integer_over(a)
 
-        # s_j = D*c_j * d_b**(N-j), as separate integer real/imaginary lists.
-        n = len(coeffs) - 1
-        re = [0] * (n + 1)
-        im = [0] * (n + 1)
-        scale = den
-        for j in range(n, -1, -1):
-            x, y = parts[j]
-            re[j] = x.numerator * (scale // x.denominator)
-            im[j] = y.numerator * (scale // y.denominator)
-            scale *= d_b
+        # s_j = n_j * d_b**(N-j), as separate integer real/imaginary lists.
+        n = len(self._re) - 1
+        re = list(self._re)
+        im = list(self._im) if self._im is not None else [0] * (n + 1)
+        if d_b != 1:
+            scale = 1
+            for j in range(n, -1, -1):
+                re[j] *= scale
+                im[j] *= scale
+                scale *= d_b
 
         # s(Z) -> s(Z + beta); after pass i, coefficient i is final.
         if beta_im == 0 and not any(im):
@@ -361,45 +468,37 @@ class Polynomial:
                     re[j] += beta_re * x - beta_im * y
                     im[j] += beta_re * y + beta_im * x
 
-        # Coefficient k: times (d_b*alpha)**k, over D * d_b**N * d_a**k.
+        # Coefficient k: times (d_b*alpha)**k * d_a**(N-k).
         w_re, w_im = d_b * alpha_re, d_b * alpha_im
         p_re, p_im = 1, 0
-        denom = den * d_b ** n
-        out = []
         for k in range(n + 1):
-            x = re[k] * p_re - im[k] * p_im
-            y = re[k] * p_im + im[k] * p_re
-            if gaussian:
-                out.append(GaussianRational(Fraction(x, denom), Fraction(y, denom)))
-            else:
-                out.append(Fraction(x, denom))
+            x, y = re[k], im[k]
+            if d_a != 1:
+                x, y = x * d_a ** (n - k), y * d_a ** (n - k)
+            re[k] = x * p_re - y * p_im
+            im[k] = x * p_im + y * p_re
             p_re, p_im = p_re * w_re - p_im * w_im, p_re * w_im + p_im * w_re
-            denom *= d_a
-        return Polynomial(out)
+        return Polynomial._of(re, im if gaussian else None, self._den * (d_b * d_a) ** n)
 
     def lift_gaussian(self) -> "Polynomial":
-        """The same polynomial with every coefficient in Q(i)."""
-        return Polynomial(
-            [c if isinstance(c, GaussianRational) else GaussianRational(c)
-             for c in self._coeffs]
-        )
+        """The same polynomial over Q(i)."""
+        im = self._im if self._im is not None else (0,) * len(self._re)
+        return Polynomial._of(self._re, im, self._den)
 
     def rational_coefficients(self) -> "Polynomial":
-        """Downcast Q(i) coefficients to Fraction; raises if any im != 0."""
-        out = []
-        for c in self._coeffs:
-            if isinstance(c, GaussianRational):
-                out.append(c.real_part())
-            else:
-                out.append(c)
-        return Polynomial(out)
+        """The same polynomial over Q; raises ValueError if any coefficient
+        has a nonzero imaginary part."""
+        if self._im is not None and any(self._im):
+            raise ValueError(f"nonzero imaginary part in {self!r}")
+        return Polynomial._of(self._re, None, self._den)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         pieces = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficient(power)
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
             if not c:
                 continue
             # Pull a minus sign out of coefficients with a definite sign
@@ -433,7 +532,7 @@ class Polynomial:
         return " ".join(pieces)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
 
 #: The indeterminate, as a rational polynomial.
@@ -536,11 +635,9 @@ class TruncatedSeries:
             return TruncatedSeries(
                 [c * other for c in self._coeffs], self._order
             )
-        try:
-            scalar = _as_coefficient(other)
-        except TypeError:
+        if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
-        return TruncatedSeries([c * scalar for c in self._coeffs], self._order)
+        return TruncatedSeries([c * other for c in self._coeffs], self._order)
 
     __rmul__ = __mul__
 

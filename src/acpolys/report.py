@@ -2,9 +2,11 @@
 
 A Check records one comparison: an identifier, a human-readable
 description, a status ("pass", "fail", or "error"), the two compared
-values rendered as strings (exact strings for algebraic checks, repr'd
-floats for quadrature checks), and an error metric ("0" for exact
-agreement, a relative or absolute error for numeric checks).
+values, and an error metric ("0" for exact agreement, a relative or
+absolute error for numeric checks).  Exact checks keep the compared values
+themselves (polynomials, scalars) and quadrature checks keep repr'd floats;
+``to_json_dict`` renders both with ``str()``, so only JSON output pays for
+rendering a polynomial.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class Check:
     id: str
     description: str
     status: str
-    lhs: str = ""
-    rhs: str = ""
+    lhs: object = ""
+    rhs: object = ""
     error_metric: str = ""
 
     def to_json_dict(self) -> dict:
@@ -31,8 +33,8 @@ class Check:
             "id": self.id,
             "description": self.description,
             "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
             "error_metric": self.error_metric,
         }
 
@@ -40,8 +42,8 @@ class Check:
 def exact_check(check_id: str, description: str, lhs, rhs) -> Check:
     """A check comparing two exactly-comparable values (== must be exact)."""
     if lhs == rhs:
-        return Check(check_id, description, PASS, str(lhs), str(rhs), "0")
-    return Check(check_id, description, FAIL, str(lhs), str(rhs), "exact mismatch")
+        return Check(check_id, description, PASS, lhs, rhs, "0")
+    return Check(check_id, description, FAIL, lhs, rhs, "exact mismatch")
 
 
 @dataclass

@@ -108,6 +108,22 @@ class TestRouteEquivalence:
         for n, expected in enumerate(GOLDEN_A):
             assert a_list[n] == expected, f"residue A_{n}"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_by_recurrence,
+            build_by_closed_form,
+            build_by_coefficient_formula,
+            build_by_generating_function,
+            build_a_by_residue_recurrence,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_negative_n_max_raises(self, build, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            build(n_max)
+
     def test_build_route_dispatch(self):
         for route in FAMILY_ROUTES:
             fam = build_route(route, 3)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acpolys import cli
 from acpolys.cli import ALL_ROUTES, VERIFY_SUITES, canonical_json, latex_polynomial, run
 from acpolys.operator_lab import SUITES
 from acpolys.exact_core import Polynomial, poly_from_json, poly_to_json
@@ -247,6 +248,27 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._DISPATCH, "numbers", broken)
+        code, out, err = invoke(capsys, "numbers", "--kind", "bernoulli")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "acpolys: internal error: RuntimeError('boom')\n"
+
+    def test_value_error_stays_a_usage_error(self, capsys, monkeypatch):
+        def rejects(args):
+            raise ValueError("bad input")
+
+        monkeypatch.setitem(cli._DISPATCH, "numbers", rejects)
+        code, _, err = invoke(capsys, "numbers", "--kind", "bernoulli")
+        assert code == cli.EXIT_USAGE
+        assert err == "acpolys: error: bad input\n"
+
+
 def _option(flag, values):
     """``[flag, value]`` or nothing, so each option may be left at its default."""
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
@@ -353,6 +375,10 @@ class TestByteStability:
              "4e93a784930527489b174c006332882f7ef7cfd16811386d595c45875c7fb9bd", "8"),
             ("identities",
              "4b6f57f79b0c657dbaa97b501f1c0f332976f2a00f603d7851ac243b7e0c98df", "24"),
+            ("identities",
+             "be047ff19dee3ae600e309cbc2f3f5470a2d732098ccb36bceca49eaed464dfb", "48"),
+            ("uv",
+             "bf3d25cc6fe7cfad126d10013bd853bbfc83fe433a199d78437f1a84bfcc542e", "48"),
         ],
     )
     def test_exact_report_digest(self, capsys, suite, digest, max_n):

@@ -1,12 +1,14 @@
 """Unit and property tests for the exact scalar/polynomial/series tower."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acpolys.ac_families import build_by_recurrence
+from acpolys.report import FAIL, PASS, exact_check
 from acpolys.exact_core import (
     GaussianRational,
     I,
@@ -50,8 +52,58 @@ def horner_compose_affine(p, a, b):
     return Polynomial(acc)
 
 
+def reference_add(a, b, sign=1):
+    """Per-coefficient a + sign*b on lists of Fraction/GaussianRational."""
+    width = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (width - len(a))
+    b = list(b) + [Fraction(0)] * (width - len(b))
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def reference_mul(a, b):
+    """Per-coefficient schoolbook product of two coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return out
+
+
+def stripped(values):
+    values = list(values)
+    while values and not values[-1]:
+        values.pop()
+    return values
+
+
+def is_gaussian(p):
+    return p._im is not None
+
+
+def assert_canonical(p):
+    """The integer layout invariant: int vectors of equal length, den > 0,
+    no trailing zero coefficient, gcd(den, *re, *im) == 1 (den == 1 for
+    the zero polynomial)."""
+    re, im, den = p._re, p._im, p._den
+    assert type(re) is tuple and all(type(x) is int for x in re)
+    assert type(den) is int and den > 0
+    if im is not None:
+        assert type(im) is tuple and all(type(y) is int for y in im)
+        assert len(im) == len(re)
+    if re:
+        assert re[-1] or (im is not None and im[-1])
+    else:
+        assert den == 1
+    assert gcd(den, *re, *(im or ())) == 1
+
+
 # ---------------------------------------------------------------------------
 # GaussianRational
+
+
+def conj(z):
+    """The complex conjugate of a GaussianRational."""
+    return GaussianRational(z.re, -z.im)
 
 
 class TestGaussianRational:
@@ -65,7 +117,6 @@ class TestGaussianRational:
         assert TWO_I == 2 * I
 
     def test_is_real_and_real_part(self):
-        assert GaussianRational(3, 0).is_real
         assert GaussianRational(3, 0).real_part() == 3
         with pytest.raises(ValueError):
             GaussianRational(3, 1).real_part()
@@ -119,7 +170,7 @@ class TestGaussianRational:
 
     @given(gaussians_st, gaussians_st)
     def test_conjugation_is_multiplicative(self, u, v):
-        assert (u * v).conjugate() == u.conjugate() * v.conjugate()
+        assert conj(u * v) == conj(u) * conj(v)
 
     @given(gaussians_st, gaussians_st)
     def test_norm_is_multiplicative(self, u, v):
@@ -133,7 +184,7 @@ class TestGaussianRational:
 
     @given(gaussians_st)
     def test_norm_is_conjugate_product(self, u):
-        assert u * u.conjugate() == GaussianRational(u.norm(), 0)
+        assert u * conj(u) == GaussianRational(u.norm(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +302,67 @@ class TestPolynomial:
             diff = x - y
             assert diff == x + (-y)
             assert [type(c) for c in diff.coeffs] == [type(c) for c in (x + (-y)).coeffs]
+
+    @given(gaussian_polys_st, gaussian_polys_st, scalars_st)
+    @settings(max_examples=150)
+    def test_arithmetic_matches_per_coefficient_reference(self, p, q, s):
+        a, b = list(p.coeffs), list(q.coeffs)
+        cases = [
+            (p + q, reference_add(a, b), is_gaussian(p) or is_gaussian(q)),
+            (p - q, reference_add(a, b, -1), is_gaussian(p) or is_gaussian(q)),
+            (-p, [-x for x in a], is_gaussian(p)),
+            (p * q, reference_mul(a, b), is_gaussian(p) or is_gaussian(q)),
+        ]
+        for scalar in (s, Fraction(s.re) if isinstance(s, GaussianRational) else s):
+            lifted = is_gaussian(p) or isinstance(scalar, GaussianRational)
+            cases.append((p * scalar, [x * scalar for x in a], lifted))
+            cases.append((scalar * p, [scalar * x for x in a], lifted))
+        for got, ref, gaussian in cases:
+            assert list(got.coeffs) == stripped(ref)
+            assert is_gaussian(got) == gaussian
+            kind = GaussianRational if gaussian else Fraction
+            assert all(type(c) is kind for c in got.coeffs)
+
+    @given(gaussian_polys_st, gaussian_polys_st, scalars_st, scalars_st)
+    @settings(max_examples=100)
+    def test_every_result_is_canonical(self, p, q, a, b):
+        results = [
+            p, q, p + q, p - q, p - p, -p, p * q, p * a, a * p,
+            p * 0, p.compose_affine(a, b), p.lift_gaussian(),
+            Polynomial(p.coeffs), (q - q) * p,
+        ]
+        if not any(isinstance(c, GaussianRational) and c.im for c in p.coeffs):
+            results.append(p.rational_coefficients())
+        for r in results:
+            assert_canonical(r)
+
+    def test_layout_reduces_to_one_denominator(self):
+        p = Polynomial([Fraction(1, 6), Fraction(-1, 4), 0, 0])
+        assert (p._re, p._im, p._den) == ((2, -3), None, 12)
+        q = Polynomial([GaussianRational(Fraction(1, 2), 1), Fraction(3, 2)])
+        assert (q._re, q._im, q._den) == ((1, 3), (2, 0), 2)
+        zero = Polynomial([HALF]) - Polynomial([HALF])
+        assert (zero._re, zero._im, zero._den) == ((), None, 1)
+
+    def test_zero_imaginary_part_compares_equal_to_rational(self):
+        p = Polynomial([HALF, 0, 3])
+        lifted = p.lift_gaussian()
+        assert lifted == p and p == lifted
+        assert hash(lifted) == hash(p)
+        assert all(type(c) is GaussianRational for c in lifted.coeffs)
+        assert lifted.coefficient(7) == 0
+        assert type(lifted.coefficient(7)) is GaussianRational
+        assert str(lifted) == str(p) == "3*X^2 + 1/2"
+        assert Polynomial([I]) != Polynomial([0])
+
+    def test_exact_check_keeps_values_and_renders_json(self):
+        p = Polynomial([HALF, I])
+        passed = exact_check("id", "p = p", p, p + Polynomial())
+        assert passed.status == PASS and passed.lhs is p
+        assert passed.to_json_dict()["lhs"] == str(p) == "i*X + 1/2"
+        failed = exact_check("id", "p = 2p", p, 2 * p)
+        assert failed.status == FAIL
+        assert failed.to_json_dict()["rhs"] == "2*i*X + 1"
 
     @given(polys_st, fractions_st)
     @settings(max_examples=60)
