@@ -46,12 +46,6 @@ class GaussianRational:
         """The field norm re**2 + im**2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 
-    def real_part(self) -> Fraction:
-        """Downcast to Fraction; raises if the value is not real."""
-        if self.im != 0:
-            raise ValueError(f"nonzero imaginary part in {self!r}")
-        return self.re
-
     @staticmethod
     def _coerce(value) -> "GaussianRational | None":
         if isinstance(value, GaussianRational):

@@ -37,13 +37,15 @@ def row_width(n: int) -> int:
 
 
 def build_uv(n_max: int) -> UVTables:
-    """Fill the tables by the three-case recursion, exactly.
+    """Fill the tables by the recursion in (n, q), exactly.
 
     Row n+1 comes from rows <= n via: the q = 1 rule
-    v_{n+1}^1 = (n+1) + (n-1)/n v_n^1, u_{n+1}^1 = u_n^1 + v_n^1/n;
-    the interior rule for 2 <= q <= floor((n+1)/2); and, when n is even,
-    a top-index rule supplying the new entry q = (n+2)/2.  Initial row:
-    u_1^1 = 0, v_1^1 = 1.  Rows start at n = 1, so ``build_uv(0)`` is empty.
+    v_{n+1}^1 = (n+1) + (n-1)/n v_n^1, u_{n+1}^1 = u_n^1 + v_n^1/n; and
+    for 2 <= q <= floor((n+2)/2) the convolution sums over k < q, plus the
+    row-n terms in v_n^q and u_n^q while q <= floor((n+1)/2).  When n is
+    even, the new entry q = (n+2)/2 (the top index) is the sums alone.
+    Initial row: u_1^1 = 0, v_1^1 = 1.  Rows start at n = 1, so
+    ``build_uv(0)`` is empty.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -54,23 +56,16 @@ def build_uv(n_max: int) -> UVTables:
     for n in range(1, n_max):
         v[(n + 1, 1)] = Fraction(n + 1) + Fraction(n - 1, n) * v[(n, 1)]
         u[(n + 1, 1)] = u[(n, 1)] + v[(n, 1)] / n
-        for q in range(2, row_width(n) + 1):
+        for q in range(2, row_width(n + 1) + 1):
             sum_v = Fraction(0)
             sum_u = Fraction(0)
             for k in range(1, q):
                 denom = n + 2 - 2 * k
                 sum_v += v[(n, k)] * v[(n + 1 - 2 * k, q - k)] / denom
                 sum_u += v[(n, k)] * u[(n + 1 - 2 * k, q - k)] / denom
-            v[(n + 1, q)] = sum_v + Fraction(n + 1 - 2 * q, n + 2 - 2 * q) * v[(n, q)]
-            u[(n + 1, q)] = sum_u + v[(n, q)] / (n + 2 - 2 * q) + u[(n, q)]
-        if n % 2 == 0:
-            q = (n + 2) // 2
-            sum_v = Fraction(0)
-            sum_u = Fraction(0)
-            for k in range(1, row_width(n) + 1):
-                denom = n + 2 - 2 * k
-                sum_v += v[(n, k)] * v[(n + 1 - 2 * k, q - k)] / denom
-                sum_u += v[(n, k)] * u[(n + 1 - 2 * k, q - k)] / denom
+            if q <= row_width(n):
+                sum_v += Fraction(n + 1 - 2 * q, n + 2 - 2 * q) * v[(n, q)]
+                sum_u += v[(n, q)] / (n + 2 - 2 * q) + u[(n, q)]
             v[(n + 1, q)] = sum_v
             u[(n + 1, q)] = sum_u
     return UVTables(u, v, n_max)

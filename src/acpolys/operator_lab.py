@@ -15,8 +15,8 @@ Endpoint singularities of ln-type are handled by evaluating integrands
 with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
 and, on grids, by carrying an exact complement array 1-x alongside the
 nodes.  Removable singularities are bridged by a two-term Taylor rule
-inside a small guard window in quadrature, and by the derivative of the
-panel's barycentric interpolant on the Nystrom diagonal.
+inside a small guard window in quadrature, and on grids by the derivative
+of each panel's barycentric interpolant, folded into one Nystrom matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +35,23 @@ from .special_numbers import bernoulli_numbers
 
 PI = math.pi
 
+#: Dyadic levels per half and nodes per panel of ``graded_gauss_grid``.  From
+#: 46 levels up, mirrored nodes 1 - s round to the same float and the
+#: Nystrom differences x_j - x_i vanish.
+GRADED_LEVELS = 40
+GRADED_PANEL = 16
+
+#: Rows per chunk of a same-panel block in ``nystrom_matrix``; it bounds the
+#: build's temporaries to _ROW_CHUNK x panel floats.
+_ROW_CHUNK = 256
+
 #: Nodes with x in this closed window count as "interior" for the compound
-#: operator identity, whose second apply degrades at the extreme nodes.
+#: operator identity.  Near both ends of the graded grid, the discrete T is
+#: limited by the ln singularity of phi_0 inside the innermost panels,
+#: which no Gauss panel resolves: T(phi_0) is 2.3e-3 off at x = 2.4e-15
+#: (where float differences are exact) as at x = 1 - 2.4e-15, and 6.9e-6
+#: off without the two end panels; the compound identity reaches its
+#: 1.3e-13 only from about x = 1e-3 inward.
 INTERIOR_WINDOW = (0.05, 0.95)
 
 
@@ -162,20 +177,20 @@ def gauss_legendre_grid(size: int = 200) -> Grid:
     return Grid(0.5 * (y + 1.0), 0.5 * w, 0.5 * (1.0 - y), bary, size)
 
 
-def graded_gauss_grid(levels: int = 40, per_panel: int = 16) -> Grid:
+def graded_gauss_grid() -> Grid:
     """Composite Gauss grid with dyadic panels toward both endpoints.
 
-    The left half of (0,1) is covered by panels (0, 2^-(levels+1)) and
-    (2^-(k+1), 2^-k) for k = levels..1, each carrying a ``per_panel``-point
-    Gauss rule; the right half mirrors it.  Complements are exact by
-    construction (the mirror of node s has complement exactly s), which a
-    plain float subtraction 1 - x cannot deliver near 1.  Endpoint-singular
-    but integrable functions (powers of ln x and ln(1-x)) integrate to
-    near machine precision on this grid.
+    The left half of (0,1) is covered by panels (0, 2^-(L+1)) and
+    (2^-(k+1), 2^-k) for k = L..1 with L = GRADED_LEVELS, each carrying a
+    GRADED_PANEL-point Gauss rule; the right half mirrors it.  Complements
+    are exact by construction (the mirror of node s has complement exactly
+    s), which a plain float subtraction 1 - x cannot deliver near 1.
+    Endpoint-singular but integrable functions (powers of ln x and
+    ln(1-x)) integrate to near machine precision on this grid.
     """
-    y, w, bary = _gauss_rule(per_panel)
-    bounds = [(0.0, 2.0 ** -(levels + 1))]
-    bounds.extend((2.0 ** -(k + 1), 2.0 ** -k) for k in range(levels, 0, -1))
+    y, w, bary = _gauss_rule(GRADED_PANEL)
+    bounds = [(0.0, 2.0 ** -(GRADED_LEVELS + 1))]
+    bounds.extend((2.0 ** -(k + 1), 2.0 ** -k) for k in range(GRADED_LEVELS, 0, -1))
     s_nodes = []
     s_weights = []
     for lo, hi in bounds:
@@ -189,9 +204,10 @@ def graded_gauss_grid(levels: int = 40, per_panel: int = 16) -> Grid:
     complements = np.concatenate([1.0 - s, s[::-1]])
     weights = np.concatenate([ws, ws[::-1]])
     # A mirrored panel's barycentric weights are the reversed ones: equal to
-    # ``bary`` up to one sign per panel, which the ratios in apply_T cancel.
+    # ``bary`` up to one sign per panel, which the ratios in nystrom_matrix
+    # cancel.
     return Grid(nodes, weights, complements,
-                np.tile(bary, 2 * len(bounds)), per_panel)
+                np.tile(bary, 2 * len(bounds)), GRADED_PANEL)
 
 
 def sample_function(grid: Grid, fn) -> GridFunction:
@@ -204,45 +220,46 @@ def phi0_grid_function(grid: Grid) -> GridFunction:
     return GridFunction(grid, np.log(grid.nodes) - np.log(grid.complements))
 
 
+def nystrom_matrix(grid: Grid) -> np.ndarray:
+    """The G x G Nystrom matrix M of T(f)(x) = integral (f(t)-f(x))/(t-x) dt,
+    so that T(f)(x_i) ~ sum_j M_ij f(x_j).
+
+    Off the diagonal, M_ij = w_j / (x_j - x_i).  The kernel at t = x is the
+    removable limit f'(x_i), the derivative of the barycentric interpolant
+    of f on the panel of x_i (Berrut & Trefethen, SIAM Review 2004); that
+    rule is linear in f, so within a panel it moves into the matrix as
+    M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i).  Each diagonal entry
+    is minus its row sum, because T(1) = 0.  The matrix is filled in place,
+    same-panel blocks in chunks of _ROW_CHUNK rows: a Gauss-Legendre grid
+    is one panel of G nodes.
+    """
+    x, w, bary, panel = grid.nodes, grid.weights, grid.bary, grid.panel
+    m = x[None, :] - x[:, None]
+    np.fill_diagonal(m, np.inf)
+    np.reciprocal(m, out=m)
+    scale = w / bary
+    buffer = np.empty((min(panel, _ROW_CHUNK), panel))
+    for lo in range(0, len(x), panel):
+        hi = lo + panel
+        for start in range(lo, hi, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, hi)
+            rows = m[start:stop]
+            rows[:, :lo] *= w[:lo]
+            rows[:, hi:] *= w[hi:]
+            block = np.multiply.outer(scale[start:stop], bary[lo:hi],
+                                      out=buffer[:stop - start])
+            rows[:, lo:hi] *= np.subtract(w[lo:hi], block, out=block)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return m
+
+
 def apply_T(f: GridFunction) -> GridFunction:
-    """Nystrom discretization of T(f)(x) = integral (f(t)-f(x))/(t-x) dt.
+    """T applied to f by one product with ``nystrom_matrix(f.grid)``.
 
-    The kernel at t = x is the removable limit f'(x), taken as the
-    derivative at x_i of the barycentric interpolant of f on the panel of
-    x_i (Berrut & Trefethen, SIAM Review 2004): with K the off-diagonal
-    kernel, f'(x_i) = -sum_{j != i in the panel} bary_j K_ij / bary_i.
+    ``f.values`` may hold one sample per node or a (G, k) stack of k
+    functions, one per column.
     """
-    grid = f.grid
-    x = grid.nodes
-    v = f.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
-    idx = np.arange(len(x))
-    kernel[idx, idx] = 0.0
-    bary = grid.bary.reshape(-1, grid.panel)
-    panels, p = bary.shape
-    # "rirj" reads the diagonal panel blocks in place, without a copy.
-    row_sums = np.einsum("rirj,rj->ri", kernel.reshape(panels, p, panels, p), bary)
-    kernel[idx, idx] = -row_sums.ravel() / grid.bary
-    return f.with_values(kernel @ grid.weights)
-
-
-def apply_T_phi0(grid: Grid) -> GridFunction:
-    """T applied to phi_0 with a cancellation-free difference quotient.
-
-    phi_0(t) - phi_0(x) = log1p(u/x) - log1p(-u/(1-x)) with u = t - x, which
-    stays accurate where the plain difference of two large logarithms would
-    cancel; the diagonal is the exact derivative 1/(x(1-x)).
-    """
-    nodes, weights, complements = grid.nodes, grid.weights, grid.complements
-    x = nodes[:, None]
-    xc = complements[:, None]
-    u = nodes[None, :] - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (np.log1p(u / x) - np.log1p(-u / xc)) / u
-    idx = np.arange(len(nodes))
-    kernel[idx, idx] = 1.0 / (nodes * complements)
-    return GridFunction(grid, kernel @ weights)
+    return f.with_values(nystrom_matrix(f.grid) @ f.values)
 
 
 def interior_mask(nodes: np.ndarray) -> np.ndarray:
@@ -445,8 +462,17 @@ def _numeric_check(check_id: str, description: str, value: float,
     return Check(check_id, description, status, repr(value), repr(target), metric)
 
 
-def _error_check(check_id: str, description: str, exc: Exception) -> Check:
-    return Check(check_id, description, ERROR, "", "", str(exc))
+def _quadrature_checks(integrate, tol: float, *comparisons) -> list:
+    """Run the quadrature ``integrate()`` once and compare its value with
+    each (check id, description, target); if it fails to converge, one
+    ERROR check under the first id and description says why."""
+    try:
+        value = integrate().value
+    except QuadratureError as exc:
+        check_id, description, _ = comparisons[0]
+        return [Check(check_id, description, ERROR, "", "", str(exc))]
+    return [_numeric_check(check_id, description, value, target, tol)
+            for check_id, description, target in comparisons]
 
 
 def c_form_checks(family: ACFamily, points=((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7)),
@@ -454,15 +480,12 @@ def c_form_checks(family: ACFamily, points=((0, 0.5), (1, 0.0), (2, 1.0), (3, -0
     """Quadrature vs pi**(n+1) C_n(z/pi) at the given (n, z) points."""
     checks = []
     for n, z in points:
-        cid = f"cform/n={n},z={z:g}"
-        desc = f"(e^z+1) int (ln^{n} t - z^{n})/((1+t)(t-e^z)) = pi^{n + 1} C_{n}(z/pi), z={z:g}"
-        target = PI ** (n + 1) * evaluate_polynomial_float(family.c(n), z / PI)
-        try:
-            result = integral_c_form(n, z)
-        except QuadratureError as exc:
-            checks.append(_error_check(cid, desc, exc))
-            continue
-        checks.append(_numeric_check(cid, desc, result.value, target, tol))
+        checks += _quadrature_checks(
+            lambda: integral_c_form(n, z), tol,
+            (f"cform/n={n},z={z:g}",
+             f"(e^z+1) int (ln^{n} t - z^{n})/((1+t)(t-e^z)) = pi^{n + 1} C_{n}(z/pi), z={z:g}",
+             PI ** (n + 1) * evaluate_polynomial_float(family.c(n), z / PI)),
+        )
     return checks
 
 
@@ -473,15 +496,12 @@ def a_form_checks(family: ACFamily,
     """Quadrature vs -pi**(n+1) A_n(z/pi) at the given (n, z) points."""
     checks = []
     for n, z in points:
-        cid = f"aform/n={n},z={z:g}"
-        desc = f"(1-e^z) int ln^{n} t/((t+1)(t+e^z)) = -pi^{n + 1} A_{n}(z/pi), z={z:g}"
-        target = -(PI ** (n + 1)) * evaluate_polynomial_float(family.a(n), z / PI)
-        try:
-            result = integral_a_form(n, z)
-        except QuadratureError as exc:
-            checks.append(_error_check(cid, desc, exc))
-            continue
-        checks.append(_numeric_check(cid, desc, result.value, target, tol))
+        checks += _quadrature_checks(
+            lambda: integral_a_form(n, z), tol,
+            (f"aform/n={n},z={z:g}",
+             f"(1-e^z) int ln^{n} t/((t+1)(t+e^z)) = -pi^{n + 1} A_{n}(z/pi), z={z:g}",
+             -(PI ** (n + 1)) * evaluate_polynomial_float(family.a(n), z / PI)),
+        )
     return checks
 
 
@@ -489,28 +509,27 @@ def classical_checks(n_values=(1, 2, 3), tol: float = 1e-8) -> list:
     """The log-kernel integral vs its exact Bernoulli value."""
     checks = []
     for n in n_values:
-        cid = f"classical/n={n}"
-        desc = f"4 int_0^1 ln^{2 * n - 1} x/(x^2-1) dx = (4^{n}-1)(-1)^{n - 1} beta_{2 * n} pi^{2 * n}/{n}"
-        try:
-            result = classical_log_integral(n)
-        except QuadratureError as exc:
-            checks.append(_error_check(cid, desc, exc))
-            continue
-        checks.append(_numeric_check(cid, desc, result.value,
-                                     classical_log_target(n), tol))
+        checks += _quadrature_checks(
+            lambda: classical_log_integral(n), tol,
+            (f"classical/n={n}",
+             f"4 int_0^1 ln^{2 * n - 1} x/(x^2-1) dx = (4^{n}-1)(-1)^{n - 1} beta_{2 * n} pi^{2 * n}/{n}",
+             classical_log_target(n)),
+        )
     return checks
 
 
 def eigenfunction_checks(grid: Grid, a_values=(0.5, 1.0, 2.0, 5.0),
                          tol: float = 1e-7) -> list:
-    """apply_T reproduces T(1/(x+a)) = gamma_a/(x+a) at every grid node."""
+    """apply_T reproduces T(1/(x+a)) = gamma_a/(x+a) at every grid node.
+
+    All a_values are transformed by one apply, one column per a.
+    """
+    f = sample_function(grid, lambda x: 1.0 / (x[:, None] + np.asarray(a_values)))
+    g = apply_T(f)
+    expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f.values
+    errors = np.max(np.abs(g.values - expected) / np.abs(expected), axis=0)
     checks = []
-    for a in a_values:
-        f = sample_function(grid, lambda x: 1.0 / (x + a))
-        g = apply_T(f)
-        gamma = math.log(a / (1.0 + a))
-        expected = gamma * f.values
-        rel = np.max(np.abs(g.values - expected) / np.abs(expected))
+    for a, rel in zip(a_values, errors):
         status = PASS if rel <= tol else FAIL
         checks.append(
             Check(
@@ -578,7 +597,7 @@ def moment_check(n: int, family: ACFamily, grid: Grid, tol: float = 1e-7) -> lis
             )
         )
     else:
-        value = apply_T_phi0(grid).integral()
+        value = apply_T(phi0_grid_function(grid)).integral()
         target = rational_to_float(lam_n1) * PI**2
         checks.append(
             _numeric_check(
@@ -617,24 +636,15 @@ def transform_moment_identity(a: float, n: int, family: ACFamily,
         alpha = family.a(n).coefficient(k)
         if alpha:
             target_sum -= rational_to_float(alpha) * PI ** (n + 1 - k) * gamma**k
-    checks = []
-    cid = f"tmoment/n={n},a={a:g}"
-    desc = f"int phi_0^{n}/(x+{a:g}) dx = -pi^{n + 1} A_{n}(gamma_a/pi)"
-    try:
-        result = transform_moment_lhs(n, a)
-    except QuadratureError as exc:
-        return [_error_check(cid, desc, exc)]
-    checks.append(_numeric_check(cid, desc, result.value, target_poly, tol))
-    checks.append(
-        _numeric_check(
-            f"tmoment_sum/n={n},a={a:g}",
-            f"same integral vs sum_k alpha_{n}^k pi^({n + 1}-k) (-gamma_a^k)",
-            result.value,
-            target_sum,
-            tol,
-        )
+    return _quadrature_checks(
+        lambda: transform_moment_lhs(n, a), tol,
+        (f"tmoment/n={n},a={a:g}",
+         f"int phi_0^{n}/(x+{a:g}) dx = -pi^{n + 1} A_{n}(gamma_a/pi)",
+         target_poly),
+        (f"tmoment_sum/n={n},a={a:g}",
+         f"same integral vs sum_k alpha_{n}^k pi^({n + 1}-k) (-gamma_a^k)",
+         target_sum),
     )
-    return checks
 
 
 SUITES = ("cform", "aform", "classical", "moments", "eigen")

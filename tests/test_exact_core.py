@@ -116,11 +116,6 @@ class TestGaussianRational:
         assert I * I == Fraction(-1)
         assert TWO_I == 2 * I
 
-    def test_is_real_and_real_part(self):
-        assert GaussianRational(3, 0).real_part() == 3
-        with pytest.raises(ValueError):
-            GaussianRational(3, 1).real_part()
-
     def test_mixed_arithmetic_with_rationals(self):
         z = GaussianRational(1, 2)
         assert z + HALF == GaussianRational(Fraction(3, 2), 2)

@@ -2,7 +2,9 @@
 full reduction pipeline against exact polynomial targets."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from acpolys.exact_core import Polynomial
 from acpolys.operator_lab import (
     QuadratureError,
     apply_T,
-    apply_T_phi0,
+    c_form_checks,
+    classical_checks,
     classical_log_integral,
     classical_log_target,
     eigenfunction_checks,
@@ -25,6 +28,7 @@ from acpolys.operator_lab import (
     integrals_report,
     interior_mask,
     moment_check,
+    nystrom_matrix,
     operator_identity_check,
     phi0_grid_function,
     rational_to_float,
@@ -36,6 +40,24 @@ from acpolys.operator_lab import (
 from acpolys.report import ERROR, PASS
 
 PI = math.pi
+
+
+def reference_apply_T(f):
+    """T(f) with one kernel (f_j - f_i)/(x_j - x_i) per apply and the
+    barycentric diagonal read from its panel blocks: the kernel-per-apply
+    Nystrom rule that nystrom_matrix folds into one matrix."""
+    grid = f.grid
+    x = grid.nodes
+    v = f.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
+    idx = np.arange(len(x))
+    kernel[idx, idx] = 0.0
+    bary = grid.bary.reshape(-1, grid.panel)
+    panels, p = bary.shape
+    row_sums = np.einsum("rirj,rj->ri", kernel.reshape(panels, p, panels, p), bary)
+    kernel[idx, idx] = -row_sums.ravel() / grid.bary
+    return kernel @ grid.weights
 
 
 class TestTanhSinh:
@@ -156,8 +178,8 @@ class TestTransform:
     def test_phi0_transform_matches_exact_polynomial(self):
         # T(phi_0^1) = pi^2 C_1(phi_0/pi) = (phi_0^2 + pi^2)/2 pointwise
         grid = graded_gauss_grid()
-        t_phi = apply_T_phi0(grid)
         phi = phi0_grid_function(grid)
+        t_phi = apply_T(phi)
         family = build_by_recurrence(1)
         expected = np.array(
             [
@@ -168,6 +190,54 @@ class TestTransform:
         mask = interior_mask(grid[0])
         rel = np.abs(t_phi.values[mask] - expected[mask]) / np.abs(expected[mask])
         assert np.max(rel) < 1e-12
+
+
+class TestNystromMatrix:
+    @pytest.mark.parametrize("grid_builder", [partial(gauss_legendre_grid, 2400),
+                                              graded_gauss_grid],
+                             ids=["gauss_legendre_grid", "graded_gauss_grid"])
+    def test_matches_kernel_per_apply(self, grid_builder):
+        grid = grid_builder()
+        m = nystrom_matrix(grid)
+        phi = phi0_grid_function(grid).values
+        samples = [1.0 / (grid.nodes + a) for a in (0.5, 1.0, 5.0)]
+        samples += [phi, phi**3 / (grid.nodes + 1.0)]
+        for values in samples:
+            expected = reference_apply_T(sample_function(grid, lambda x: values))
+            err = np.max(np.abs(m @ values - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
+    def test_rows_sum_to_zero(self, grid_builder):
+        # T(1) = 0: each diagonal entry cancels the rest of its row.
+        m = nystrom_matrix(grid_builder())
+        assert np.all(np.abs(m.sum(axis=1)) <= 1e-12 * np.abs(m).sum(axis=1))
+
+    @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
+    def test_stacked_apply_matches_columns(self, grid_builder):
+        # A matrix-matrix product may sum in another order than a matvec, so
+        # the columns agree to a few eps times the sum of |M_ij f_j|.
+        grid = grid_builder()
+        stack = sample_function(grid, lambda x: np.stack(
+            [1.0 / (x + 2.0), np.sin(3.0 * x), x**4], axis=1))
+        together = apply_T(stack).values
+        assert together.shape == stack.values.shape
+        bound = 32 * np.finfo(float).eps * (np.abs(nystrom_matrix(grid)) @ np.abs(stack.values))
+        for k in range(stack.values.shape[1]):
+            alone = apply_T(stack.with_values(stack.values[:, k])).values
+            assert np.all(np.abs(together[:, k] - alone) <= bound[:, k])
+
+    def test_build_holds_one_matrix(self):
+        # The single Gauss-Legendre panel is itself G x G, so its block must
+        # be processed in row chunks to stay near one matrix of memory.
+        grid = gauss_legendre_grid(2400)
+        tracemalloc.start()
+        try:
+            nystrom_matrix(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * len(grid.nodes) ** 2
 
 
 class TestBridge:
@@ -314,6 +384,23 @@ class TestReportAssembly:
         report = VerificationReport(suite="x")
         report.checks.append(Check("q", "stalled", ERROR, "", "", "no convergence"))
         assert report.exit_code() == 3
+
+    @pytest.mark.parametrize("name, build, check_id", [
+        ("integral_c_form", lambda family: c_form_checks(family, points=((1, 0.0),)),
+         "cform/n=1,z=0"),
+        ("classical_log_integral", lambda family: classical_checks(n_values=(2,)),
+         "classical/n=2"),
+        ("transform_moment_lhs", lambda family: transform_moment_identity(1.0, 1, family),
+         "tmoment/n=1,a=1"),
+    ])
+    def test_stalled_quadrature_is_one_error_check(self, monkeypatch, name, build, check_id):
+        def stalled(*args):
+            raise QuadratureError("stalled")
+
+        monkeypatch.setattr(operator_lab, name, stalled)
+        checks = build(build_by_recurrence(1))
+        assert [(c.id, c.status, c.lhs, c.rhs, c.error_metric) for c in checks] == [
+            (check_id, ERROR, "", "", "stalled")]
 
     def test_tight_tolerance_fails_cleanly(self):
         report = integrals_report(suite="eigen", tolerance=1e-18)
