@@ -303,7 +303,12 @@ def _checked(convert, accept, expected: str):
 
 
 _non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_grid_size = _checked(int, lambda v: v >= 2, "an integer >= 2")
+#: The largest --grid-size: the Nystrom matrix of a G-node grid takes
+#: 8 G^2 bytes, 512 MiB at this bound.
+_MAX_GRID_SIZE = 8192
+
+_grid_size = _checked(int, lambda v: 2 <= v <= _MAX_GRID_SIZE,
+                      f"an integer from 2 to {_MAX_GRID_SIZE}")
 _tolerance = _checked(
     float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
 )
@@ -354,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_report.add_argument("--tolerance", type=_tolerance, default=1e-8)
         p_report.add_argument(
             "--grid-size", type=_grid_size, default=200,
-            help="Gauss-Legendre nodes of the eigenfunction checks",
+            help="nodes of the eigenfunction checks' grid of equal 16-node "
+            f"Gauss panels, rounded up to a multiple of 32 (2 to {_MAX_GRID_SIZE})",
         )
         p_report.add_argument("--format", choices=("json", "csv"), default="json")
 

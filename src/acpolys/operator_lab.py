@@ -7,7 +7,8 @@ polynomials through a single evaluate-to-float bridge and checks:
   A_n / C_n / Bernoulli values, via double-exponential (tanh-sinh)
   quadrature with the tails folded onto (0, 1] by t -> 1/t;
 * the transform T(f)(x) = integral_0^1 (f(t) - f(x))/(t - x) dt,
-  discretized on Gauss-Legendre panel grids (Nystrom), against its exact
+  discretized (Nystrom) on grids of 16-point Gauss-Legendre panels
+  mirrored about x = 1/2, equal or dyadically graded, against its exact
   eigenfunctions 1/(x+a) with eigenvalues gamma_a = ln(a/(1+a));
 * moment identities of phi_0(x) = ln(x/(1-x)) under powers of T.
 
@@ -21,6 +22,7 @@ of each panel's barycentric interpolant, folded into one Nystrom matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,20 +32,18 @@ import numpy as np
 
 from .ac_families import ACFamily, build_by_recurrence
 from .exact_core import Polynomial
-from .report import Check, ERROR, FAIL, PASS, exact_check
+from .report import Check, ERROR, FAIL, PASS, VerificationReport, exact_check
 from .special_numbers import bernoulli_numbers
 
 PI = math.pi
 
-#: Dyadic levels per half and nodes per panel of ``graded_gauss_grid``.  From
-#: 46 levels up, mirrored nodes 1 - s round to the same float and the
-#: Nystrom differences x_j - x_i vanish.
-GRADED_LEVELS = 40
-GRADED_PANEL = 16
+#: Nodes per Gauss-Legendre panel of every grid.
+PANEL = 16
 
-#: Rows per chunk of a same-panel block in ``nystrom_matrix``; it bounds the
-#: build's temporaries to _ROW_CHUNK x panel floats.
-_ROW_CHUNK = 256
+#: Dyadic levels per half of ``graded_gauss_grid``.  From 46 levels up,
+#: mirrored nodes 1 - s round to the same float and the Nystrom differences
+#: x_j - x_i vanish.
+GRADED_LEVELS = 40
 
 #: Nodes with x in this closed window count as "interior" for the compound
 #: operator identity.  Near both ends of the graded grid, the discrete T is
@@ -130,17 +130,16 @@ def tanh_sinh(f, a: float, b: float, target: float = 1e-12,
 class Grid(NamedTuple):
     """A positive-weight quadrature grid in (0,1) made of Gauss-Legendre panels.
 
-    ``complements`` carries 1 - nodes computed exactly at grid
-    construction, so functions of 1-x keep full accuracy near x = 1.
-    ``bary`` holds each node's barycentric interpolation weight within its
-    panel; panels are runs of ``panel`` consecutive nodes.
+    Panels are runs of ``PANEL`` consecutive nodes.  ``complements`` carries
+    1 - nodes computed exactly at grid construction, so functions of 1-x
+    keep full accuracy near x = 1.  ``bary`` holds each node's barycentric
+    interpolation weight within its panel.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     complements: np.ndarray
     bary: np.ndarray
-    panel: int
 
 
 @dataclass(frozen=True)
@@ -162,52 +161,57 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
-def _gauss_rule(size: int):
-    """Gauss-Legendre nodes y and weights w on (-1, 1), with the barycentric
-    weights (-1)^j sqrt((1 - y_j^2) w_j) of the same nodes (Wang, Huybrechs
-    & Vandewalle, Math. Comp. 2014)."""
-    y, w = np.polynomial.legendre.leggauss(size)
-    bary = (-1.0) ** np.arange(size) * np.sqrt((1.0 - y * y) * w)
-    return y, w, bary
+@functools.cache
+def _panel_rule():
+    """The PANEL-point Gauss-Legendre nodes y and weights w on (-1, 1), with
+    the barycentric weights (-1)^j sqrt((1 - y_j^2) w_j) of the same nodes
+    (Wang, Huybrechs & Vandewalle, Math. Comp. 2014).  Every grid is built
+    from this one rule, computed on first use (importing numpy.polynomial
+    is left to the commands that build a grid) and never mutated."""
+    y, w = np.polynomial.legendre.leggauss(PANEL)
+    return y, w, (-1.0) ** np.arange(PANEL) * np.sqrt((1.0 - y * y) * w)
+
+
+def _mirrored_grid(bounds) -> Grid:
+    """PANEL-point Gauss panels on the increasing (lo, hi) ``bounds``, which
+    cover (0, 1/2), mirrored onto (1/2, 1).
+
+    Complements are exact by construction (the mirror of node s has
+    complement exactly s), which a plain float subtraction 1 - x cannot
+    deliver near 1.  A mirrored panel's barycentric weights are the reversed
+    ones: equal to the panel rule's up to one sign per panel, which the
+    ratios in nystrom_matrix cancel.
+    """
+    y, w, bary = _panel_rule()
+    lo, hi = np.asarray(bounds).T
+    center = 0.5 * (lo + hi)
+    halfwidth = 0.5 * (hi - lo)
+    s = (center[:, None] + halfwidth[:, None] * y).ravel()
+    ws = (halfwidth[:, None] * w).ravel()
+    return Grid(np.concatenate([s, 1.0 - s[::-1]]),
+                np.concatenate([ws, ws[::-1]]),
+                np.concatenate([1.0 - s, s[::-1]]),
+                np.tile(bary, 2 * len(bounds)))
 
 
 def gauss_legendre_grid(size: int = 200) -> Grid:
-    """Gauss-Legendre nodes on (0, 1) as a single panel."""
-    y, w, bary = _gauss_rule(size)
-    return Grid(0.5 * (y + 1.0), 0.5 * w, 0.5 * (1.0 - y), bary, size)
+    """Equal-width Gauss panels on (0, 1), ceil(size / 32) per half: that is
+    32 ceil(size / 32) nodes, exactly ``size`` when 32 divides it."""
+    k = -(-size // (2 * PANEL))
+    return _mirrored_grid([(i / (2 * k), (i + 1) / (2 * k)) for i in range(k)])
 
 
 def graded_gauss_grid() -> Grid:
     """Composite Gauss grid with dyadic panels toward both endpoints.
 
     The left half of (0,1) is covered by panels (0, 2^-(L+1)) and
-    (2^-(k+1), 2^-k) for k = L..1 with L = GRADED_LEVELS, each carrying a
-    GRADED_PANEL-point Gauss rule; the right half mirrors it.  Complements
-    are exact by construction (the mirror of node s has complement exactly
-    s), which a plain float subtraction 1 - x cannot deliver near 1.
-    Endpoint-singular but integrable functions (powers of ln x and
-    ln(1-x)) integrate to near machine precision on this grid.
+    (2^-(k+1), 2^-k) for k = L..1 with L = GRADED_LEVELS; the right half
+    mirrors it.  Endpoint-singular but integrable functions (powers of ln x
+    and ln(1-x)) integrate to near machine precision on this grid.
     """
-    y, w, bary = _gauss_rule(GRADED_PANEL)
     bounds = [(0.0, 2.0 ** -(GRADED_LEVELS + 1))]
     bounds.extend((2.0 ** -(k + 1), 2.0 ** -k) for k in range(GRADED_LEVELS, 0, -1))
-    s_nodes = []
-    s_weights = []
-    for lo, hi in bounds:
-        center = 0.5 * (lo + hi)
-        halfwidth = 0.5 * (hi - lo)
-        s_nodes.extend(center + halfwidth * y)
-        s_weights.extend(halfwidth * w)
-    s = np.asarray(s_nodes)
-    ws = np.asarray(s_weights)
-    nodes = np.concatenate([s, 1.0 - s[::-1]])
-    complements = np.concatenate([1.0 - s, s[::-1]])
-    weights = np.concatenate([ws, ws[::-1]])
-    # A mirrored panel's barycentric weights are the reversed ones: equal to
-    # ``bary`` up to one sign per panel, which the ratios in nystrom_matrix
-    # cancel.
-    return Grid(nodes, weights, complements,
-                np.tile(bary, 2 * len(bounds)), GRADED_PANEL)
+    return _mirrored_grid(bounds)
 
 
 def sample_function(grid: Grid, fn) -> GridFunction:
@@ -230,25 +234,19 @@ def nystrom_matrix(grid: Grid) -> np.ndarray:
     rule is linear in f, so within a panel it moves into the matrix as
     M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i).  Each diagonal entry
     is minus its row sum, because T(1) = 0.  The matrix is filled in place,
-    same-panel blocks in chunks of _ROW_CHUNK rows: a Gauss-Legendre grid
-    is one panel of G nodes.
+    one panel of rows at a time, so the build holds one G x G array.
     """
-    x, w, bary, panel = grid.nodes, grid.weights, grid.bary, grid.panel
+    x, w, bary = grid.nodes, grid.weights, grid.bary
     m = x[None, :] - x[:, None]
     np.fill_diagonal(m, np.inf)
     np.reciprocal(m, out=m)
     scale = w / bary
-    buffer = np.empty((min(panel, _ROW_CHUNK), panel))
-    for lo in range(0, len(x), panel):
-        hi = lo + panel
-        for start in range(lo, hi, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, hi)
-            rows = m[start:stop]
-            rows[:, :lo] *= w[:lo]
-            rows[:, hi:] *= w[hi:]
-            block = np.multiply.outer(scale[start:stop], bary[lo:hi],
-                                      out=buffer[:stop - start])
-            rows[:, lo:hi] *= np.subtract(w[lo:hi], block, out=block)
+    for lo in range(0, len(x), PANEL):
+        hi = lo + PANEL
+        rows = m[lo:hi]
+        rows[:, :lo] *= w[:lo]
+        rows[:, hi:] *= w[hi:]
+        rows[:, lo:hi] *= w[lo:hi] - np.multiply.outer(scale[lo:hi], bary[lo:hi])
     np.fill_diagonal(m, -m.sum(axis=1))
     return m
 
@@ -292,6 +290,21 @@ def evaluate_polynomial_float(p: Polynomial, x: float) -> float:
 GUARD = 1e-6
 
 
+def _integrate(pieces, target: float, scale: float = 1.0) -> QuadratureResult:
+    """``scale`` times the sum of the tanh-sinh integrals of the (f, lo, hi)
+    ``pieces``, with their error estimates (times |scale|) and evaluation
+    counts summed alongside."""
+    value = 0.0
+    err = 0.0
+    evals = 0
+    for f, lo, hi in pieces:
+        r = tanh_sinh(f, lo, hi, target)
+        value += r.value
+        err += r.error_estimate
+        evals += r.evaluations
+    return QuadratureResult(scale * value, abs(scale) * err, evals)
+
+
 def integral_a_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult:
     """(1 - e^z) * integral_0^inf ln(t)**n / ((t+1)(t+e^z)) dt for z < 0.
 
@@ -310,14 +323,7 @@ def integral_a_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
     def tail(s, d_lo, d_hi):
         return (-math.log(d_lo)) ** n / ((1.0 + s) * (1.0 + s * ez))
 
-    r1 = tanh_sinh(head, 0.0, 1.0, target)
-    r2 = tanh_sinh(tail, 0.0, 1.0, target)
-    scale = 1.0 - ez
-    return QuadratureResult(
-        scale * (r1.value + r2.value),
-        abs(scale) * (r1.error_estimate + r2.error_estimate),
-        r1.evaluations + r2.evaluations,
-    )
+    return _integrate([(head, 0.0, 1.0), (tail, 0.0, 1.0)], target, 1.0 - ez)
 
 
 def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult:
@@ -379,17 +385,7 @@ def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
         pieces.append((tail(False), s0, 1.0))
     else:
         pieces.append((tail(True), 0.0, 1.0))
-
-    value = 0.0
-    err = 0.0
-    evals = 0
-    for f, lo, hi in pieces:
-        r = tanh_sinh(f, lo, hi, target)
-        value += r.value
-        err += r.error_estimate
-        evals += r.evaluations
-    scale = ez + 1.0
-    return QuadratureResult(scale * value, scale * err, evals)
+    return _integrate(pieces, target, ez + 1.0)
 
 
 def classical_log_integral(n: int, target: float = 1e-12) -> QuadratureResult:
@@ -406,13 +402,7 @@ def classical_log_integral(n: int, target: float = 1e-12) -> QuadratureResult:
     def f(s, d_lo, d_hi):
         return s**m / math.sinh(s)
 
-    r1 = tanh_sinh(f, 0.0, 1.0, target)
-    r2 = tanh_sinh(f, 1.0, 60.0, target)
-    return QuadratureResult(
-        2.0 * (r1.value + r2.value),
-        2.0 * (r1.error_estimate + r2.error_estimate),
-        r1.evaluations + r2.evaluations,
-    )
+    return _integrate([(f, 0.0, 1.0), (f, 1.0, 60.0)], target, 2.0)
 
 
 def classical_log_target(n: int) -> float:
@@ -435,13 +425,7 @@ def transform_moment_lhs(n: int, a: float, target: float = 1e-12) -> QuadratureR
     def right(s, d_lo, d_hi):
         return (math.log1p(-s) - math.log(d_lo)) ** n / (1.0 - s + a)
 
-    r1 = tanh_sinh(left, 0.0, 0.5, target)
-    r2 = tanh_sinh(right, 0.0, 0.5, target)
-    return QuadratureResult(
-        r1.value + r2.value,
-        r1.error_estimate + r2.error_estimate,
-        r1.evaluations + r2.evaluations,
-    )
+    return _integrate([(left, 0.0, 0.5), (right, 0.0, 0.5)], target)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +640,10 @@ def integrals_report(suite: str = "all", tolerance: float = 1e-8,
 
     ``tolerance`` applies to the pure quadrature comparisons; the grid
     checks (moments, eigenfunctions, compound identity) run at 10x.  The
-    eigenfunction checks use a ``grid_size``-node Gauss-Legendre grid; the
+    eigenfunction checks use ``gauss_legendre_grid(grid_size)``; the
     moment checks and the compound identity share one graded grid.  Each
     grid is built once per report.
     """
-    from .report import VerificationReport
-
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite: {suite}")
     family = build_by_recurrence(4)

@@ -237,6 +237,9 @@ class TestUsageErrors:
             ("verify", "integrals", "--tolerance", "nan"),
             ("verify", "integrals", "--tolerance", "-1"),
             ("selftest", "--tolerance", "inf"),
+            # A G-node grid's Nystrom matrix takes 8 G^2 bytes; argparse
+            # rejects G > 8192 before any grid or matrix is built.
+            ("verify", "integrals", "--grid-size", "8193"),
         ],
     )
     def test_out_of_range_argument(self, capsys, argv):

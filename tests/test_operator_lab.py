@@ -53,7 +53,7 @@ def reference_apply_T(f):
         kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
     idx = np.arange(len(x))
     kernel[idx, idx] = 0.0
-    bary = grid.bary.reshape(-1, grid.panel)
+    bary = grid.bary.reshape(-1, operator_lab.PANEL)
     panels, p = bary.shape
     row_sums = np.einsum("rirj,rj->ri", kernel.reshape(panels, p, panels, p), bary)
     kernel[idx, idx] = -row_sums.ravel() / grid.bary
@@ -97,18 +97,44 @@ class TestTanhSinh:
 class TestGrids:
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_grid_invariants(self, grid_builder):
-        nodes, weights, complements, bary, panel = grid_builder()
+        nodes, weights, complements, bary = grid_builder()
         assert np.all(np.diff(nodes) > 0), "nodes strictly increasing"
         assert nodes[0] > 0 and nodes[-1] < 1
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert len(complements) == len(bary) == len(nodes)
-        assert len(nodes) % panel == 0
+        assert len(nodes) % operator_lab.PANEL == 0
 
-    def test_complements_match_nodes(self):
-        nodes, _, complements, _, _ = graded_gauss_grid()
+    @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
+    def test_complements_match_nodes(self, grid_builder):
+        nodes, _, complements, _ = grid_builder()
         # mirror symmetry: complement array is the reversed node array
         assert np.array_equal(complements, nodes[::-1])
+
+    @pytest.mark.parametrize("size", [2, 17, 200, 800, 2400])
+    def test_gauss_grid_is_equal_panels(self, size):
+        # ceil(size / 32) panels of 16 nodes per half, all of one width: each
+        # panel is the first one shifted by its start and carries 1/panels of
+        # the weight.
+        grid = gauss_legendre_grid(size)
+        panels = 2 * math.ceil(size / (2 * operator_lab.PANEL))
+        assert len(grid.nodes) == panels * operator_lab.PANEL
+        offsets = grid.nodes.reshape(panels, -1) - np.arange(panels)[:, None] / panels
+        assert np.allclose(offsets, offsets[0], rtol=0.0, atol=4e-16)
+        assert np.allclose(grid.weights.reshape(panels, -1).sum(axis=1), 1.0 / panels,
+                           rtol=1e-14, atol=0.0)
+
+    def test_gauss_grid_build_is_small(self):
+        # Only the 16-node rule is solved for, once per process (the warm-up
+        # call), so a grid costs its own arrays, not a G x G eigenproblem.
+        gauss_legendre_grid(2)
+        tracemalloc.start()
+        try:
+            gauss_legendre_grid(2400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_graded_grid_resolves_log_integrals(self):
         grid = graded_gauss_grid()
@@ -228,8 +254,8 @@ class TestNystromMatrix:
             assert np.all(np.abs(together[:, k] - alone) <= bound[:, k])
 
     def test_build_holds_one_matrix(self):
-        # The single Gauss-Legendre panel is itself G x G, so its block must
-        # be processed in row chunks to stay near one matrix of memory.
+        # Rows are scaled in place one 16-node panel at a time, so the build
+        # holds the G x G matrix and only panel-sized temporaries.
         grid = gauss_legendre_grid(2400)
         tracemalloc.start()
         try:
@@ -237,7 +263,7 @@ class TestNystromMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * len(grid.nodes) ** 2
+        assert peak <= 1.05 * 8 * len(grid.nodes) ** 2
 
 
 class TestBridge:
@@ -368,6 +394,12 @@ class TestReportAssembly:
         report = integrals_report(suite="eigen", grid_size=17)
         compound = [c for c in report.checks if c.id == "compound_operator_identity"]
         assert [c.status for c in compound] == [PASS]
+
+    def test_eigen_suite_passes_on_the_smallest_grid(self):
+        # --grid-size 2 is one 16-node panel per half, which already
+        # resolves every eigenfunction 1/(x+a).
+        report = integrals_report(suite="eigen", grid_size=2)
+        assert report.all_passed
 
     def test_single_suite_selection(self):
         report = integrals_report(suite="classical")
