@@ -14,7 +14,6 @@ full so the cancellation is visible.
 """
 
 from acpolys import (
-    GaussianRational,
     I,
     Polynomial,
     build_by_recurrence,
@@ -26,23 +25,22 @@ from acpolys import (
 
 family = build_by_recurrence(12)
 n = 3
-a3 = family.a(n).lift_gaussian()
-c3 = family.c(n).lift_gaussian()
-one = GaussianRational(1)
+a3 = family.a(n)
+c3 = family.c(n)
 
-shift_minus = a3.compose_affine(one, -I) + c3
+shift_minus = a3.compose_affine(1, -I) + c3
 print(f"A_{n}(X-i) + C_{n}(X) = {shift_minus}")
-print(f"(X-i) X^{n}          = {Polynomial.monomial(n + 1, one) + Polynomial.monomial(n, -I)}")
+print(f"(X-i) X^{n}          = {Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)}")
 print()
 
-diff = a3.compose_affine(one, I) - a3.compose_affine(one, -I)
+diff = a3.compose_affine(1, I) - a3.compose_affine(1, -I)
 print(f"A_{n}(X+i) - A_{n}(X-i) = {diff}   (expected 2i X^{n})")
 print()
 
-inner = family.a(n).lift_gaussian().compose_affine(I, 0) + family.c(n).lift_gaussian().compose_affine(I, 0)
+inner = a3.compose_affine(I, 0) + c3.compose_affine(I, 0)
 rhs = (
-    Polynomial.monomial(n, one)
-    - Polynomial.monomial(n + 1, one)
+    Polynomial.monomial(n)
+    - Polynomial.monomial(n + 1)
     + inner * (-I) ** (n + 1)
 )
 print(f"X^{n} - X^{n + 1} + (-i)^{n + 1} (A_{n}(iX) + C_{n}(iX)) = {rhs}")

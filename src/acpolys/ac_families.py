@@ -9,7 +9,7 @@ arguments X +/- i, and to the tangent-half coefficients:
 * ``build_by_recurrence``: the coupled induction, reading each lambda
   coefficient off the previously built C_n.
 * ``build_by_closed_form``: Bernoulli polynomials composed with affine
-  Gaussian arguments, asserted real, downcast.
+  Gaussian arguments, each result asserted real.
 * ``build_by_coefficient_formula``: per-coefficient closed formulas in
   cosecant numbers (for A) and scaled Bernoulli numbers (for C).
 * ``build_by_generating_function``: exact bivariate series expansion of
@@ -127,7 +127,7 @@ def build_by_recurrence(n_max: int) -> ACFamily:
 
 
 def build_by_closed_form(n_max: int) -> ACFamily:
-    """Bernoulli closed forms over Q(i), asserted real and downcast.
+    """Bernoulli closed forms over Q(i), each result asserted real.
 
     A_n = (2i)**(n+1)/(n+1) * [B_{n+1}(X/(2i) + 1/2) - B_{n+1}(1/2)] and
     C_n = (2i)**(n+1)/(n+1) * [-B_{n+1}(X/(2i)) + B_{n+1}(1/2)] + X**n (X - i).
@@ -147,7 +147,7 @@ def build_by_closed_form(n_max: int) -> ACFamily:
         factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
         a_gauss = (b.compose_affine(inv_2i, half) - b_at_half) * factor
         a_list.append(a_gauss.rational_coefficients())
-        tail = Polynomial.monomial(n + 1, GaussianRational(1)) + Polynomial.monomial(n, -I)
+        tail = Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)
         c_gauss = (b_at_half - b.compose_affine(inv_2i, 0)) * factor + tail
         c_list.append(c_gauss.rational_coefficients())
     return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_CLOSED_FORM)
@@ -214,8 +214,8 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     residue (the recurrence provably stays real).
     """
     _require_n_max(n_max)
-    a_gauss = [X.lift_gaussian()]
-    x_plus_i = Polynomial([I, GaussianRational(1)])
+    a_gauss = [X]
+    x_plus_i = Polynomial([I, 1])
     power = x_plus_i * x_plus_i  # (X+i)**(n+2) for the current step
     for n in range(n_max):
         acc = power - Polynomial([I ** (n + 2)])
@@ -298,10 +298,10 @@ def check_difference_identities(family: ACFamily) -> list:
     C_n(X+i) - C_n(X-i) = X [(X+i)**n - (X-i)**n]
     """
     checks = []
-    x_plus_i = Polynomial([I, GaussianRational(1)])
-    x_minus_i = Polynomial([-I, GaussianRational(1)])
-    pow_plus = Polynomial([GaussianRational(1)])  # (X+i)**n
-    pow_minus = Polynomial([GaussianRational(1)])  # (X-i)**n
+    x_plus_i = Polynomial([I, 1])
+    x_minus_i = Polynomial([-I, 1])
+    pow_plus = Polynomial([1])  # (X+i)**n
+    pow_minus = Polynomial([1])  # (X-i)**n
     for n in range(family.max_n + 1):
         a_n, c_n = family.a(n), family.c(n)
         a_shift_minus = a_n.compose_affine(1, -I)
@@ -311,7 +311,7 @@ def check_difference_identities(family: ACFamily) -> list:
                 f"shift_minus_sum/n={n}",
                 f"A_{n}(X-i) + C_{n}(X) = (X-i) X^{n}",
                 a_shift_minus + c_n,
-                Polynomial.monomial(n + 1, GaussianRational(1))
+                Polynomial.monomial(n + 1)
                 + Polynomial.monomial(n, -I),
             )
         )
@@ -320,7 +320,7 @@ def check_difference_identities(family: ACFamily) -> list:
                 f"shift_plus_sum/n={n}",
                 f"A_{n}(X+i) + C_{n}(X) = (X+i) X^{n}",
                 a_shift_plus + c_n,
-                Polynomial.monomial(n + 1, GaussianRational(1))
+                Polynomial.monomial(n + 1)
                 + Polynomial.monomial(n, I),
             )
         )

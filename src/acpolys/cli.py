@@ -37,7 +37,12 @@ from .ac_families import (
 from .exact_core import Polynomial, format_rational, poly_to_json
 from .generalized_uv import build_uv, check_uv_consistency, row_width
 from .operator_lab import SUITES, integrals_report
-from .report import VerificationReport
+from .report import (
+    EXIT_CHECK_FAILED,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    VerificationReport,
+)
 from .special_numbers import (
     bernoulli_numbers,
     cosecant_number,
@@ -47,10 +52,10 @@ from .special_numbers import (
 ALL_ROUTES = FAMILY_ROUTES + (ROUTE_RESIDUE,)
 VERIFY_SUITES = ("identities", "uv", "integrals")
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
+#: The exit codes: a report's EXIT_OK, EXIT_CHECK_FAILED and
+#: EXIT_NO_CONVERGENCE (imported above, so this module names all five),
+#: and these two.
 EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 

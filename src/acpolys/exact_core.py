@@ -10,9 +10,11 @@ positive common denominator, with the highest stored coefficient nonzero
 and the whole reduced by its gcd (FLINT's ``fmpq_poly`` layout).  Its
 arithmetic is integer vector arithmetic, reduced once per operation, and
 Fraction/GaussianRational coefficients are built only when read or
-printed.  The coefficient type is uniform per polynomial: GaussianRational
-throughout if any input coefficient or operand was Gaussian, Fraction
-otherwise.  :class:`TruncatedSeries` is a vector of polynomials in x
+printed.  Each value has one encoding: the imaginary vector is stored
+only when it is nonzero, so every coefficient of a polynomial is a
+GaussianRational exactly when some coefficient has a nonzero imaginary
+part, and a Fraction otherwise, however the polynomial was built.
+:class:`TruncatedSeries` is a vector of polynomials in x
 indexed by the power of t, exact modulo t**(order+1).
 
 No floating point enters this module.  All values are immutable after
@@ -210,40 +212,41 @@ class Polynomial:
     """Dense polynomial over Q or Q(i), stored as integers over one denominator.
 
     ``_re`` holds the integer numerators of the real parts, lowest degree
-    first; ``_im`` holds those of the imaginary parts, or is ``None`` for a
-    polynomial over Q; ``_den`` is the one positive common denominator.  So
-    coefficient k is ``(_re[k] + _im[k]*i) / _den``.  Every instance is
-    canonical: trailing zero coefficients are stripped (the zero polynomial
-    stores empty vectors and has degree -1) and ``gcd(_den, *_re, *_im)``
-    is 1, which makes ``_den == 1`` for the zero polynomial.  This is the
-    content/primitive-part layout of FLINT's ``fmpq_poly``: each operation
-    works on integer vectors and reduces once, at the end.
+    first; ``_im`` holds those of the imaginary parts, or is ``None`` when
+    every imaginary part is zero; ``_den`` is the one positive common
+    denominator.  So coefficient k is ``(_re[k] + _im[k]*i) / _den``.  Every
+    instance is canonical, so ``(_re, _im, _den)`` is unique per value:
+    trailing zero coefficients are stripped (the zero polynomial stores an
+    empty ``_re`` and has degree -1), ``_im`` is ``None`` or has a nonzero
+    entry, and ``gcd(_den, *_re, *_im)`` is 1, which makes ``_den == 1`` for
+    the zero polynomial.  This is the content/primitive-part layout of
+    FLINT's ``fmpq_poly``: each operation works on integer vectors and
+    reduces once, at the end.
 
-    The coefficient type is uniform per polynomial: every coefficient is a
-    GaussianRational if any input coefficient or operand was one, and a
-    Fraction otherwise.  Scalars are built only when a coefficient is read
-    (``coeffs``, ``coefficient``, ``leading``, evaluation, printing).
+    The coefficient type follows the value: every coefficient, also the
+    zero beyond the degree, is a GaussianRational when ``_im`` is stored
+    and a Fraction otherwise.  Scalars are built only when a coefficient is
+    read (``coeffs``, ``coefficient``, ``leading``, evaluation, printing).
     """
 
     __slots__ = ("_re", "_im", "_den")
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
-        items = tuple(coeffs)
-        parts = [_gaussian_integer_over(c) for c in items]
+        parts = [_gaussian_integer_over(c) for c in coeffs]
         den = lcm(*(d for _, _, d in parts))
-        re = [x * (den // d) for x, _, d in parts]
-        im = None
-        if any(isinstance(c, GaussianRational) for c in items):
-            im = [y * (den // d) for _, y, d in parts]
-        return cls._of(re, im, den)
+        return cls._of([x * (den // d) for x, _, d in parts],
+                       [y * (den // d) for _, y, d in parts], den)
 
     @classmethod
     def _of(cls, re: Sequence[int], im, den: int) -> "Polynomial":
         """The polynomial (re + im*i)/den, for integer vectors re and im
-        (im None for a polynomial over Q, and no longer than re) and
-        den > 0: trailing zeros stripped, reduced once."""
+        (im None for all zeros, and no longer than re) and den > 0, in its
+        one encoding: im dropped when all zero, trailing zeros stripped,
+        reduced once."""
         p = object.__new__(cls)
         n = len(re)
+        if im is not None and not any(im):
+            im = None
         if im is None:
             while n and not re[n - 1]:
                 n -= 1
@@ -253,7 +256,7 @@ class Polynomial:
             while n and not (re[n - 1] or im[n - 1]):
                 n -= 1
         if not n:
-            p._re, p._im, p._den = (), None if im is None else (), 1
+            p._re, p._im, p._den = (), None, 1
             return p
         re = re[:n]
         g = gcd(den, *re)
@@ -335,20 +338,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            ar, br = self._re, other._re
-            # An all-zero imaginary vector contributes no products.
-            ai = self._im if self._im and any(self._im) else None
-            bi = other._im if other._im and any(other._im) else None
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
             re = _convolve(ar, br)
-            if ai and bi:
-                re = _axpy(re, 1, _convolve(ai, bi), -1)
             im = None
-            if self._im is not None or other._im is not None:
-                im = []
-                if bi:
-                    im = _convolve(ar, bi)
-                if ai:
-                    im = _axpy(im, 1, _convolve(ai, br), 1)
+            if ai is not None and bi is not None:
+                re = _axpy(re, 1, _convolve(ai, bi), -1)
+            if bi is not None:
+                im = _convolve(ar, bi)
+            if ai is not None:
+                im = _axpy(im or (), 1, _convolve(ai, br), 1)
             return Polynomial._of(re, im, self._den * other._den)
         try:
             sr, si, sd = _gaussian_integer_over(other)
@@ -357,7 +355,7 @@ class Polynomial:
         re, im = self._re, self._im
         if im is None:
             new_re = [x * sr for x in re]
-            new_im = [x * si for x in re] if isinstance(other, GaussianRational) else None
+            new_im = [x * si for x in re] if si else None
         elif si:
             new_re = [x * sr - y * si for x, y in zip(re, im)]
             new_im = [x * si + y * sr for x, y in zip(re, im)]
@@ -371,20 +369,10 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._den != other._den or self._re != other._re:
-            return False
-        a, b = self._im, other._im
-        if a is None:
-            return b is None or not any(b)
-        if b is None:
-            return not any(a)
-        return a == b
+        return (self._re, self._im, self._den) == (other._re, other._im, other._den)
 
     def __hash__(self):
-        # A Q(i) polynomial with no imaginary part equals, so hashes like,
-        # the same polynomial over Q.
-        im = self._im if self._im and any(self._im) else None
-        return hash((self._re, im, self._den))
+        return hash((self._re, self._im, self._den))
 
     def __call__(self, x: Scalar) -> Scalar:
         """Exact evaluation at x, by Horner's rule on integers.
@@ -428,13 +416,11 @@ class Polynomial:
         "Fast algorithms for Taylor shifts and certain difference
         equations", ISSAC 1997), and coefficient k of the result is
         s(Z + beta)_k * (d_b*alpha)**k * d_a**(N-k) over the one
-        denominator D * d_b**N * d_a**N, reduced once.  The result is over
-        Q(i) when a, b or p is, and over Q otherwise.
+        denominator D * d_b**N * d_a**N, reduced once.  Like every result,
+        it stores an imaginary vector only when that vector is nonzero.
         """
-        gaussian = (self._im is not None or isinstance(a, GaussianRational)
-                    or isinstance(b, GaussianRational))
         if not self._re:
-            return Polynomial._of((), [] if gaussian else None, 1)
+            return self
         beta_re, beta_im, d_b = _gaussian_integer_over(b)
         alpha_re, alpha_im, d_a = _gaussian_integer_over(a)
 
@@ -450,7 +436,7 @@ class Polynomial:
                 scale *= d_b
 
         # s(Z) -> s(Z + beta); after pass i, coefficient i is final.
-        if beta_im == 0 and not any(im):
+        if beta_im == 0 and self._im is None:
             if beta_re:
                 for i in range(n):
                     for j in range(n - 1, i - 1, -1):
@@ -472,19 +458,14 @@ class Polynomial:
             re[k] = x * p_re - y * p_im
             im[k] = x * p_im + y * p_re
             p_re, p_im = p_re * w_re - p_im * w_im, p_re * w_im + p_im * w_re
-        return Polynomial._of(re, im if gaussian else None, self._den * (d_b * d_a) ** n)
-
-    def lift_gaussian(self) -> "Polynomial":
-        """The same polynomial over Q(i)."""
-        im = self._im if self._im is not None else (0,) * len(self._re)
-        return Polynomial._of(self._re, im, self._den)
+        return Polynomial._of(re, im, self._den * (d_b * d_a) ** n)
 
     def rational_coefficients(self) -> "Polynomial":
-        """The same polynomial over Q; raises ValueError if any coefficient
-        has a nonzero imaginary part."""
-        if self._im is not None and any(self._im):
+        """This polynomial, asserted to be over Q: raises ValueError if any
+        coefficient has a nonzero imaginary part."""
+        if self._im is not None:
             raise ValueError(f"nonzero imaginary part in {self!r}")
-        return Polynomial._of(self._re, None, self._den)
+        return self
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -625,11 +606,7 @@ class TruncatedSeries:
                     if not ck.is_zero:
                         out[j + k] = out[j + k] + cj * ck
             return TruncatedSeries(out, self._order)
-        if isinstance(other, Polynomial):
-            return TruncatedSeries(
-                [c * other for c in self._coeffs], self._order
-            )
-        if not isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, (Polynomial, int, Fraction, GaussianRational)):
             return NotImplemented
         return TruncatedSeries([c * other for c in self._coeffs], self._order)
 
@@ -666,11 +643,7 @@ class TruncatedSeries:
                 "divisor constant term after cancellation must be a scalar,"
                 f" got degree {lead.degree}"
             )
-        lead_scalar = lead.coefficient(0)
-        if isinstance(lead_scalar, GaussianRational):
-            inv = GaussianRational(1) / lead_scalar
-        else:
-            inv = Fraction(1) / lead_scalar
+        inv = 1 / lead.coefficient(0)
         quotient: list[Polynomial] = []
         for n in range(new_order + 1):
             acc = num[n]

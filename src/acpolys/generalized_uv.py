@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ac_families import ACFamily, lambda_alpha_tables
+from .ac_families import ACFamily
 from .report import exact_check
 
 
@@ -73,20 +73,21 @@ def build_uv(n_max: int) -> UVTables:
 
 def check_uv_consistency(uv: UVTables, family: ACFamily) -> list:
     """Exact agreement of the tables with the (n+1)-scaled alpha/lambda
-    coefficients, including the k = 0 conventions, for every stored index."""
+    coefficients, read off A_n and C_n, including the k = 0 conventions,
+    for every stored index.  A corrupted family gives failed checks."""
     if uv.max_n > family.max_n:
         raise ValueError(
             f"tables reach n={uv.max_n} but the family stops at n={family.max_n}"
         )
-    coeffs = lambda_alpha_tables(family)
     checks = []
     for n in range(1, uv.max_n + 1):
+        alpha, lam = family.a(n).coefficient, family.c(n).coefficient
         checks.append(
             exact_check(
                 f"uv/convention_u0/n={n}",
                 f"u_{n}^0 = 1 matches ({n + 1}) alpha_{n}^{n + 1}",
                 Fraction(1),
-                (n + 1) * coeffs.alpha[(n, n + 1)],
+                (n + 1) * alpha(n + 1),
             )
         )
         checks.append(
@@ -94,7 +95,7 @@ def check_uv_consistency(uv: UVTables, family: ACFamily) -> list:
                 f"uv/convention_v0/n={n}",
                 f"v_{n}^0 = {n} matches ({n + 1}) lam_{n}^{n + 1}",
                 Fraction(n),
-                (n + 1) * coeffs.lam[(n, n + 1)],
+                (n + 1) * lam(n + 1),
             )
         )
         for k in range(1, row_width(n) + 1):
@@ -104,7 +105,7 @@ def check_uv_consistency(uv: UVTables, family: ACFamily) -> list:
                     f"uv/u/n={n},k={k}",
                     f"u_{n}^{k} = ({n + 1}) alpha_{n}^{power}",
                     uv.u[(n, k)],
-                    (n + 1) * coeffs.alpha[(n, power)],
+                    (n + 1) * alpha(power),
                 )
             )
             checks.append(
@@ -112,7 +113,7 @@ def check_uv_consistency(uv: UVTables, family: ACFamily) -> list:
                     f"uv/v/n={n},k={k}",
                     f"v_{n}^{k} = ({n + 1}) lam_{n}^{power}",
                     uv.v[(n, k)],
-                    (n + 1) * coeffs.lam[(n, power)],
+                    (n + 1) * lam(power),
                 )
             )
     return checks

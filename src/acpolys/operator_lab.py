@@ -446,6 +446,15 @@ def _numeric_check(check_id: str, description: str, value: float,
     return Check(check_id, description, status, repr(value), repr(target), metric)
 
 
+def _grid_check(check_id: str, description: str, rel: float, tol: float,
+                what: str = "max relative error") -> Check:
+    """A grid check that passes when ``rel``, the maximum relative error
+    over the compared nodes (named by ``what``), is at most ``tol``."""
+    status = PASS if rel <= tol else FAIL
+    return Check(check_id, description, status, f"{what} {rel:.6e}",
+                 f"tolerance {tol:g}", f"{rel:.6e}")
+
+
 def _quadrature_checks(integrate, tol: float, *comparisons) -> list:
     """Run the quadrature ``integrate()`` once and compare its value with
     each (check id, description, target); if it fails to converge, one
@@ -512,20 +521,14 @@ def eigenfunction_checks(grid: Grid, a_values=(0.5, 1.0, 2.0, 5.0),
     g = apply_T(f)
     expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f.values
     errors = np.max(np.abs(g.values - expected) / np.abs(expected), axis=0)
-    checks = []
-    for a, rel in zip(a_values, errors):
-        status = PASS if rel <= tol else FAIL
-        checks.append(
-            Check(
-                f"eigen/a={a:g}",
-                f"T(1/(x+{a:g})) = ln({a:g}/{1 + a:g}) * 1/(x+{a:g}) on the grid",
-                status,
-                f"max relative error {rel:.6e}",
-                f"tolerance {tol:g}",
-                f"{rel:.6e}",
-            )
+    return [
+        _grid_check(
+            f"eigen/a={a:g}",
+            f"T(1/(x+{a:g})) = ln({a:g}/{1 + a:g}) * 1/(x+{a:g}) on the grid",
+            rel, tol,
         )
-    return checks
+        for a, rel in zip(a_values, errors)
+    ]
 
 
 def operator_identity_check(grid: Grid, tol: float = 1e-7, a: float = 1.0) -> Check:
@@ -543,14 +546,10 @@ def operator_identity_check(grid: Grid, tol: float = 1e-7, a: float = 1.0) -> Ch
     outer = apply_T(inner)
     expected = (phi0.values**2 + PI**2) * f.values
     rel = np.max(np.abs(outer.values[mask] - expected[mask]) / np.abs(expected[mask]))
-    status = PASS if rel <= tol else FAIL
-    return Check(
+    return _grid_check(
         "compound_operator_identity",
         f"T(2 phi0 f - T f) = (phi0^2 + pi^2) f for f = 1/(x+{a:g}), interior nodes",
-        status,
-        f"max interior relative error {rel:.6e}",
-        f"tolerance {tol:g}",
-        f"{rel:.6e}",
+        rel, tol, "max interior relative error",
     )
 
 

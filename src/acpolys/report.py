@@ -18,6 +18,13 @@ PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 
+#: A report's exit codes: every check passed, a check failed, a check
+#: errored (a quadrature that did not converge).  A graver outcome has the
+#: larger code, so several reports exit with the largest of theirs.
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_NO_CONVERGENCE = 3
+
 
 @dataclass
 class Check:
@@ -72,13 +79,14 @@ class VerificationReport:
         return all(c.status == PASS for c in self.checks)
 
     def exit_code(self) -> int:
-        """0 if every check passed, 3 if any errored, else 1."""
+        """EXIT_OK if every check passed, EXIT_NO_CONVERGENCE if any
+        errored, else EXIT_CHECK_FAILED."""
         counts = self.counts
         if counts["errors"]:
-            return 3
+            return EXIT_NO_CONVERGENCE
         if counts["failed"]:
-            return 1
-        return 0
+            return EXIT_CHECK_FAILED
+        return EXIT_OK
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acpolys import cli
+from acpolys.ac_families import build_by_recurrence
 from acpolys.cli import ALL_ROUTES, VERIFY_SUITES, canonical_json, latex_polynomial, run
 from acpolys.operator_lab import SUITES
 from acpolys.exact_core import Polynomial, poly_from_json, poly_to_json
@@ -191,6 +193,22 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert json.loads(out)["summary"]["failed"] > 0
+
+    def test_corrupted_family_fails_uv_checks(self, capsys, monkeypatch):
+        # C_3 + 1 changes lam_3^0, so v_3^2 = 4 lam_3^0 no longer holds:
+        # a failed check (exit 1), not a usage error.
+        def corrupted(n_max):
+            family = build_by_recurrence(n_max)
+            cs = list(family.c_polys)
+            cs[3] = cs[3] + Polynomial([1])
+            return replace(family, c_polys=tuple(cs))
+
+        monkeypatch.setattr(cli, "build_by_recurrence", corrupted)
+        code, out, err = invoke(capsys, "verify", "uv", "--max-n", "5")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert err == ""
+        failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert failed == ["uv/v/n=3,k=2"]
 
     def test_csv_report_format(self, capsys):
         code, out, _ = invoke(

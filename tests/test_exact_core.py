@@ -80,16 +80,24 @@ def is_gaussian(p):
     return p._im is not None
 
 
+def has_imaginary_part(values):
+    """The value rule for coefficient types: some value is a
+    GaussianRational with a nonzero imaginary part."""
+    return any(isinstance(c, GaussianRational) and c.im for c in values)
+
+
 def assert_canonical(p):
     """The integer layout invariant: int vectors of equal length, den > 0,
-    no trailing zero coefficient, gcd(den, *re, *im) == 1 (den == 1 for
-    the zero polynomial)."""
+    im None exactly when every imaginary part is 0, no trailing zero
+    coefficient, gcd(den, *re, *im) == 1 (den == 1 for the zero
+    polynomial)."""
     re, im, den = p._re, p._im, p._den
     assert type(re) is tuple and all(type(x) is int for x in re)
     assert type(den) is int and den > 0
     if im is not None:
         assert type(im) is tuple and all(type(y) is int for y in im)
         assert len(im) == len(re)
+        assert any(im)
     if re:
         assert re[-1] or (im is not None and im[-1])
     else:
@@ -235,11 +243,11 @@ class TestPolynomial:
         # p(2X) scales coefficients by powers of 2
         assert Polynomial([1, 1, 1]).compose_affine(2, 0) == Polynomial([1, 2, 4])
 
-    def test_gaussian_lift_and_downcast(self):
-        p = Polynomial([1, 2]).lift_gaussian()
-        assert all(isinstance(c, GaussianRational) for c in p.coeffs)
+    def test_rational_coefficients_asserts_realness(self):
+        p = Polynomial([GaussianRational(1), GaussianRational(2)])
+        assert all(isinstance(c, Fraction) for c in p.coeffs)
         back = p.rational_coefficients()
-        assert all(isinstance(c, Fraction) for c in back.coeffs)
+        assert back is p
         assert back == Polynomial([1, 2])
         with pytest.raises(ValueError):
             Polynomial([I]).rational_coefficients()
@@ -303,17 +311,17 @@ class TestPolynomial:
     def test_arithmetic_matches_per_coefficient_reference(self, p, q, s):
         a, b = list(p.coeffs), list(q.coeffs)
         cases = [
-            (p + q, reference_add(a, b), is_gaussian(p) or is_gaussian(q)),
-            (p - q, reference_add(a, b, -1), is_gaussian(p) or is_gaussian(q)),
-            (-p, [-x for x in a], is_gaussian(p)),
-            (p * q, reference_mul(a, b), is_gaussian(p) or is_gaussian(q)),
+            (p + q, reference_add(a, b)),
+            (p - q, reference_add(a, b, -1)),
+            (-p, [-x for x in a]),
+            (p * q, reference_mul(a, b)),
         ]
         for scalar in (s, Fraction(s.re) if isinstance(s, GaussianRational) else s):
-            lifted = is_gaussian(p) or isinstance(scalar, GaussianRational)
-            cases.append((p * scalar, [x * scalar for x in a], lifted))
-            cases.append((scalar * p, [scalar * x for x in a], lifted))
-        for got, ref, gaussian in cases:
+            cases.append((p * scalar, [x * scalar for x in a]))
+            cases.append((scalar * p, [scalar * x for x in a]))
+        for got, ref in cases:
             assert list(got.coeffs) == stripped(ref)
+            gaussian = has_imaginary_part(ref)
             assert is_gaussian(got) == gaussian
             kind = GaussianRational if gaussian else Fraction
             assert all(type(c) is kind for c in got.coeffs)
@@ -323,10 +331,11 @@ class TestPolynomial:
     def test_every_result_is_canonical(self, p, q, a, b):
         results = [
             p, q, p + q, p - q, p - p, -p, p * q, p * a, a * p,
-            p * 0, p.compose_affine(a, b), p.lift_gaussian(),
+            p * 0, p.compose_affine(a, b), p.compose_affine(1, I),
+            p.compose_affine(1, I).compose_affine(1, -I),
             Polynomial(p.coeffs), (q - q) * p,
         ]
-        if not any(isinstance(c, GaussianRational) and c.im for c in p.coeffs):
+        if not has_imaginary_part(p.coeffs):
             results.append(p.rational_coefficients())
         for r in results:
             assert_canonical(r)
@@ -341,14 +350,29 @@ class TestPolynomial:
 
     def test_zero_imaginary_part_compares_equal_to_rational(self):
         p = Polynomial([HALF, 0, 3])
-        lifted = p.lift_gaussian()
+        lifted = Polynomial([GaussianRational(HALF), 0, GaussianRational(3)])
         assert lifted == p and p == lifted
         assert hash(lifted) == hash(p)
-        assert all(type(c) is GaussianRational for c in lifted.coeffs)
+        assert all(type(c) is Fraction for c in lifted.coeffs)
         assert lifted.coefficient(7) == 0
-        assert type(lifted.coefficient(7)) is GaussianRational
+        assert type(lifted.coefficient(7)) is Fraction
         assert str(lifted) == str(p) == "3*X^2 + 1/2"
         assert Polynomial([I]) != Polynomial([0])
+        assert type(Polynomial([I]).coefficient(7)) is GaussianRational
+
+    def test_one_encoding_per_value(self):
+        # Real values reached through Q(i) arithmetic store no imaginary
+        # vector, so their layout is that of the same polynomial over Q.
+        p = Polynomial([HALF, -3, 0, Fraction(2, 7)])
+        cases = [
+            (Polynomial([I, 1]) * Polynomial([-I, 1]), Polynomial([1, 0, 1])),
+            (Polynomial([GaussianRational(3, 0)]), Polynomial([3])),
+            (p.compose_affine(1, I).compose_affine(1, -I), p),
+        ]
+        for got, rational in cases:
+            assert got._im is None
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert (got._re, got._im, got._den) == (rational._re, rational._im, rational._den)
 
     def test_exact_check_keeps_values_and_renders_json(self):
         p = Polynomial([HALF, I])
@@ -431,6 +455,10 @@ class TestTruncatedSeries:
         sq = s * s
         assert sq.coefficient(0) == X * X
         assert sq.coefficient(1) == 2 * (X * X * X)
+
+    def test_division_by_gaussian_constant(self):
+        # 1/i = -i
+        assert series([1], 3) / series([I], 3) == series([-I], 3)
 
     def test_scalar_and_polynomial_multiplication(self):
         s = series([1, 1], 2)
