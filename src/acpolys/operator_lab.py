@@ -18,6 +18,12 @@ and, on grids, by carrying an exact complement array 1-x alongside the
 nodes.  Removable singularities are bridged by a two-term Taylor rule
 inside a small guard window in quadrature, and on grids by the derivative
 of each panel's barycentric interpolant, folded into one Nystrom matrix.
+
+On a grid, T exists only as that matrix, ``nystrom_matrix(grid)``: a
+report builds it once per grid and hands it to the grid checks, which work
+on plain arrays of node values (T(f) is ``T @ values``, the integral is
+``grid.weights @ values``).  The graded matrix is released before the
+equal-panel one is built, so a report never holds two.
 """
 
 from __future__ import annotations
@@ -142,25 +148,6 @@ class Grid(NamedTuple):
     bary: np.ndarray
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Function samples on a grid; values are never mutated after construction."""
-
-    grid: Grid
-    values: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes
-
-    def integral(self) -> float:
-        """Grid-weight integral of the sampled function."""
-        return float(self.grid.weights @ self.values)
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
-
 @functools.cache
 def _panel_rule():
     """The PANEL-point Gauss-Legendre nodes y and weights w on (-1, 1), with
@@ -214,14 +201,9 @@ def graded_gauss_grid() -> Grid:
     return _mirrored_grid(bounds)
 
 
-def sample_function(grid: Grid, fn) -> GridFunction:
-    """Sample a vectorized callable fn(x) on the grid."""
-    return GridFunction(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
-def phi0_grid_function(grid: Grid) -> GridFunction:
-    """phi_0(x) = ln(x / (1-x)) sampled using the exact complements."""
-    return GridFunction(grid, np.log(grid.nodes) - np.log(grid.complements))
+def phi0(grid: Grid) -> np.ndarray:
+    """phi_0(x) = ln(x / (1-x)) at the grid nodes, using the exact complements."""
+    return np.log(grid.nodes) - np.log(grid.complements)
 
 
 def nystrom_matrix(grid: Grid) -> np.ndarray:
@@ -249,15 +231,6 @@ def nystrom_matrix(grid: Grid) -> np.ndarray:
         rows[:, lo:hi] *= w[lo:hi] - np.multiply.outer(scale[lo:hi], bary[lo:hi])
     np.fill_diagonal(m, -m.sum(axis=1))
     return m
-
-
-def apply_T(f: GridFunction) -> GridFunction:
-    """T applied to f by one product with ``nystrom_matrix(f.grid)``.
-
-    ``f.values`` may hold one sample per node or a (G, k) stack of k
-    functions, one per column.
-    """
-    return f.with_values(nystrom_matrix(f.grid) @ f.values)
 
 
 def interior_mask(nodes: np.ndarray) -> np.ndarray:
@@ -511,16 +484,16 @@ def classical_checks(n_values=(1, 2, 3), tol: float = 1e-8) -> list:
     return checks
 
 
-def eigenfunction_checks(grid: Grid, a_values=(0.5, 1.0, 2.0, 5.0),
+def eigenfunction_checks(grid: Grid, T: np.ndarray, a_values=(0.5, 1.0, 2.0, 5.0),
                          tol: float = 1e-7) -> list:
-    """apply_T reproduces T(1/(x+a)) = gamma_a/(x+a) at every grid node.
+    """T, the Nystrom matrix of ``grid``, reproduces T(1/(x+a)) =
+    gamma_a/(x+a) at every grid node.
 
-    All a_values are transformed by one apply, one column per a.
+    All a_values are transformed by one product, one column per a.
     """
-    f = sample_function(grid, lambda x: 1.0 / (x[:, None] + np.asarray(a_values)))
-    g = apply_T(f)
-    expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f.values
-    errors = np.max(np.abs(g.values - expected) / np.abs(expected), axis=0)
+    f = 1.0 / (grid.nodes[:, None] + np.asarray(a_values))
+    expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f
+    errors = np.max(np.abs(T @ f - expected) / np.abs(expected), axis=0)
     return [
         _grid_check(
             f"eigen/a={a:g}",
@@ -531,8 +504,10 @@ def eigenfunction_checks(grid: Grid, a_values=(0.5, 1.0, 2.0, 5.0),
     ]
 
 
-def operator_identity_check(grid: Grid, tol: float = 1e-7, a: float = 1.0) -> Check:
-    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+a), on the grid.
+def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7,
+                            a: float = 1.0) -> Check:
+    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+a), with T
+    the Nystrom matrix of ``grid``.
 
     Meant for the graded grid, whose dyadic panels resolve the ln
     singularities of phi_0 at both ends.  The comparison is restricted to
@@ -540,12 +515,11 @@ def operator_identity_check(grid: Grid, tol: float = 1e-7, a: float = 1.0) -> Ch
     2.3e-3 off.
     """
     mask = interior_mask(grid.nodes)
-    f = sample_function(grid, lambda x: 1.0 / (x + a))
-    phi0 = phi0_grid_function(grid)
-    inner = f.with_values(2.0 * phi0.values * f.values - apply_T(f).values)
-    outer = apply_T(inner)
-    expected = (phi0.values**2 + PI**2) * f.values
-    rel = np.max(np.abs(outer.values[mask] - expected[mask]) / np.abs(expected[mask]))
+    f = 1.0 / (grid.nodes + a)
+    p = phi0(grid)
+    outer = T @ (2.0 * p * f - T @ f)
+    expected = (p**2 + PI**2) * f
+    rel = np.max(np.abs(outer[mask] - expected[mask]) / np.abs(expected[mask]))
     return _grid_check(
         "compound_operator_identity",
         f"T(2 phi0 f - T f) = (phi0^2 + pi^2) f for f = 1/(x+{a:g}), interior nodes",
@@ -553,53 +527,29 @@ def operator_identity_check(grid: Grid, tol: float = 1e-7, a: float = 1.0) -> Ch
     )
 
 
-def moment_check(n: int, family: ACFamily, grid: Grid, tol: float = 1e-7) -> list:
-    """Grid moments of T-iterates of phi_0 against the exact lambda tables.
+def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float = 1e-7) -> list:
+    """Grid moments of phi_0 and T(phi_0), with T the Nystrom matrix of
+    ``grid``, against the exact lambda tables.
 
-    n = 1: integral of phi_0 is 0 (= lam_1^1 * pi); n = 2: integral of
+    The integral of phi_0 is 0 (= lam_1^1 * pi), and the integral of
     T(phi_0) is lam_2^1 * pi**2 = 2 pi**2/3, with the arithmetic identity
     lam_2^1 = 4 beta_2 checked exactly alongside.  Meant for the graded
     grid, whose dyadic endpoint panels integrate the ln**2 singularity to
     near machine precision (a plain Gauss grid converges only
     algebraically here).
     """
-    if n not in (1, 2):
-        raise ValueError("moment checks are implemented for n in {1, 2}")
-    lam_n1 = family.c(n).coefficient(1)
-    checks = []
-    if n == 1:
-        value = phi0_grid_function(grid).integral()
-        target = rational_to_float(lam_n1) * PI
-        checks.append(
-            _numeric_check(
-                "moment/n=1",
-                "int_0^1 phi_0 dx = lam_1^1 pi = 0",
-                value,
-                target,
-                tol,
-            )
-        )
-    else:
-        value = apply_T(phi0_grid_function(grid)).integral()
-        target = rational_to_float(lam_n1) * PI**2
-        checks.append(
-            _numeric_check(
-                "moment/n=2",
-                "int_0^1 T(phi_0) dx = lam_2^1 pi^2",
-                value,
-                target,
-                tol,
-            )
-        )
-        checks.append(
-            exact_check(
-                "moment/lambda_beta",
-                "lam_2^1 = 4 beta_2 (exact rational identity)",
-                lam_n1,
-                4 * bernoulli_numbers(2)[2],
-            )
-        )
-    return checks
+    lam_11 = family.c(1).coefficient(1)
+    lam_21 = family.c(2).coefficient(1)
+    p = phi0(grid)
+    return [
+        _numeric_check("moment/n=1", "int_0^1 phi_0 dx = lam_1^1 pi = 0",
+                       float(grid.weights @ p), rational_to_float(lam_11) * PI, tol),
+        _numeric_check("moment/n=2", "int_0^1 T(phi_0) dx = lam_2^1 pi^2",
+                       float(grid.weights @ (T @ p)), rational_to_float(lam_21) * PI**2,
+                       tol),
+        exact_check("moment/lambda_beta", "lam_2^1 = 4 beta_2 (exact rational identity)",
+                    lam_21, 4 * bernoulli_numbers(2)[2]),
+    ]
 
 
 def transform_moment_identity(a: float, n: int, family: ACFamily,
@@ -641,7 +591,9 @@ def integrals_report(suite: str = "all", tolerance: float = 1e-8,
     checks (moments, eigenfunctions, compound identity) run at 10x.  The
     eigenfunction checks use ``gauss_legendre_grid(grid_size)``; the
     moment checks and the compound identity share one graded grid.  Each
-    grid is built once per report.
+    grid and its Nystrom matrix are built once per report, and the graded
+    matrix is released before the equal-panel one is built, so a report
+    never holds two matrices.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite: {suite}")
@@ -656,14 +608,17 @@ def integrals_report(suite: str = "all", tolerance: float = 1e-8,
         report.extend(classical_checks(tol=tolerance))
     if suite in ("moments", "eigen", "all"):
         graded = graded_gauss_grid()
+        T = nystrom_matrix(graded)
     if suite in ("moments", "all"):
-        report.extend(moment_check(1, family, graded, tol=grid_tol))
-        report.extend(moment_check(2, family, graded, tol=grid_tol))
+        report.extend(moment_check(family, graded, T, tol=grid_tol))
         for nn, aa in ((0, 1.0), (1, 1.0), (2, 2.0)):
             report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
     if suite in ("eigen", "all"):
-        report.extend(
-            eigenfunction_checks(gauss_legendre_grid(grid_size), tol=grid_tol)
-        )
-        report.checks.append(operator_identity_check(graded, tol=grid_tol))
+        # The compound check runs first so that the graded matrix is freed
+        # before the equal-panel one is built; it is reported last.
+        compound = operator_identity_check(graded, T, tol=grid_tol)
+        del T
+        grid = gauss_legendre_grid(grid_size)
+        report.extend(eigenfunction_checks(grid, nystrom_matrix(grid), tol=grid_tol))
+        report.checks.append(compound)
     return report

@@ -14,7 +14,6 @@ from acpolys.ac_families import build_by_recurrence
 from acpolys.exact_core import Polynomial
 from acpolys.operator_lab import (
     QuadratureError,
-    apply_T,
     c_form_checks,
     classical_checks,
     classical_log_integral,
@@ -30,9 +29,8 @@ from acpolys.operator_lab import (
     moment_check,
     nystrom_matrix,
     operator_identity_check,
-    phi0_grid_function,
+    phi0,
     rational_to_float,
-    sample_function,
     tanh_sinh,
     transform_moment_identity,
     transform_moment_lhs,
@@ -42,13 +40,11 @@ from acpolys.report import ERROR, PASS
 PI = math.pi
 
 
-def reference_apply_T(f):
-    """T(f) with one kernel (f_j - f_i)/(x_j - x_i) per apply and the
-    barycentric diagonal read from its panel blocks: the kernel-per-apply
-    Nystrom rule that nystrom_matrix folds into one matrix."""
-    grid = f.grid
+def reference_apply_T(grid, v):
+    """T(f), for the node values v of f, with one kernel (f_j - f_i)/(x_j - x_i)
+    per apply and the barycentric diagonal read from its panel blocks: the
+    kernel-per-apply Nystrom rule that nystrom_matrix folds into one matrix."""
     x = grid.nodes
-    v = f.values
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
     idx = np.arange(len(x))
@@ -138,15 +134,12 @@ class TestGrids:
 
     def test_graded_grid_resolves_log_integrals(self):
         grid = graded_gauss_grid()
-        phi = phi0_grid_function(grid)
         # int_0^1 ln(x/(1-x))^2 dx = pi^2 / 3
-        sq = phi.with_values(phi.values**2)
-        assert abs(sq.integral() - PI**2 / 3.0) < 1e-12
+        assert abs(grid.weights @ phi0(grid)**2 - PI**2 / 3.0) < 1e-12
 
     def test_gauss_grid_exact_on_polynomials(self):
         grid = gauss_legendre_grid(10)
-        f = sample_function(grid, lambda x: x**5)
-        assert abs(f.integral() - 1.0 / 6.0) < 1e-15
+        assert abs(grid.weights @ grid.nodes**5 - 1.0 / 6.0) < 1e-15
 
     def test_interior_mask(self):
         nodes = np.array([0.01, 0.05, 0.5, 0.95, 0.99])
@@ -155,9 +148,12 @@ class TestGrids:
 
 class TestTransform:
     def test_eigenfunctions(self):
-        checks = eigenfunction_checks(gauss_legendre_grid(200))
-        assert len(checks) == 4
-        assert all(c.status == PASS for c in checks)
+        # The largest error is 6.5e-14, at G = 2400 and a = 5.
+        for size in (200, 800, 2400):
+            grid = gauss_legendre_grid(size)
+            checks = eigenfunction_checks(grid, nystrom_matrix(grid), tol=5e-13)
+            assert len(checks) == 4
+            assert all(c.status == PASS for c in checks), size
 
     def test_eigenfunction_by_direct_quadrature(self):
         # T(1/(x+a))(x0) via tanh-sinh equals gamma_a/(x0+a).  The interval
@@ -179,7 +175,7 @@ class TestTransform:
 
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_apply_T_diagonal_is_the_derivative(self, grid_builder):
-        # With a single unit weight at node i, apply_T returns the kernel
+        # With a single unit weight at node i, T applied to f is the kernel
         # diagonal K_ii at node i: the removable limit f'(x_i).  Outside the
         # interior window the graded panels are so narrow that every
         # difference quotient of f, this one included, is only good to
@@ -192,29 +188,28 @@ class TestTransform:
         for i in picks:
             weights = np.zeros_like(grid.weights)
             weights[i] = 1.0
-            f = sample_function(grid._replace(weights=weights), lambda x: 1.0 / (x + a))
-            diag.append(apply_T(f).values[i])
+            T = nystrom_matrix(grid._replace(weights=weights))
+            diag.append(T[i] @ (1.0 / (grid.nodes + a)))
         expected = -1.0 / (grid.nodes[picks] + a) ** 2
         assert np.max(np.abs(np.array(diag) - expected) / np.abs(expected)) < 1e-9
 
     def test_compound_identity(self):
-        check = operator_identity_check(graded_gauss_grid())
+        # The interior error is 1.3e-13.
+        grid = graded_gauss_grid()
+        check = operator_identity_check(grid, nystrom_matrix(grid), tol=1e-12)
         assert check.status == PASS
 
     def test_phi0_transform_matches_exact_polynomial(self):
         # T(phi_0^1) = pi^2 C_1(phi_0/pi) = (phi_0^2 + pi^2)/2 pointwise
         grid = graded_gauss_grid()
-        phi = phi0_grid_function(grid)
-        t_phi = apply_T(phi)
+        phi = phi0(grid)
+        t_phi = nystrom_matrix(grid) @ phi
         family = build_by_recurrence(1)
         expected = np.array(
-            [
-                PI**2 * evaluate_polynomial_float(family.c(1), p / PI)
-                for p in phi.values
-            ]
+            [PI**2 * evaluate_polynomial_float(family.c(1), p / PI) for p in phi]
         )
-        mask = interior_mask(grid[0])
-        rel = np.abs(t_phi.values[mask] - expected[mask]) / np.abs(expected[mask])
+        mask = interior_mask(grid.nodes)
+        rel = np.abs(t_phi[mask] - expected[mask]) / np.abs(expected[mask])
         assert np.max(rel) < 1e-12
 
 
@@ -225,11 +220,11 @@ class TestNystromMatrix:
     def test_matches_kernel_per_apply(self, grid_builder):
         grid = grid_builder()
         m = nystrom_matrix(grid)
-        phi = phi0_grid_function(grid).values
+        phi = phi0(grid)
         samples = [1.0 / (grid.nodes + a) for a in (0.5, 1.0, 5.0)]
         samples += [phi, phi**3 / (grid.nodes + 1.0)]
         for values in samples:
-            expected = reference_apply_T(sample_function(grid, lambda x: values))
+            expected = reference_apply_T(grid, values)
             err = np.max(np.abs(m @ values - expected)) / np.max(np.abs(expected))
             assert err <= 1e-12
 
@@ -244,14 +239,14 @@ class TestNystromMatrix:
         # A matrix-matrix product may sum in another order than a matvec, so
         # the columns agree to a few eps times the sum of |M_ij f_j|.
         grid = grid_builder()
-        stack = sample_function(grid, lambda x: np.stack(
-            [1.0 / (x + 2.0), np.sin(3.0 * x), x**4], axis=1))
-        together = apply_T(stack).values
-        assert together.shape == stack.values.shape
-        bound = 32 * np.finfo(float).eps * (np.abs(nystrom_matrix(grid)) @ np.abs(stack.values))
-        for k in range(stack.values.shape[1]):
-            alone = apply_T(stack.with_values(stack.values[:, k])).values
-            assert np.all(np.abs(together[:, k] - alone) <= bound[:, k])
+        x = grid.nodes
+        stack = np.stack([1.0 / (x + 2.0), np.sin(3.0 * x), x**4], axis=1)
+        T = nystrom_matrix(grid)
+        together = T @ stack
+        assert together.shape == stack.shape
+        bound = 32 * np.finfo(float).eps * (np.abs(T) @ np.abs(stack))
+        for k in range(stack.shape[1]):
+            assert np.all(np.abs(together[:, k] - T @ stack[:, k]) <= bound[:, k])
 
     def test_build_holds_one_matrix(self):
         # Rows are scaled in place one 16-node panel at a time, so the build
@@ -346,19 +341,22 @@ class TestIntegralReductions:
 
 
 class TestMoments:
+    @staticmethod
+    def _moment_checks():
+        grid = graded_gauss_grid()
+        return moment_check(build_by_recurrence(2), grid, nystrom_matrix(grid), tol=1e-12)
+
     def test_moment_one_vanishes(self):
-        checks = moment_check(1, build_by_recurrence(2), graded_gauss_grid())
-        assert all(c.status == PASS for c in checks)
+        # The grid integral of phi_0 is 3.5e-18 off 0.
+        (one,) = [c for c in self._moment_checks() if c.id == "moment/n=1"]
+        assert one.status == PASS
+        assert one.error_metric.endswith(" (absolute)")
 
     def test_moment_two(self):
-        checks = moment_check(2, build_by_recurrence(2), graded_gauss_grid())
+        # The grid integral of T(phi_0) is 2.4e-14 off lam_2^1 pi^2.
+        checks = self._moment_checks()
+        assert [c.id for c in checks] == ["moment/n=1", "moment/n=2", "moment/lambda_beta"]
         assert all(c.status == PASS for c in checks)
-        ids = [c.id for c in checks]
-        assert "moment/lambda_beta" in ids
-
-    def test_moment_bad_n(self):
-        with pytest.raises(ValueError):
-            moment_check(3, build_by_recurrence(3), graded_gauss_grid())
 
     def test_transform_moment_identity_checks(self):
         for n, a in ((0, 1.0), (1, 1.0), (2, 2.0)):
@@ -378,8 +376,11 @@ class TestReportAssembly:
         assert report.counts["total"] == 25
 
     def test_each_grid_is_built_once(self, monkeypatch):
-        calls = {"gauss_legendre_grid": 0, "graded_gauss_grid": 0}
-        for name in calls:
+        # One Nystrom matrix per grid, too: the graded one serves the moment
+        # checks and the compound identity.
+        names = ("gauss_legendre_grid", "graded_gauss_grid", "nystrom_matrix")
+        calls = {}
+        for name in names:
             builder = getattr(operator_lab, name)
 
             def counted(*args, _name=name, _builder=builder, **kwargs):
@@ -387,8 +388,23 @@ class TestReportAssembly:
                 return _builder(*args, **kwargs)
 
             monkeypatch.setattr(operator_lab, name, counted)
-        integrals_report("all")
-        assert calls == {"gauss_legendre_grid": 1, "graded_gauss_grid": 1}
+        for suite, expected in (("all", (1, 1, 2)), ("moments", (0, 1, 1)),
+                                ("eigen", (1, 1, 2))):
+            calls.update(dict.fromkeys(names, 0))
+            integrals_report(suite)
+            assert calls == dict(zip(names, expected)), suite
+
+    def test_report_holds_one_matrix_at_a_time(self):
+        # The graded matrix (1312 nodes) is released before the 2400-node
+        # one is built; holding both would peak near 1.3 x 8 G^2 bytes.
+        integrals_report("all", grid_size=2400)
+        tracemalloc.start()
+        try:
+            integrals_report("all", grid_size=2400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * 2400**2
 
     def test_compound_identity_ignores_grid_size(self):
         report = integrals_report(suite="eigen", grid_size=17)
@@ -401,10 +417,20 @@ class TestReportAssembly:
         report = integrals_report(suite="eigen", grid_size=2)
         assert report.all_passed
 
-    def test_single_suite_selection(self):
-        report = integrals_report(suite="classical")
-        assert report.counts["total"] == 3
+    @pytest.mark.parametrize("suite", operator_lab.SUITES)
+    def test_single_suite_selection(self, suite):
+        totals = {"cform": 4, "aform": 4, "classical": 3, "moments": 9, "eigen": 5}
+        report = integrals_report(suite=suite)
+        assert report.counts["total"] == totals[suite]
         assert report.all_passed
+
+    def test_single_suites_concatenate_to_all(self):
+        def lines(checks):
+            return [(c.id, c.status, c.error_metric) for c in checks]
+
+        singles = [line for suite in operator_lab.SUITES
+                   for line in lines(integrals_report(suite=suite).checks)]
+        assert singles == lines(integrals_report(suite="all").checks)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
