@@ -96,8 +96,6 @@ class CoeffTables:
 
     alpha: dict
     lam: dict
-    max_n: int
-    route: str
 
 
 def build_by_recurrence(n_max: int) -> ACFamily:
@@ -472,7 +470,7 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
         for k in range(n + 2):
             alpha[(n, k)] = Fraction(family.a(n).coefficient(k))
             lam[(n, k)] = Fraction(family.c(n).coefficient(k))
-    return CoeffTables(alpha, lam, family.max_n, family.route)
+    return CoeffTables(alpha, lam)
 
 
 def _ref(*coeffs) -> Polynomial:

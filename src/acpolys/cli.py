@@ -248,23 +248,20 @@ def _report_rows(report: VerificationReport) -> list:
 
 
 def _suite_report(name: str, args, family) -> VerificationReport:
-    """The report of one ``verify`` suite; ``family`` is the recurrence
-    family to n = ``args.max_n`` (unused by ``integrals``)."""
+    """The report of one ``verify`` suite; ``family`` is the run's one
+    recurrence family, to n = ``args.max_n``."""
     if name == "identities":
         return identities_report(family)
     if name == "uv":
         uv = build_uv(args.max_n)
         return VerificationReport(suite="uv").extend(check_uv_consistency(uv, family))
     return integrals_report(
-        suite=args.suite, tolerance=args.tolerance, grid_size=args.grid_size
+        family, suite=args.suite, tolerance=args.tolerance, grid_size=args.grid_size
     )
 
 
 def _cmd_verify(args) -> tuple:
-    family = None  # verify integrals builds its own small family
-    if args.suite_name != "integrals":
-        family = build_by_recurrence(args.max_n)
-    report = _suite_report(args.suite_name, args, family)
+    report = _suite_report(args.suite_name, args, build_by_recurrence(args.max_n))
     if args.format == "json":
         return report.exit_code(), canonical_json(report.to_json_dict())
     return report.exit_code(), emit_csv(_report_rows(report))
@@ -275,13 +272,10 @@ def _cmd_selftest(args) -> tuple:
     reports = [_suite_report(name, args, family) for name in VERIFY_SUITES]
     code = max(r.exit_code() for r in reports)
     if args.format == "json":
-        totals = {"total": 0, "passed": 0, "failed": 0, "errors": 0}
-        for r in reports:
-            for key, val in r.counts.items():
-                totals[key] += val
+        joined = VerificationReport("selftest", [c for r in reports for c in r.checks])
         doc = {
             "reports": [r.to_json_dict() for r in reports],
-            "summary": totals,
+            "summary": joined.counts,
         }
         return code, canonical_json(doc)
     return code, emit_csv(row for r in reports for row in _report_rows(r))
@@ -360,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(suite="all")
 
     for p_report in (p_verify, p_self):
-        p_report.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
+        p_report.add_argument("--max-n", type=_non_negative, default=24, metavar="N",
+                              help="the largest n of any A_n, C_n a check reads, in every suite")
         p_report.add_argument("--tolerance", type=_tolerance, default=1e-8)
         p_report.add_argument(
             "--grid-size", type=_grid_size, default=200,

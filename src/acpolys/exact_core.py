@@ -80,13 +80,7 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             re, im = other.re, other.im
-            if not im:
-                return GaussianRational(self.re * re, self.im * re)
-            if not re:
-                return GaussianRational(-(self.im * im), self.re * im)
-            return GaussianRational(
-                self.re * re - self.im * im, self.re * im + self.im * re
-            )
+            return GaussianRational(self.re * re - self.im * im, self.re * im + self.im * re)
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
         return NotImplemented
@@ -279,7 +273,9 @@ class Polynomial:
         """The polynomial coeff * X**power."""
         if power < 0:
             raise ValueError("negative power")
-        return cls([0] * power + [coeff])
+        re, im, den = _gaussian_integer_over(coeff)
+        zeros = [0] * power
+        return cls._of([*zeros, re], [*zeros, im] if im else None, den)
 
     def _scalar(self, k: int) -> Scalar:
         re = Fraction(self._re[k], self._den)

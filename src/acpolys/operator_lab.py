@@ -12,6 +12,10 @@ polynomials through a single evaluate-to-float bridge and checks:
   eigenfunctions 1/(x+a) with eigenvalues gamma_a = ln(a/(1+a));
 * moment identities of phi_0(x) = ln(x/(1-x)) under powers of T.
 
+It builds no family: the exact A_n / C_n come from the family a report is
+handed (the CLI's one recurrence family per run), and a check that reads a
+polynomial past that family's max_n is left out of the report.
+
 Endpoint singularities of ln-type are handled by evaluating integrands
 with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
 and, on grids, by carrying an exact complement array 1-x alongside the
@@ -36,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ac_families import ACFamily, build_by_recurrence
+from .ac_families import ACFamily
 from .exact_core import Polynomial
 from .report import Check, ERROR, FAIL, PASS, VerificationReport, exact_check
 from .special_numbers import bernoulli_numbers
@@ -321,15 +325,11 @@ def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
     head_d1 = n * z_nm1 * math.exp(-z)
     head_d2 = n * ((n - 1) * z_nm2 - z_nm1) * math.exp(-2.0 * z)
 
-    def head(lo_is_zero):
-        def f(t, d_lo, d_hi):
-            h = t - ez
-            if abs(h) < GUARD:
-                return (head_d1 + 0.5 * head_d2 * h) / (1.0 + t)
-            lt = math.log(d_lo) if lo_is_zero else math.log(t)
-            return (lt**n - zn) / ((1.0 + t) * h)
-
-        return f
+    def head(t, d_lo, d_hi):
+        h = t - ez
+        if abs(h) < GUARD:
+            return (head_d1 + 0.5 * head_d2 * h) / (1.0 + t)
+        return (math.log(t) ** n - zn) / ((1.0 + t) * h)
 
     # Tail after t -> 1/s: G(s) = ((-ln s)**n - z**n) / ((1+s)(1 - s e^z)),
     # pole at s0 = e^-z with 1 - s e^z = -e^z (s - s0).
@@ -337,27 +337,20 @@ def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
     tail_d1 = -n * z_nm1 * math.exp(z)
     tail_d2 = n * ((n - 1) * z_nm2 + z_nm1) * math.exp(2.0 * z)
 
-    def tail(lo_is_zero):
-        def f(s, d_lo, d_hi):
-            h = s - s0
-            if abs(h) < GUARD:
-                return (tail_d1 + 0.5 * tail_d2 * h) / ((1.0 + s) * (-ez))
-            ls = math.log(d_lo) if lo_is_zero else math.log(s)
-            return ((-ls) ** n - zn) / ((1.0 + s) * (1.0 - s * ez))
+    def tail(s, d_lo, d_hi):
+        h = s - s0
+        if abs(h) < GUARD:
+            return (tail_d1 + 0.5 * tail_d2 * h) / ((1.0 + s) * (-ez))
+        return ((-math.log(s)) ** n - zn) / ((1.0 + s) * (1.0 - s * ez))
 
-        return f
-
+    # math.log(t) needs no d_lo: on a piece from 0.0, tanh_sinh's node is
+    # the exact distance d_lo itself.
     pieces = []
-    if 0.0 < ez < 1.0:
-        pieces.append((head(True), 0.0, ez))
-        pieces.append((head(False), ez, 1.0))
-    else:
-        pieces.append((head(True), 0.0, 1.0))
-    if 0.0 < s0 < 1.0:
-        pieces.append((tail(True), 0.0, s0))
-        pieces.append((tail(False), s0, 1.0))
-    else:
-        pieces.append((tail(True), 0.0, 1.0))
+    for f, pole in ((head, ez), (tail, s0)):
+        if 0.0 < pole < 1.0:
+            pieces += [(f, 0.0, pole), (f, pole, 1.0)]
+        else:
+            pieces.append((f, 0.0, 1.0))
     return _integrate(pieces, target, ez + 1.0)
 
 
@@ -443,9 +436,12 @@ def _quadrature_checks(integrate, tol: float, *comparisons) -> list:
 
 def c_form_checks(family: ACFamily, points=((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7)),
                   tol: float = 1e-8) -> list:
-    """Quadrature vs pi**(n+1) C_n(z/pi) at the given (n, z) points."""
+    """Quadrature vs pi**(n+1) C_n(z/pi) at the given (n, z) points with
+    n <= family.max_n."""
     checks = []
     for n, z in points:
+        if n > family.max_n:
+            continue
         checks += _quadrature_checks(
             lambda: integral_c_form(n, z), tol,
             (f"cform/n={n},z={z:g}",
@@ -459,9 +455,12 @@ def a_form_checks(family: ACFamily,
                   points=((0, -math.log(2)), (1, -math.log(2)),
                           (2, math.log(2) - math.log(3)), (3, -1.0)),
                   tol: float = 1e-8) -> list:
-    """Quadrature vs -pi**(n+1) A_n(z/pi) at the given (n, z) points."""
+    """Quadrature vs -pi**(n+1) A_n(z/pi) at the given (n, z) points with
+    n <= family.max_n."""
     checks = []
     for n, z in points:
+        if n > family.max_n:
+            continue
         checks += _quadrature_checks(
             lambda: integral_a_form(n, z), tol,
             (f"aform/n={n},z={z:g}",
@@ -536,20 +535,27 @@ def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float = 1e-7)
     lam_2^1 = 4 beta_2 checked exactly alongside.  Meant for the graded
     grid, whose dyadic endpoint panels integrate the ln**2 singularity to
     near machine precision (a plain Gauss grid converges only
-    algebraically here).
+    algebraically here).  The checks that read C_1 (moment/n=1) and C_2
+    (the other two) run only when the family holds that polynomial.
     """
-    lam_11 = family.c(1).coefficient(1)
-    lam_21 = family.c(2).coefficient(1)
     p = phi0(grid)
-    return [
-        _numeric_check("moment/n=1", "int_0^1 phi_0 dx = lam_1^1 pi = 0",
-                       float(grid.weights @ p), rational_to_float(lam_11) * PI, tol),
-        _numeric_check("moment/n=2", "int_0^1 T(phi_0) dx = lam_2^1 pi^2",
-                       float(grid.weights @ (T @ p)), rational_to_float(lam_21) * PI**2,
-                       tol),
-        exact_check("moment/lambda_beta", "lam_2^1 = 4 beta_2 (exact rational identity)",
-                    lam_21, 4 * bernoulli_numbers(2)[2]),
-    ]
+    checks = []
+    if family.max_n >= 1:
+        lam_11 = family.c(1).coefficient(1)
+        checks.append(_numeric_check(
+            "moment/n=1", "int_0^1 phi_0 dx = lam_1^1 pi = 0",
+            float(grid.weights @ p), rational_to_float(lam_11) * PI, tol))
+    if family.max_n >= 2:
+        lam_21 = family.c(2).coefficient(1)
+        checks += [
+            _numeric_check("moment/n=2", "int_0^1 T(phi_0) dx = lam_2^1 pi^2",
+                           float(grid.weights @ (T @ p)),
+                           rational_to_float(lam_21) * PI**2, tol),
+            exact_check("moment/lambda_beta",
+                        "lam_2^1 = 4 beta_2 (exact rational identity)",
+                        lam_21, 4 * bernoulli_numbers(2)[2]),
+        ]
+    return checks
 
 
 def transform_moment_identity(a: float, n: int, family: ACFamily,
@@ -583,10 +589,13 @@ def transform_moment_identity(a: float, n: int, family: ACFamily,
 SUITES = ("cform", "aform", "classical", "moments", "eigen")
 
 
-def integrals_report(suite: str = "all", tolerance: float = 1e-8,
-                     grid_size: int = 200):
+def integrals_report(family: ACFamily, suite: str = "all",
+                     tolerance: float = 1e-8, grid_size: int = 200):
     """Assemble the numeric verification suites into one report.
 
+    The exact A_n / C_n are read from ``family``, and a check that reads a
+    polynomial past ``family.max_n`` is left out: "all" holds its 25 checks
+    from max_n = 3 on, and 12, 17 and 23 at max_n = 0, 1 and 2.
     ``tolerance`` applies to the pure quadrature comparisons; the grid
     checks (moments, eigenfunctions, compound identity) run at 10x.  The
     eigenfunction checks use ``gauss_legendre_grid(grid_size)``; the
@@ -597,7 +606,6 @@ def integrals_report(suite: str = "all", tolerance: float = 1e-8,
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite: {suite}")
-    family = build_by_recurrence(4)
     grid_tol = 10.0 * tolerance
     report = VerificationReport(suite=f"integrals/{suite}")
     if suite in ("cform", "all"):
@@ -612,7 +620,8 @@ def integrals_report(suite: str = "all", tolerance: float = 1e-8,
     if suite in ("moments", "all"):
         report.extend(moment_check(family, graded, T, tol=grid_tol))
         for nn, aa in ((0, 1.0), (1, 1.0), (2, 2.0)):
-            report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
+            if nn <= family.max_n:
+                report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
     if suite in ("eigen", "all"):
         # The compound check runs first so that the graded matrix is freed
         # before the equal-panel one is built; it is reported last.

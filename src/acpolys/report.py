@@ -74,10 +74,6 @@ class VerificationReport:
                 summary["errors"] += 1
         return summary
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.status == PASS for c in self.checks)
-
     def exit_code(self) -> int:
         """EXIT_OK if every check passed, EXIT_NO_CONVERGENCE if any
         errored, else EXIT_CHECK_FAILED."""

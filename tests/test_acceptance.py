@@ -142,7 +142,8 @@ def test_criterion_6_quadrature_suite(capsys):
     def body():
         # tolerance=1e-8 applies to the pure quadrature checks; the report
         # runs every grid check, the compound identity included, at 1e-7.
-        report = integrals_report(suite="all", tolerance=1e-8, grid_size=200)
+        report = integrals_report(build_by_recurrence(3), suite="all", tolerance=1e-8,
+                                  grid_size=200)
         assert {c.id for c in report.checks} == EXPECTED_QUADRATURE_IDS
         _all_pass(report.checks)
         assert report.exit_code() == 0

@@ -176,6 +176,35 @@ class TestVerifyCommand:
             "total": 0, "passed": 0, "failed": 0, "errors": 0,
         }
 
+    @pytest.mark.parametrize(
+        "argv", [["selftest"], *(["verify", suite] for suite in VERIFY_SUITES)])
+    def test_one_family_per_run(self, capsys, monkeypatch, argv):
+        sizes = []
+
+        def counted(n_max):
+            sizes.append(n_max)
+            return build_by_recurrence(n_max)
+
+        monkeypatch.setattr(cli, "build_by_recurrence", counted)
+        code, _, _ = invoke(capsys, *argv, "--max-n", "3")
+        assert code == 0
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("max_n, total", [("0", 12), ("1", 17), ("2", 23), ("3", 25)])
+    def test_max_n_bounds_integrals(self, capsys, max_n, total):
+        # A check runs only if each A_n, C_n it reads has n <= --max-n.
+        code, out, err = invoke(capsys, "verify", "integrals", "--max-n", max_n)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["summary"] == {
+            "total": total, "passed": total, "failed": 0, "errors": 0,
+        }
+
+    def test_integrals_at_max_n_3_match_the_default(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "integrals", "--max-n", "3")
+        assert code == 0
+        assert out == invoke(capsys, "verify", "integrals")[1]
+
     def test_integrals_single_suite(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "integrals", "--suite", "classical"

@@ -207,6 +207,14 @@ class TestPolynomial:
         assert p.degree == 3
         assert p.leading() == HALF
 
+    @pytest.mark.parametrize("coeff", [0, HALF, GaussianRational(0, HALF),
+                                       GaussianRational(3, 0), HALF + I])
+    def test_monomial_has_the_constructors_encoding(self, coeff):
+        p, q = Polynomial.monomial(2, coeff), Polynomial([0, 0, coeff])
+        assert p == q
+        assert p.coeffs == q.coeffs
+        assert [type(c) for c in p.coeffs] == [type(c) for c in q.coeffs]
+
     def test_coefficient_beyond_degree_is_zero(self):
         p = Polynomial([1, 2])
         assert p.coefficient(5) == 0

@@ -35,9 +35,12 @@ from acpolys.operator_lab import (
     transform_moment_identity,
     transform_moment_lhs,
 )
-from acpolys.report import ERROR, PASS
+from acpolys.report import ERROR, EXIT_CHECK_FAILED, EXIT_OK, PASS
 
 PI = math.pi
+
+#: The smallest family that holds every A_n, C_n the integral suites read.
+FAMILY = build_by_recurrence(3)
 
 
 def reference_apply_T(grid, v):
@@ -370,9 +373,8 @@ class TestMoments:
 
 class TestReportAssembly:
     def test_full_report_passes(self):
-        report = integrals_report()
-        assert report.all_passed
-        assert report.exit_code() == 0
+        report = integrals_report(FAMILY)
+        assert report.exit_code() == EXIT_OK
         assert report.counts["total"] == 25
 
     def test_each_grid_is_built_once(self, monkeypatch):
@@ -391,50 +393,50 @@ class TestReportAssembly:
         for suite, expected in (("all", (1, 1, 2)), ("moments", (0, 1, 1)),
                                 ("eigen", (1, 1, 2))):
             calls.update(dict.fromkeys(names, 0))
-            integrals_report(suite)
+            integrals_report(FAMILY, suite)
             assert calls == dict(zip(names, expected)), suite
 
     def test_report_holds_one_matrix_at_a_time(self):
         # The graded matrix (1312 nodes) is released before the 2400-node
         # one is built; holding both would peak near 1.3 x 8 G^2 bytes.
-        integrals_report("all", grid_size=2400)
+        integrals_report(FAMILY, "all", grid_size=2400)
         tracemalloc.start()
         try:
-            integrals_report("all", grid_size=2400)
+            integrals_report(FAMILY, "all", grid_size=2400)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 8 * 2400**2
 
     def test_compound_identity_ignores_grid_size(self):
-        report = integrals_report(suite="eigen", grid_size=17)
+        report = integrals_report(FAMILY, suite="eigen", grid_size=17)
         compound = [c for c in report.checks if c.id == "compound_operator_identity"]
         assert [c.status for c in compound] == [PASS]
 
     def test_eigen_suite_passes_on_the_smallest_grid(self):
         # --grid-size 2 is one 16-node panel per half, which already
         # resolves every eigenfunction 1/(x+a).
-        report = integrals_report(suite="eigen", grid_size=2)
-        assert report.all_passed
+        report = integrals_report(FAMILY, suite="eigen", grid_size=2)
+        assert report.exit_code() == EXIT_OK
 
     @pytest.mark.parametrize("suite", operator_lab.SUITES)
     def test_single_suite_selection(self, suite):
         totals = {"cform": 4, "aform": 4, "classical": 3, "moments": 9, "eigen": 5}
-        report = integrals_report(suite=suite)
+        report = integrals_report(FAMILY, suite=suite)
         assert report.counts["total"] == totals[suite]
-        assert report.all_passed
+        assert report.exit_code() == EXIT_OK
 
     def test_single_suites_concatenate_to_all(self):
         def lines(checks):
             return [(c.id, c.status, c.error_metric) for c in checks]
 
         singles = [line for suite in operator_lab.SUITES
-                   for line in lines(integrals_report(suite=suite).checks)]
-        assert singles == lines(integrals_report(suite="all").checks)
+                   for line in lines(integrals_report(FAMILY, suite=suite).checks)]
+        assert singles == lines(integrals_report(FAMILY, suite="all").checks)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
-            integrals_report(suite="gauss")
+            integrals_report(FAMILY, suite="gauss")
 
     def test_error_status_produces_exit_code_3(self):
         from acpolys.report import Check, VerificationReport
@@ -461,6 +463,5 @@ class TestReportAssembly:
             (check_id, ERROR, "", "", "stalled")]
 
     def test_tight_tolerance_fails_cleanly(self):
-        report = integrals_report(suite="eigen", tolerance=1e-18)
-        assert not report.all_passed
-        assert report.exit_code() == 1
+        report = integrals_report(FAMILY, suite="eigen", tolerance=1e-18)
+        assert report.exit_code() == EXIT_CHECK_FAILED == 1
