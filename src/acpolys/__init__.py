@@ -9,7 +9,9 @@ Euler polynomials, to the transform T(f)(x) = int_0^1 (f(t)-f(x))/(t-x) dt,
 and to a family of closed-form log-kernel integrals.
 
 The package namespace re-exports the documented API (README.md and
-``demos/``); every other name is importable from its submodule.
+``demos/``); every other name is importable from its submodule.  numpy is
+loaded only with ``operator_lab``, the floating-point suites: on first use
+of ``integrals_report``.
 """
 
 from .ac_families import (
@@ -29,7 +31,6 @@ from .ac_families import (
 )
 from .exact_core import GaussianRational, I, Polynomial, poly_from_json
 from .generalized_uv import build_uv, check_uv_consistency, row_width
-from .operator_lab import integrals_report
 from .special_numbers import (
     bernoulli_numbers,
     bernoulli_numbers_series,
@@ -41,6 +42,17 @@ from .special_numbers import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # integrals_report is the one export that needs numpy: it is imported on
+    # first use (PEP 562), so the exact API does not load numpy.
+    if name == "integrals_report":
+        from .operator_lab import integrals_report
+
+        return integrals_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FAMILY_ROUTES",

@@ -7,6 +7,9 @@ For operators with 2ab = a**2 + b**2 + c**2 (c central), the expansion
 
 defines exact rational tables u, v on the index domain
 1 <= k <= floor((n+1)/2), built here by a double recursion in (n, k).
+The recursion sums integers: each row is held as integer numerators over
+one denominator, and each new entry is reduced once, into the ``Fraction``
+the tables hold.
 When c**2 = 1 the expansion collapses onto the A/C families, giving the
 cross-check u_n^k = (n+1) alpha_n^{n+1-2k} and v_n^k = (n+1) lam_n^{n+1-2k}
 (with the conventions u_n^0 = 1, v_n^0 = n matching alpha_n^{n+1} = 1/(n+1)
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .ac_families import ACFamily
 from .report import exact_check
@@ -36,6 +40,16 @@ def row_width(n: int) -> int:
     return (n + 1) // 2
 
 
+def _integer_row(u: dict, v: dict, m: int) -> tuple:
+    """Row m over one denominator: (D_m, [0, D_m u_m^1, ...], [0, D_m v_m^1, ...]),
+    D_m the lcm of the row's denominators, the lists indexed by k."""
+    us = [u[(m, k)] for k in range(1, row_width(m) + 1)]
+    vs = [v[(m, k)] for k in range(1, row_width(m) + 1)]
+    den = lcm(*(x.denominator for x in us + vs))
+    return (den, [0, *(x.numerator * (den // x.denominator) for x in us)],
+            [0, *(x.numerator * (den // x.denominator) for x in vs)])
+
+
 def build_uv(n_max: int) -> UVTables:
     """Fill the tables by the recursion in (n, q), exactly.
 
@@ -46,6 +60,13 @@ def build_uv(n_max: int) -> UVTables:
     even, the new entry q = (n+2)/2 (the top index) is the sums alone.
     Initial row: u_1^1 = 0, v_1^1 = 1.  Rows start at n = 1, so
     ``build_uv(0)`` is empty.
+
+    The recursion runs on integers: each row m is held as the numerators
+    of its u and v entries over one denominator D_m (the layout of
+    ``exact_core.Polynomial``).  A new entry is the integer sum of its
+    terms over the lcm of their denominators, D_n times the lcm of the
+    D_{n+1-2k} (n+2-2k), and is reduced once, when it becomes a
+    ``Fraction`` of the returned tables.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -53,21 +74,29 @@ def build_uv(n_max: int) -> UVTables:
         return UVTables({}, {}, 0)
     u = {(1, 1): Fraction(0)}
     v = {(1, 1): Fraction(1)}
+    rows = {1: _integer_row(u, v, 1)}
     for n in range(1, n_max):
-        v[(n + 1, 1)] = Fraction(n + 1) + Fraction(n - 1, n) * v[(n, 1)]
-        u[(n + 1, 1)] = u[(n, 1)] + v[(n, 1)] / n
+        den, un, vn = rows[n]
+        v[(n + 1, 1)] = Fraction((n + 1) * n * den + (n - 1) * vn[1], n * den)
+        u[(n + 1, 1)] = Fraction(n * un[1] + vn[1], n * den)
         for q in range(2, row_width(n + 1) + 1):
-            sum_v = Fraction(0)
-            sum_u = Fraction(0)
+            # (v numerator, u numerator, denominator / D_n) of each term
+            terms = []
             for k in range(1, q):
-                denom = n + 2 - 2 * k
-                sum_v += v[(n, k)] * v[(n + 1 - 2 * k, q - k)] / denom
-                sum_u += v[(n, k)] * u[(n + 1 - 2 * k, q - k)] / denom
+                den_m, um, vm = rows[n + 1 - 2 * k]
+                terms.append((vn[k] * vm[q - k], vn[k] * um[q - k],
+                              den_m * (n + 2 - 2 * k)))
             if q <= row_width(n):
-                sum_v += Fraction(n + 1 - 2 * q, n + 2 - 2 * q) * v[(n, q)]
-                sum_u += v[(n, q)] / (n + 2 - 2 * q) + u[(n, q)]
-            v[(n + 1, q)] = sum_v
-            u[(n + 1, q)] = sum_u
+                c = n + 2 - 2 * q
+                terms.append(((n + 1 - 2 * q) * vn[q], vn[q] + c * un[q], c))
+            common = lcm(*(d for _, _, d in terms))
+            sum_v = sum_u = 0
+            for tv, tu, d in terms:
+                sum_v += tv * (common // d)
+                sum_u += tu * (common // d)
+            v[(n + 1, q)] = Fraction(sum_v, den * common)
+            u[(n + 1, q)] = Fraction(sum_u, den * common)
+        rows[n + 1] = _integer_row(u, v, n + 1)
     return UVTables(u, v, n_max)
 
 

@@ -42,7 +42,9 @@ import numpy as np
 
 from .ac_families import ACFamily
 from .exact_core import Polynomial
-from .report import Check, ERROR, FAIL, PASS, VerificationReport, exact_check
+from .report import (
+    Check, ERROR, FAIL, PASS, SUITES, VerificationReport, exact_check,
+)
 from .special_numbers import bernoulli_numbers
 
 PI = math.pi
@@ -584,9 +586,6 @@ def transform_moment_identity(a: float, n: int, family: ACFamily,
          f"same integral vs sum_k alpha_{n}^k pi^({n + 1}-k) (-gamma_a^k)",
          target_sum),
     )
-
-
-SUITES = ("cform", "aform", "classical", "moments", "eigen")
 
 
 def integrals_report(family: ACFamily, suite: str = "all",

@@ -25,6 +25,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NO_CONVERGENCE = 3
 
+#: The integral suites of ``verify integrals`` (``operator_lab``).  They
+#: are named here, in a module that does not load numpy, so that the CLI's
+#: argument parser can offer them without loading it.
+SUITES = ("cform", "aform", "classical", "moments", "eigen")
+
+#: The largest n of any A_n, C_n the integral suites read.
+INTEGRALS_MAX_N = 3
+
 
 @dataclass
 class Check:

@@ -12,7 +12,10 @@ this module used as a cross-check.
 The beta_n are computed once per process: ``bernoulli_numbers`` keeps
 them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
 ``tangent_half_coeff`` take only ``n`` and read beta from it.  The
-series constructions never read that memo.
+series constructions never read that memo.  The memo holds ``Fraction``
+values, but the recurrence that extends it sums integers: the numerators
+of the known beta_k over their one common denominator (the layout of
+``exact_core.Polynomial``), reduced once per new beta_n.
 
 The sine/cosine/exponential reference series are generated from
 factorials, not hardcoded, so any truncation order is available.
@@ -21,7 +24,8 @@ factorials, not hardcoded, so any truncation order is available.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import add, mul
 
 from .exact_core import Polynomial, TruncatedSeries
 
@@ -40,17 +44,28 @@ def bernoulli_numbers(n_max: int) -> tuple:
     """beta_0..beta_{n_max} via sum(binom(n+1,k)*beta_k, k=0..n) = 0.
 
     Each beta_n is computed once per process; later calls slice the memo.
+    The sum runs on integers: row n+1 of Pascal's triangle against the
+    numerators of beta_0..beta_{n-1} over ``den``, the lcm of their
+    denominators, so each beta_n is one integer sum reduced once.
     """
     global _BETA
     _require_index(n_max)
     values = _BETA
     if len(values) <= n_max:
         extended = list(values)
+        den = lcm(*(b.denominator for b in values))
+        nums = [b.numerator * (den // b.denominator) for b in values]
+        binom = [comb(len(values), k) for k in range(len(values) + 1)]
         for n in range(len(values), n_max + 1):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += comb(n + 1, k) * extended[k]
-            extended.append(-acc / (n + 1))
+            binom = [1, *map(add, binom, binom[1:]), 1]  # binom(n+1, k)
+            # map stops at the shorter list: the terms k < n.
+            beta = Fraction(-sum(map(mul, binom, nums)), (n + 1) * den)
+            extended.append(beta)
+            scale = beta.denominator // gcd(den, beta.denominator)
+            if scale > 1:
+                den *= scale
+                nums = [num * scale for num in nums]
+            nums.append(beta.numerator * (den // beta.denominator))
         values = tuple(extended)
         if len(_BETA) < len(values):
             _BETA = values

@@ -190,6 +190,20 @@ class TestVerifyCommand:
         assert code == 0
         assert sizes == [3]
 
+    def test_integrals_build_the_family_they_read(self, capsys, monkeypatch):
+        # verify integrals reads no A_n, C_n past n = 3, whatever --max-n.
+        sizes = []
+
+        def counted(n_max):
+            sizes.append(n_max)
+            return build_by_recurrence(n_max)
+
+        monkeypatch.setattr(cli, "build_by_recurrence", counted)
+        code, out, _ = invoke(capsys, "verify", "integrals", "--max-n", "192")
+        assert code == 0
+        assert sizes == [3]
+        assert out == invoke(capsys, "verify", "integrals", "--max-n", "3")[1]
+
     @pytest.mark.parametrize("max_n, total", [("0", 12), ("1", 17), ("2", 23), ("3", 25)])
     def test_max_n_bounds_integrals(self, capsys, max_n, total):
         # A check runs only if each A_n, C_n it reads has n <= --max-n.

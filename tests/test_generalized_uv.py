@@ -34,6 +34,29 @@ HAND_ROWS_V = {
 }
 
 
+def build_uv_fractions(n_max: int) -> tuple:
+    """The recursion of ``build_uv`` with one ``Fraction`` per operation:
+    the reference for its integer rows.  Returns the (u, v) dicts."""
+    u = {(1, 1): F(0)}
+    v = {(1, 1): F(1)}
+    for n in range(1, n_max):
+        v[(n + 1, 1)] = F(n + 1) + F(n - 1, n) * v[(n, 1)]
+        u[(n + 1, 1)] = u[(n, 1)] + v[(n, 1)] / n
+        for q in range(2, row_width(n + 1) + 1):
+            sum_v = F(0)
+            sum_u = F(0)
+            for k in range(1, q):
+                denom = n + 2 - 2 * k
+                sum_v += v[(n, k)] * v[(n + 1 - 2 * k, q - k)] / denom
+                sum_u += v[(n, k)] * u[(n + 1 - 2 * k, q - k)] / denom
+            if q <= row_width(n):
+                sum_v += F(n + 1 - 2 * q, n + 2 - 2 * q) * v[(n, q)]
+                sum_u += v[(n, q)] / (n + 2 - 2 * q) + u[(n, q)]
+            v[(n + 1, q)] = sum_v
+            u[(n + 1, q)] = sum_u
+    return u, v
+
+
 class TestRowWidth:
     def test_widths(self):
         assert [row_width(n) for n in range(1, 9)] == [1, 1, 2, 2, 3, 3, 4, 4]
@@ -72,6 +95,14 @@ class TestBuildUV:
         assert set(uv.u) == expected_keys
         assert set(uv.v) == expected_keys
         assert uv.max_n == n_max
+
+    def test_equals_fraction_recursion(self):
+        u_ref, v_ref = build_uv_fractions(120)
+        for n_max in (*range(65), 120):
+            uv = build_uv(n_max)
+            assert uv.u == {key: x for key, x in u_ref.items() if key[0] <= n_max}, n_max
+            assert uv.v == {key: x for key, x in v_ref.items() if key[0] <= n_max}, n_max
+        assert all(type(x) is F for x in (*uv.u.values(), *uv.v.values()))
 
     def test_top_v_entries_nonzero(self):
         # The deepest v entry of each row is a positive rational.

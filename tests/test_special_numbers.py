@@ -128,6 +128,14 @@ class TestBernoulliMemo:
         for n_max in (40, 7, 0, 48):
             assert list(bernoulli_numbers(n_max)) == series[: n_max + 1]
 
+    @pytest.mark.parametrize("steps", [(300,), (0, 5, 64, 300)])
+    def test_integer_sums_match_series_to_300(self, fresh_memo, steps):
+        series = bernoulli_numbers_series(300)
+        for n_max in steps:
+            values = bernoulli_numbers(n_max)
+            assert list(values) == series[: n_max + 1]
+        assert all(type(b) is F for b in values)
+
     def test_concurrent_callers_agree(self, fresh_memo):
         serial = bernoulli_numbers_series(60)
         sizes = [60, 13, 45, 2, 31, 60, 5, 52]
