@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -257,6 +258,13 @@ def _suite_report(name: str, args, family) -> VerificationReport:
         uv = build_uv(args.max_n)
         return VerificationReport(suite="uv").extend(check_uv_consistency(uv, family))
     # Imported here: operator_lab loads numpy, which no exact request needs.
+    # numpy's bundled OpenBLAS starts a worker thread at import that
+    # busy-waits for about 0.1 s of CPU, while the one BLAS product per grid
+    # (G x G by G x 4) takes milliseconds on one core: one thread cuts the
+    # CPU of a `verify integrals` request from about 0.43 to 0.28 s (2-CPU
+    # x86 host) at unchanged wall time and output.  An OPENBLAS_NUM_THREADS already set still wins,
+    # and library users who import operator_lab keep numpy's default.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .operator_lab import integrals_report
 
     return integrals_report(

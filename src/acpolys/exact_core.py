@@ -25,6 +25,7 @@ share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -200,6 +201,48 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
         if x:
             out[j:j + width] = [o + x * y for o, y in zip(out[j:j + width], b)]
     return out
+
+
+def _twist(re: Sequence[int], im, w_re: int, w_im: int, v: int) -> tuple:
+    """Coefficient k of the Gaussian-integer vector re + im*i (im None for
+    zeros) times w**k * v**(N-k), N = len(re) - 1, for the Gaussian integer
+    w = w_re + w_im*i and an integer v > 0: (re, im) lists, im None when
+    the input and w are real."""
+    n = len(re) - 1
+    scale = v ** n  # v**(N-k)
+    if im is None and not w_im:
+        out, p = [], 1
+        for x in re:
+            out.append(x * p * scale)
+            p *= w_re
+            scale //= v
+        return out, None
+    if im is None:
+        im = (0,) * (n + 1)
+    out_re, out_im = [], []
+    p_re, p_im = 1, 0  # w**k
+    for x, y in zip(re, im):
+        x, y = x * scale, y * scale
+        scale //= v
+        out_re.append(x * p_re - y * p_im)
+        out_im.append(x * p_im + y * p_re)
+        p_re, p_im = p_re * w_re - p_im * w_im, p_re * w_im + p_im * w_re
+    return out_re, out_im
+
+
+def _shift_by_one(t: Sequence[int]) -> list:
+    """The integer coefficients of t(X + 1), lowest degree first.  Held
+    highest degree first, pass i's suffix sums of t_i..t_N are prefix
+    sums, one ``accumulate`` each.  A zero vector is its own shift: the
+    frame vector of an odd or even polynomial shifted by +-i is all real or
+    all imaginary."""
+    if not any(t):
+        return list(t)
+    r = list(reversed(t))
+    for end in range(len(r), 1, -1):
+        r[:end] = accumulate(r[:end])
+    r.reverse()
+    return r
 
 
 class Polynomial:
@@ -398,63 +441,48 @@ class Polynomial:
         return Fraction(acc_re, den)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """Return p(a*X + b), computed exactly by a Taylor shift over Z[i].
+        """Return p(a*X + b), computed exactly by a Taylor shift by 1 over Z[i].
 
         With p = sum_j c_j X**j where c_j = n_j / D (n_j Gaussian integers,
         D = _den), b = beta/d_b and a = alpha/d_a (beta, alpha Gaussian
         integers, d_b, d_a positive integers), and N = degree,
 
             D * d_b**N * p(X + b) = s(d_b*X + beta)
-                where s(Z) = sum_j n_j * d_b**(N-j) * Z**j,
+                where s(Z) = sum_j n_j * d_b**(N-j) * Z**j.
 
-        so the Gaussian-integer polynomial s is shifted by beta with the
-        classical O(N**2) additions-only scheme (von zur Gathen & Gerhard,
+        For beta != 0 the shift by beta becomes a shift by 1 in the frame
+        t_j = beta**j * s_j: s(Z + beta) = t(Z/beta + 1).  The shift by 1
+        is the classical additions-only scheme (von zur Gathen & Gerhard,
         "Fast algorithms for Taylor shifts and certain difference
-        equations", ISSAC 1997), and coefficient k of the result is
-        s(Z + beta)_k * (d_b*alpha)**k * d_a**(N-k) over the one
-        denominator D * d_b**N * d_a**N, reduced once.  Like every result,
-        it stores an imaginary vector only when that vector is nonzero.
+        equations", ISSAC 1997), whose pass i replaces t_i..t_N by their
+        suffix sums.  Coefficient k is then scaled back by beta**-k, which
+        for a unit beta is a rotation and in general is
+        conj(beta)**k * |beta|**(2(N-k)) over |beta|**(2N), and times
+        (d_b*alpha)**k * d_a**(N-k).  The one denominator
+        D * d_b**N * d_a**N * |beta|**(2N) is reduced once.  Like every
+        result, it stores an imaginary vector only when that vector is
+        nonzero.
         """
         if not self._re:
             return self
         beta_re, beta_im, d_b = _gaussian_integer_over(b)
         alpha_re, alpha_im, d_a = _gaussian_integer_over(a)
-
-        # s_j = n_j * d_b**(N-j), as separate integer real/imaginary lists.
         n = len(self._re) - 1
-        re = list(self._re)
-        im = list(self._im) if self._im is not None else [0] * (n + 1)
-        if d_b != 1:
-            scale = 1
-            for j in range(n, -1, -1):
-                re[j] *= scale
-                im[j] *= scale
-                scale *= d_b
-
-        # s(Z) -> s(Z + beta); after pass i, coefficient i is final.
-        if beta_im == 0 and self._im is None:
-            if beta_re:
-                for i in range(n):
-                    for j in range(n - 1, i - 1, -1):
-                        re[j] += beta_re * re[j + 1]
-        elif beta_re or beta_im:
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    x, y = re[j + 1], im[j + 1]
-                    re[j] += beta_re * x - beta_im * y
-                    im[j] += beta_re * y + beta_im * x
-
-        # Coefficient k: times (d_b*alpha)**k * d_a**(N-k).
-        w_re, w_im = d_b * alpha_re, d_b * alpha_im
-        p_re, p_im = 1, 0
-        for k in range(n + 1):
-            x, y = re[k], im[k]
-            if d_a != 1:
-                x, y = x * d_a ** (n - k), y * d_a ** (n - k)
-            re[k] = x * p_re - y * p_im
-            im[k] = x * p_im + y * p_re
-            p_re, p_im = p_re * w_re - p_im * w_im, p_re * w_im + p_im * w_re
-        return Polynomial._of(re, im, self._den * (d_b * d_a) ** n)
+        re, im = self._re, self._im
+        if beta_re or beta_im:
+            re, im = _twist(re, im, beta_re, beta_im, d_b)
+            re = _shift_by_one(re)
+            if im is not None:
+                im = _shift_by_one(im)
+            norm = beta_re * beta_re + beta_im * beta_im
+            inv_re, inv_im = beta_re, -beta_im  # beta**-1 == conj(beta)/norm
+        else:  # b == 0, so d_b == 1 and s == p's numerators
+            norm, inv_re, inv_im = 1, 1, 0
+        w_re = d_b * (inv_re * alpha_re - inv_im * alpha_im)
+        w_im = d_b * (inv_re * alpha_im + inv_im * alpha_re)
+        v = norm * d_a
+        re, im = _twist(re, im, w_re, w_im, v)
+        return Polynomial._of(re, im, self._den * (d_b * v) ** n)
 
     def rational_coefficients(self) -> "Polynomial":
         """This polynomial, asserted to be over Q: raises ValueError if any

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from acpolys.ac_families import build_by_recurrence
 from acpolys.report import FAIL, PASS, exact_check
 from acpolys.exact_core import (
+    _gaussian_integer_over,
     GaussianRational,
     I,
     Polynomial,
@@ -50,6 +51,25 @@ def horner_compose_affine(p, a, b):
         nxt[0] = nxt[0] + c
         acc = nxt
     return Polynomial(acc)
+
+
+# Shifts b whose numerator beta is a Gaussian unit once its denominator d_b
+# is cleared, and inputs over Q and Q(i) of degrees -1 (zero), 0, 1, 2, 40.
+UNIT_SHIFTS = [1, -1, I, -I, GaussianRational(0, HALF), Fraction(-1, 3)]
+UNIT_SHIFT_INPUTS = [Polynomial()] + [
+    Polynomial(coeffs(k) for k in range(degree + 1))
+    for degree in (0, 1, 2, 40)
+    for coeffs in (
+        lambda k: Fraction((-1) ** k * (k + 1), k + 2),
+        lambda k: GaussianRational(Fraction(k, 3) - 1, Fraction(1, k + 1)),
+    )
+]
+
+
+def repr_id(p):
+    if p.is_zero:
+        return "zero"
+    return f"{'gauss' if p._im is not None else 'real'}-degree{p.degree}"
 
 
 def reference_add(a, b, sign=1):
@@ -294,6 +314,18 @@ class TestPolynomial:
         ref = horner_compose_affine(p, a, b)
         assert got == ref
         assert [type(c) for c in got.coeffs] == [type(c) for c in ref.coeffs]
+
+    @pytest.mark.parametrize("p", UNIT_SHIFT_INPUTS, ids=repr_id)
+    @pytest.mark.parametrize("b", UNIT_SHIFTS, ids=str)
+    def test_compose_affine_unit_shift_matches_horner(self, p, b):
+        beta_re, beta_im, _ = _gaussian_integer_over(b)
+        assert beta_re * beta_re + beta_im * beta_im == 1
+        for a in (1, I, Fraction(-2, 3)):
+            got = p.compose_affine(a, b)
+            ref = horner_compose_affine(p, a, b)
+            assert got == ref
+            assert [type(c) for c in got.coeffs] == [type(c) for c in ref.coeffs]
+            assert_canonical(got)
 
     def test_compose_affine_coefficient_types_are_uniform(self):
         fam = build_by_recurrence(8)

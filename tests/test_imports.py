@@ -1,7 +1,9 @@
-"""numpy is loaded only by the floating-point suites.
+"""numpy is loaded only by the floating-point suites, and the CLI runs
+its BLAS on one thread.
 
 Each case runs in a fresh interpreter, because a module imported once
-stays in ``sys.modules`` for the rest of the test process.
+stays in ``sys.modules`` for the rest of the test process, and numpy reads
+``OPENBLAS_NUM_THREADS`` only when it is first imported.
 """
 
 import os
@@ -16,9 +18,10 @@ from acpolys.cli import ALL_ROUTES
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs ``cli.run(argv)`` (if argv is given) with its output discarded, then
-# prints whether numpy was loaded.
+# prints whether numpy was loaded and, where /proc/self/status exists, the
+# number of threads the process has.
 RUN_CLI = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 from acpolys import cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -26,11 +29,18 @@ if sys.argv[1:]:
     if code:
         sys.exit(f"exit code {code}")
 print("numpy" in sys.modules)
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("Threads:")))
 """
 
 
-def fresh_python(*args) -> subprocess.CompletedProcess:
+def fresh_python(*args, **extra_env) -> subprocess.CompletedProcess:
+    """Runs ``python ARGS`` with acpolys importable, without the caller's
+    OPENBLAS_NUM_THREADS, and with ``extra_env`` set."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
@@ -39,10 +49,19 @@ def fresh_python(*args) -> subprocess.CompletedProcess:
     )
 
 
-def numpy_loaded(*argv) -> bool:
-    result = fresh_python("-c", RUN_CLI, *argv)
+def run_cli(*argv, **extra_env) -> list:
+    """The lines RUN_CLI prints for ``argv``, in a fresh interpreter."""
+    result = fresh_python("-c", RUN_CLI, *argv, **extra_env)
     assert result.returncode == 0, result.stderr
-    return {"True\n": True, "False\n": False}[result.stdout]
+    return result.stdout.splitlines()
+
+
+def numpy_loaded(*argv) -> bool:
+    return {"True": True, "False": False}[run_cli(*argv)[0]]
+
+
+def cli_threads(*argv, **extra_env) -> int:
+    return int(run_cli(*argv, **extra_env)[1])
 
 
 EXACT_REQUESTS = [
@@ -91,5 +110,40 @@ except AttributeError as exc:
     assert "nope" in str(exc)
 else:
     raise SystemExit("acpolys.nope resolved")
+""")
+    assert result.returncode == 0, result.stderr
+
+
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").is_file(), reason="no /proc/self/status"
+)
+
+
+@needs_proc_status
+@pytest.mark.parametrize("argv", [
+    ("verify", "integrals", "--suite", "classical"),
+    ("selftest", "--max-n", "3"),
+], ids=" ".join)
+def test_float_requests_run_blas_on_one_thread(argv):
+    assert cli_threads(*argv) == 1
+
+
+@needs_proc_status
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_an_explicit_openblas_thread_count_wins():
+    assert cli_threads("verify", "integrals", "--suite", "classical",
+                       OPENBLAS_NUM_THREADS="2") == 2
+
+
+@pytest.mark.parametrize("load", [
+    "import acpolys.operator_lab",
+    "import acpolys; acpolys.integrals_report",
+])
+def test_library_imports_leave_blas_threading_alone(load):
+    result = fresh_python("-c", f"""
+import os, sys
+{load}
+assert "numpy" in sys.modules
+assert "OPENBLAS_NUM_THREADS" not in os.environ
 """)
     assert result.returncode == 0, result.stderr
