@@ -347,7 +347,7 @@ def check_euler_identity(family: ACFamily) -> list:
     """E_n(X) = X**n - X**(n+1) + (-i)**(n+1) [A_n(iX) + C_n(iX)], exactly."""
     checks = []
     for n in range(family.max_n + 1):
-        inner = family.a(n).compose_affine(I, 0) + family.c(n).compose_affine(I, 0)
+        inner = (family.a(n) + family.c(n)).compose_affine(I, 0)
         rhs = (
             Polynomial.monomial(n)
             - Polynomial.monomial(n + 1)

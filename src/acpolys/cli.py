@@ -41,7 +41,6 @@ from .report import (
     EXIT_CHECK_FAILED,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
-    INTEGRALS_MAX_N,
     SUITES,
     VerificationReport,
 )
@@ -90,28 +89,24 @@ def _power_string(k: int) -> str:
     return f"X^{{{k}}}"
 
 
-def _join_terms(terms) -> str:
-    """terms: list of (sign, body) with sign in {+1, -1}; joined compactly."""
+def _latex_terms(values) -> str:
+    """Descending-power rendering of rational coefficients (low-first input,
+    not all zero), a non-integer magnitude as a fraction."""
     out = []
-    for i, (sign, body) in enumerate(terms):
-        if i == 0:
-            out.append("-" + body if sign < 0 else body)
-        else:
-            out.append(("-" if sign < 0 else "+") + body)
-    return "".join(out)
-
-
-def _integer_terms(values) -> str:
-    """Descending-power rendering of integer coefficients (low-first input)."""
-    terms = []
     for k in range(len(values) - 1, -1, -1):
         v = values[k]
         if v == 0:
             continue
         mag = abs(v)
-        body = ("" if mag == 1 and k > 0 else str(mag)) + _power_string(k)
-        terms.append((1 if v > 0 else -1, body))
-    return _join_terms(terms) if terms else "0"
+        if mag.denominator != 1:
+            coef = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        elif mag == 1 and k > 0:
+            coef = ""
+        else:
+            coef = str(mag.numerator)
+        sign = "-" if v < 0 else "+" if out else ""
+        out.append(sign + coef + _power_string(k))
+    return "".join(out)
 
 
 def latex_polynomial(p: Polynomial) -> str:
@@ -121,25 +116,10 @@ def latex_polynomial(p: Polynomial) -> str:
     if not coeffs:
         return "0"
     denom = math.lcm(*(c.denominator for c in coeffs))
-    if denom <= _LCM_CAP:
-        numerators = [int(c * denom) for c in coeffs]
-        body = _integer_terms(numerators)
-        if denom == 1 or body == "0":
-            return body
-        return rf"\frac{{{body}}}{{{denom}}}"
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if mag.denominator == 1:
-            coef = "" if mag == 1 and k > 0 else str(mag.numerator)
-        else:
-            coef = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        body = coef + _power_string(k)
-        terms.append((1 if c > 0 else -1, body or "1"))
-    return _join_terms(terms)
+    if denom > _LCM_CAP:
+        return _latex_terms(coeffs)
+    body = _latex_terms([int(c * denom) for c in coeffs])
+    return body if denom == 1 else rf"\frac{{{body}}}{{{denom}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +229,21 @@ def _report_rows(report: VerificationReport) -> list:
     return [(report.suite, c.id, c.status, c.error_metric) for c in report.checks]
 
 
+def _operator_lab():
+    """``operator_lab``, imported on first use: it loads numpy, which no
+    exact request needs.  numpy's bundled OpenBLAS starts a worker thread at
+    import that busy-waits for about 0.1 s of CPU, while the one BLAS
+    product per grid (G x G by G x 4) takes milliseconds on one core: one
+    thread cuts the CPU of a `verify integrals` request from about 0.43 to
+    0.28 s (2-CPU x86 host) at unchanged wall time and output.  An
+    OPENBLAS_NUM_THREADS already set still wins, and library users who
+    import operator_lab keep numpy's default."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import operator_lab
+
+    return operator_lab
+
+
 def _suite_report(name: str, args, family) -> VerificationReport:
     """The report of one ``verify`` suite; ``family`` is the run's one
     recurrence family, to n = ``args.max_n``."""
@@ -257,17 +252,7 @@ def _suite_report(name: str, args, family) -> VerificationReport:
     if name == "uv":
         uv = build_uv(args.max_n)
         return VerificationReport(suite="uv").extend(check_uv_consistency(uv, family))
-    # Imported here: operator_lab loads numpy, which no exact request needs.
-    # numpy's bundled OpenBLAS starts a worker thread at import that
-    # busy-waits for about 0.1 s of CPU, while the one BLAS product per grid
-    # (G x G by G x 4) takes milliseconds on one core: one thread cuts the
-    # CPU of a `verify integrals` request from about 0.43 to 0.28 s (2-CPU
-    # x86 host) at unchanged wall time and output.  An OPENBLAS_NUM_THREADS already set still wins,
-    # and library users who import operator_lab keep numpy's default.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .operator_lab import integrals_report
-
-    return integrals_report(
+    return _operator_lab().integrals_report(
         family, suite=args.suite, tolerance=args.tolerance, grid_size=args.grid_size
     )
 
@@ -275,7 +260,7 @@ def _suite_report(name: str, args, family) -> VerificationReport:
 def _cmd_verify(args) -> tuple:
     max_n = args.max_n
     if args.suite_name == "integrals":
-        max_n = min(max_n, INTEGRALS_MAX_N)  # the integral suites read no more
+        max_n = min(max_n, _operator_lab().INTEGRALS_MAX_N)  # they read no more
     report = _suite_report(args.suite_name, args, build_by_recurrence(max_n))
     if args.format == "json":
         return report.exit_code(), canonical_json(report.to_json_dict())

@@ -145,17 +145,10 @@ class GaussianRational:
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.im}*i"
-        if self.re == 0:
-            return imag
-        sign = "+" if self.im > 0 else "-"
+        # A nonzero real part, the imaginary part's sign, its magnitude.
+        sign = "-" if self.im < 0 else "+" if self.re else ""
         mag = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        return f"{self.re}{sign}{mag}"
+        return f"{self.re or ''}{sign}{mag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -708,10 +701,19 @@ def scalar_to_json(value: Scalar):
     return str(Fraction(value))
 
 
+def _rational_from_json(value) -> Fraction:
+    # A JSON float is already rounded, and Fraction(True) is 1: neither is
+    # an exact scalar, whose JSON form is an integer or a "p/q" string.
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an exact rational: {value!r}")
+    return Fraction(value)
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict):
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
-    return Fraction(obj)
+        return GaussianRational(_rational_from_json(obj["re"]),
+                                _rational_from_json(obj["im"]))
+    return _rational_from_json(obj)
 
 
 def poly_to_json(p: Polynomial) -> list:

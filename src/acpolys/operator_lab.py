@@ -14,7 +14,8 @@ polynomials through a single evaluate-to-float bridge and checks:
 
 It builds no family: the exact A_n / C_n come from the family a report is
 handed (the CLI's one recurrence family per run), and a check that reads a
-polynomial past that family's max_n is left out of the report.
+polynomial past that family's max_n is left out of the report.  No check
+reads past ``INTEGRALS_MAX_N``, stated here beside the points that decide it.
 
 Endpoint singularities of ln-type are handled by evaluating integrands
 with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
@@ -269,7 +270,7 @@ def evaluate_polynomial_float(p: Polynomial, x: float) -> float:
 GUARD = 1e-6
 
 
-def _integrate(pieces, target: float, scale: float = 1.0) -> QuadratureResult:
+def _integrate(pieces, scale: float = 1.0) -> QuadratureResult:
     """``scale`` times the sum of the tanh-sinh integrals of the (f, lo, hi)
     ``pieces``, with their error estimates (times |scale|) and evaluation
     counts summed alongside."""
@@ -277,14 +278,14 @@ def _integrate(pieces, target: float, scale: float = 1.0) -> QuadratureResult:
     err = 0.0
     evals = 0
     for f, lo, hi in pieces:
-        r = tanh_sinh(f, lo, hi, target)
+        r = tanh_sinh(f, lo, hi)
         value += r.value
         err += r.error_estimate
         evals += r.evaluations
     return QuadratureResult(scale * value, abs(scale) * err, evals)
 
 
-def integral_a_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult:
+def integral_a_form(n: int, z: float) -> QuadratureResult:
     """(1 - e^z) * integral_0^inf ln(t)**n / ((t+1)(t+e^z)) dt for z < 0.
 
     The tail (1, inf) is folded onto (0, 1) by t -> 1/t, which maps
@@ -302,10 +303,10 @@ def integral_a_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
     def tail(s, d_lo, d_hi):
         return (-math.log(d_lo)) ** n / ((1.0 + s) * (1.0 + s * ez))
 
-    return _integrate([(head, 0.0, 1.0), (tail, 0.0, 1.0)], target, 1.0 - ez)
+    return _integrate([(head, 0.0, 1.0), (tail, 0.0, 1.0)], 1.0 - ez)
 
 
-def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult:
+def integral_c_form(n: int, z: float) -> QuadratureResult:
     """(e^z + 1) * integral_0^inf (ln(t)**n - z**n)/((1+t)(t-e^z)) dt.
 
     The numerator vanishes at the pole t = e^z, so the singularity is
@@ -353,10 +354,10 @@ def integral_c_form(n: int, z: float, target: float = 1e-12) -> QuadratureResult
             pieces += [(f, 0.0, pole), (f, pole, 1.0)]
         else:
             pieces.append((f, 0.0, 1.0))
-    return _integrate(pieces, target, ez + 1.0)
+    return _integrate(pieces, ez + 1.0)
 
 
-def classical_log_integral(n: int, target: float = 1e-12) -> QuadratureResult:
+def classical_log_integral(n: int) -> QuadratureResult:
     """4 * integral_0^1 ln(x)**(2n-1) / (x**2 - 1) dx for n >= 1.
 
     The substitution x = e^-s turns it into 2 * integral_0^inf
@@ -370,7 +371,7 @@ def classical_log_integral(n: int, target: float = 1e-12) -> QuadratureResult:
     def f(s, d_lo, d_hi):
         return s**m / math.sinh(s)
 
-    return _integrate([(f, 0.0, 1.0), (f, 1.0, 60.0)], target, 2.0)
+    return _integrate([(f, 0.0, 1.0), (f, 1.0, 60.0)], 2.0)
 
 
 def classical_log_target(n: int) -> float:
@@ -379,7 +380,7 @@ def classical_log_target(n: int) -> float:
     return rational_to_float(coeff) * PI ** (2 * n)
 
 
-def transform_moment_lhs(n: int, a: float, target: float = 1e-12) -> QuadratureResult:
+def transform_moment_lhs(n: int, a: float) -> QuadratureResult:
     """integral_0^1 phi_0(x)**n / (x + a) dx by direct quadrature.
 
     Split at 1/2 with the right half reflected by x -> 1-x, so each piece
@@ -393,11 +394,16 @@ def transform_moment_lhs(n: int, a: float, target: float = 1e-12) -> QuadratureR
     def right(s, d_lo, d_hi):
         return (math.log1p(-s) - math.log(d_lo)) ** n / (1.0 - s + a)
 
-    return _integrate([(left, 0.0, 0.5), (right, 0.0, 0.5)], target)
+    return _integrate([(left, 0.0, 0.5), (right, 0.0, 0.5)])
 
 
 # ---------------------------------------------------------------------------
 # Check suites.
+
+#: The largest n of any A_n, C_n the integral suites read: the last (n, z)
+#: points of ``c_form_checks`` and ``a_form_checks``.  The moment checks
+#: stop at n = 2.  A family built past it changes no report.
+INTEGRALS_MAX_N = 3
 
 
 def _relative_error(value: float, target: float) -> float:
@@ -436,12 +442,11 @@ def _quadrature_checks(integrate, tol: float, *comparisons) -> list:
             for check_id, description, target in comparisons]
 
 
-def c_form_checks(family: ACFamily, points=((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7)),
-                  tol: float = 1e-8) -> list:
-    """Quadrature vs pi**(n+1) C_n(z/pi) at the given (n, z) points with
+def c_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
+    """Quadrature vs pi**(n+1) C_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
-    for n, z in points:
+    for n, z in ((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7)):
         if n > family.max_n:
             continue
         checks += _quadrature_checks(
@@ -453,14 +458,12 @@ def c_form_checks(family: ACFamily, points=((0, 0.5), (1, 0.0), (2, 1.0), (3, -0
     return checks
 
 
-def a_form_checks(family: ACFamily,
-                  points=((0, -math.log(2)), (1, -math.log(2)),
-                          (2, math.log(2) - math.log(3)), (3, -1.0)),
-                  tol: float = 1e-8) -> list:
-    """Quadrature vs -pi**(n+1) A_n(z/pi) at the given (n, z) points with
+def a_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
+    """Quadrature vs -pi**(n+1) A_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
-    for n, z in points:
+    for n, z in ((0, -math.log(2)), (1, -math.log(2)),
+                 (2, math.log(2) - math.log(3)), (3, -1.0)):
         if n > family.max_n:
             continue
         checks += _quadrature_checks(
@@ -472,10 +475,10 @@ def a_form_checks(family: ACFamily,
     return checks
 
 
-def classical_checks(n_values=(1, 2, 3), tol: float = 1e-8) -> list:
-    """The log-kernel integral vs its exact Bernoulli value."""
+def classical_checks(tol: float = 1e-8) -> list:
+    """The log-kernel integral vs its exact Bernoulli value, n = 1, 2, 3."""
     checks = []
-    for n in n_values:
+    for n in (1, 2, 3):
         checks += _quadrature_checks(
             lambda: classical_log_integral(n), tol,
             (f"classical/n={n}",
@@ -485,13 +488,13 @@ def classical_checks(n_values=(1, 2, 3), tol: float = 1e-8) -> list:
     return checks
 
 
-def eigenfunction_checks(grid: Grid, T: np.ndarray, a_values=(0.5, 1.0, 2.0, 5.0),
-                         tol: float = 1e-7) -> list:
+def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> list:
     """T, the Nystrom matrix of ``grid``, reproduces T(1/(x+a)) =
-    gamma_a/(x+a) at every grid node.
+    gamma_a/(x+a) at every grid node, for a = 0.5, 1, 2, 5.
 
-    All a_values are transformed by one product, one column per a.
+    All four are transformed by one product, one column per a.
     """
+    a_values = (0.5, 1.0, 2.0, 5.0)
     f = 1.0 / (grid.nodes[:, None] + np.asarray(a_values))
     expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f
     errors = np.max(np.abs(T @ f - expected) / np.abs(expected), axis=0)
@@ -505,9 +508,8 @@ def eigenfunction_checks(grid: Grid, T: np.ndarray, a_values=(0.5, 1.0, 2.0, 5.0
     ]
 
 
-def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7,
-                            a: float = 1.0) -> Check:
-    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+a), with T
+def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> Check:
+    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+1), with T
     the Nystrom matrix of ``grid``.
 
     Meant for the graded grid, whose dyadic panels resolve the ln
@@ -516,14 +518,14 @@ def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7,
     2.3e-3 off.
     """
     mask = interior_mask(grid.nodes)
-    f = 1.0 / (grid.nodes + a)
+    f = 1.0 / (grid.nodes + 1.0)
     p = phi0(grid)
     outer = T @ (2.0 * p * f - T @ f)
     expected = (p**2 + PI**2) * f
     rel = np.max(np.abs(outer[mask] - expected[mask]) / np.abs(expected[mask]))
     return _grid_check(
         "compound_operator_identity",
-        f"T(2 phi0 f - T f) = (phi0^2 + pi^2) f for f = 1/(x+{a:g}), interior nodes",
+        "T(2 phi0 f - T f) = (phi0^2 + pi^2) f for f = 1/(x+1), interior nodes",
         rel, tol, "max interior relative error",
     )
 
@@ -594,7 +596,8 @@ def integrals_report(family: ACFamily, suite: str = "all",
 
     The exact A_n / C_n are read from ``family``, and a check that reads a
     polynomial past ``family.max_n`` is left out: "all" holds its 25 checks
-    from max_n = 3 on, and 12, 17 and 23 at max_n = 0, 1 and 2.
+    from max_n = INTEGRALS_MAX_N = 3 on, and 12, 17 and 23 at max_n = 0, 1
+    and 2.
     ``tolerance`` applies to the pure quadrature comparisons; the grid
     checks (moments, eigenfunctions, compound identity) run at 10x.  The
     eigenfunction checks use ``gauss_legendre_grid(grid_size)``; the

@@ -27,11 +27,10 @@ EXIT_NO_CONVERGENCE = 3
 
 #: The integral suites of ``verify integrals`` (``operator_lab``).  They
 #: are named here, in a module that does not load numpy, so that the CLI's
-#: argument parser can offer them without loading it.
+#: argument parser can offer them without loading it.  The largest n they
+#: read, ``INTEGRALS_MAX_N``, is stated in ``operator_lab`` beside the
+#: points that decide it.
 SUITES = ("cform", "aform", "classical", "moments", "eigen")
-
-#: The largest n of any A_n, C_n the integral suites read.
-INTEGRALS_MAX_N = 3
 
 
 @dataclass

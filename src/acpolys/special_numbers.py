@@ -132,32 +132,26 @@ def exp_series(order: int) -> TruncatedSeries:
     )
 
 
+def _trig_series(order: int, scale, parity: int) -> TruncatedSeries:
+    """sin(scale * t) (``parity`` 1) or cos(scale * t) (``parity`` 0): the
+    terms (-1)**(n//2) (scale*t)**n / n! of that parity, modulo t**(order+1)."""
+    scale = Fraction(scale)
+    return TruncatedSeries(
+        [Polynomial([(-1) ** (n // 2) * scale**n / factorial(n)])
+         if n % 2 == parity else Polynomial()
+         for n in range(order + 1)],
+        order,
+    )
+
+
 def sin_series(order: int, scale: Fraction | int = 1) -> TruncatedSeries:
     """sin(scale * t), exact modulo t**(order+1)."""
-    scale = Fraction(scale)
-    coeffs = []
-    for n in range(order + 1):
-        if n % 2:
-            coeffs.append(
-                Polynomial([(-1) ** (n // 2) * scale**n / factorial(n)])
-            )
-        else:
-            coeffs.append(Polynomial())
-    return TruncatedSeries(coeffs, order)
+    return _trig_series(order, scale, 1)
 
 
 def cos_series(order: int, scale: Fraction | int = 1) -> TruncatedSeries:
     """cos(scale * t), exact modulo t**(order+1)."""
-    scale = Fraction(scale)
-    coeffs = []
-    for n in range(order + 1):
-        if n % 2 == 0:
-            coeffs.append(
-                Polynomial([(-1) ** (n // 2) * scale**n / factorial(n)])
-            )
-        else:
-            coeffs.append(Polynomial())
-    return TruncatedSeries(coeffs, order)
+    return _trig_series(order, scale, 0)
 
 
 def t_series(order: int) -> TruncatedSeries:
@@ -169,29 +163,29 @@ def t_series(order: int) -> TruncatedSeries:
 # Independent series-quotient constructions of cs(n) and d_n.
 
 
-def cosecant_numbers_series(n_max: int) -> list:
-    """cs(0)..cs(n_max) as n! times the coefficients of t / sin(t)."""
-    quotient = t_series(n_max + 1) / sin_series(n_max + 1)
+def _scaled_coefficients(quotient: TruncatedSeries, n_max: int, name: str) -> list:
+    """n! times the t**n coefficient of ``quotient``, n = 0..n_max; a
+    coefficient that is not constant raises a ValueError naming ``name``."""
     out = []
     for n in range(n_max + 1):
         c = quotient.coefficient(n)
         if c.degree > 0:
-            raise ValueError("t/sin t must have constant coefficients")
+            raise ValueError(f"{name} must have constant coefficients")
         out.append(factorial(n) * Fraction(c.coefficient(0)))
     return out
+
+
+def cosecant_numbers_series(n_max: int) -> list:
+    """cs(0)..cs(n_max) as n! times the coefficients of t / sin(t)."""
+    quotient = t_series(n_max + 1) / sin_series(n_max + 1)
+    return _scaled_coefficients(quotient, n_max, "t/sin t")
 
 
 def tangent_half_coeffs_series(n_max: int) -> list:
     """d_0..d_{n_max} as n! times the coefficients of tan(t/2)."""
     half = Fraction(1, 2)
     quotient = sin_series(n_max, half) / cos_series(n_max, half)
-    out = []
-    for n in range(n_max + 1):
-        c = quotient.coefficient(n)
-        if c.degree > 0:
-            raise ValueError("tan(t/2) must have constant coefficients")
-        out.append(factorial(n) * Fraction(c.coefficient(0)))
-    return out
+    return _scaled_coefficients(quotient, n_max, "tan(t/2)")
 
 
 def bernoulli_numbers_series(n_max: int) -> list:
@@ -201,10 +195,4 @@ def bernoulli_numbers_series(n_max: int) -> list:
     """
     one = TruncatedSeries([Polynomial([1])], n_max + 1)
     quotient = t_series(n_max + 1) / (exp_series(n_max + 1) - one)
-    out = []
-    for n in range(n_max + 1):
-        c = quotient.coefficient(n)
-        if c.degree > 0:
-            raise ValueError("t/(e^t - 1) must have constant coefficients")
-        out.append(factorial(n) * Fraction(c.coefficient(0)))
-    return out
+    return _scaled_coefficients(quotient, n_max, "t/(e^t - 1)")

@@ -452,6 +452,22 @@ class TestByteStability:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_latex_digest(self, capsys):
+        # SHA-256 of the LaTeX of A_n then C_n, n = 0..64, recurrence route.
+        # The range covers both layouts: A_60 and C_60 render as per-term
+        # fractions, every other polynomial over one common denominator.
+        digest = hashlib.sha256()
+        for family in ("a", "c"):
+            for n in range(65):
+                code, out, _ = invoke(
+                    capsys, "poly", "--family", family, "--n", str(n),
+                    "--format", "latex",
+                )
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "b218dc0fe7919ec5cae6002610724754c39f651feec56f4804b65665ee844867")
+
     def test_selftest_csv_joins_verify_csv(self, capsys):
         code, out, _ = invoke(
             capsys, "selftest", "--max-n", "4", "--format", "csv"

@@ -535,6 +535,20 @@ class TestSerialization:
         assert scalar_from_json("1/3") == Fraction(1, 3)
         assert scalar_from_json({"re": "0", "im": "2"}) == TWO_I
 
+    @pytest.mark.parametrize("value", [
+        0.1, 1.0, True, False, {"re": 0.5, "im": "1"}, {"re": "1", "im": True},
+    ])
+    def test_floats_and_bools_are_not_exact_scalars(self, value):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968.
+        with pytest.raises(ValueError):
+            scalar_from_json(value)
+        with pytest.raises(ValueError):
+            poly_from_json([value, "1/3"])
+
+    def test_integer_scalars_still_parse(self):
+        assert poly_from_json([3, "1/3", {"re": 0, "im": -2}]) == Polynomial(
+            [3, Fraction(1, 3), GaussianRational(0, -2)])
+
     def test_poly_round_trip(self):
         p = Polynomial([Fraction(1, 4), 0, 1, 0, Fraction(3, 4)])
         assert poly_from_json(poly_to_json(p)) == p

@@ -13,9 +13,8 @@ from acpolys import operator_lab
 from acpolys.ac_families import build_by_recurrence
 from acpolys.exact_core import Polynomial
 from acpolys.operator_lab import (
+    INTEGRALS_MAX_N,
     QuadratureError,
-    c_form_checks,
-    classical_checks,
     classical_log_integral,
     classical_log_target,
     eigenfunction_checks,
@@ -434,6 +433,15 @@ class TestReportAssembly:
                    for line in lines(integrals_report(FAMILY, suite=suite).checks)]
         assert singles == lines(integrals_report(FAMILY, suite="all").checks)
 
+    def test_a_family_past_integrals_max_n_changes_no_report(self):
+        # verify integrals builds its family to INTEGRALS_MAX_N: a check
+        # that read past it would be dropped from the CLI's report unseen.
+        def lines(max_n):
+            report = integrals_report(build_by_recurrence(max_n))
+            return [(c.id, c.status, c.error_metric) for c in report.checks]
+
+        assert lines(INTEGRALS_MAX_N) == lines(INTEGRALS_MAX_N + 5)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             integrals_report(FAMILY, suite="gauss")
@@ -445,22 +453,29 @@ class TestReportAssembly:
         report.checks.append(Check("q", "stalled", ERROR, "", "", "no convergence"))
         assert report.exit_code() == 3
 
-    @pytest.mark.parametrize("name, build, check_id", [
-        ("integral_c_form", lambda family: c_form_checks(family, points=((1, 0.0),)),
-         "cform/n=1,z=0"),
-        ("classical_log_integral", lambda family: classical_checks(n_values=(2,)),
-         "classical/n=2"),
-        ("transform_moment_lhs", lambda family: transform_moment_identity(1.0, 1, family),
-         "tmoment/n=1,a=1"),
+    @pytest.mark.parametrize("name, suite, check_ids", [
+        ("integral_c_form", "cform",
+         ["cform/n=0,z=0.5", "cform/n=1,z=0", "cform/n=2,z=1", "cform/n=3,z=-0.7"]),
+        ("integral_a_form", "aform",
+         ["aform/n=0,z=-0.693147", "aform/n=1,z=-0.693147",
+          "aform/n=2,z=-0.405465", "aform/n=3,z=-1"]),
+        ("classical_log_integral", "classical",
+         ["classical/n=1", "classical/n=2", "classical/n=3"]),
+        ("transform_moment_lhs", "moments",
+         ["tmoment/n=0,a=1", "tmoment/n=1,a=1", "tmoment/n=2,a=2"]),
     ])
-    def test_stalled_quadrature_is_one_error_check(self, monkeypatch, name, build, check_id):
+    def test_stalled_quadrature_is_one_error_check(self, monkeypatch, name, suite,
+                                                   check_ids):
+        # Every quadrature of the suite stalls: each gives exactly one ERROR
+        # check under its own id, and the suite's grid checks still pass.
         def stalled(*args):
             raise QuadratureError("stalled")
 
         monkeypatch.setattr(operator_lab, name, stalled)
-        checks = build(build_by_recurrence(1))
-        assert [(c.id, c.status, c.lhs, c.rhs, c.error_metric) for c in checks] == [
-            (check_id, ERROR, "", "", "stalled")]
+        report = integrals_report(FAMILY, suite=suite)
+        assert [(c.id, c.status, c.lhs, c.rhs, c.error_metric)
+                for c in report.checks if c.status != PASS] == [
+            (check_id, ERROR, "", "", "stalled") for check_id in check_ids]
 
     def test_tight_tolerance_fails_cleanly(self):
         report = integrals_report(FAMILY, suite="eigen", tolerance=1e-18)
