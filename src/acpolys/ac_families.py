@@ -33,6 +33,8 @@ from .exact_core import (
     Polynomial,
     TruncatedSeries,
     X,
+    _gaussian_integer_over,
+    _linear_combination,
 )
 from .report import Check, PASS, FAIL, VerificationReport, exact_check
 from .special_numbers import (
@@ -105,22 +107,25 @@ def build_by_recurrence(n_max: int) -> ACFamily:
     C_{n+1} = (n+1)/(n+2) * ((X**2+1)*X**n + sum_{k<=n} lam_n^k C_k),
     where lam_n^k is the coefficient of X**k in C_n (the leading
     coefficient n/(n+1) of C_n sits at k = n+1 and is excluded).
+
+    Each lambda-sum is read as integers, lam_n^k = c_k/D with c_k the
+    numerators of C_n over its one denominator D, so each new row is one
+    integer sum over (n+2)*D reduced once (``_linear_combination``), with
+    no Fraction per lambda.
     """
     _require_n_max(n_max)
     a_list = [X]
     c_list = [Polynomial()]
     for n in range(n_max):
-        cn = c_list[n]
-        scale = Fraction(n + 1, n + 2)
-        acc_a = X * a_list[n]
-        acc_c = Polynomial.monomial(n + 2) + Polynomial.monomial(n)
-        for k in range(n + 1):
-            lam = cn.coefficient(k)
-            if lam:
-                acc_a = acc_a + a_list[k] * lam
-                acc_c = acc_c + c_list[k] * lam
-        a_list.append(acc_a * scale)
-        c_list.append(acc_c * scale)
+        lam, den = c_list[n]._re, c_list[n]._den
+        scaled = [(k, (n + 1) * c) for k, c in enumerate(lam[:n + 1]) if c]
+        head, divisor = (n + 1) * den, (n + 2) * den
+        a_list.append(_linear_combination(
+            [(head, X * a_list[n]), *((c, a_list[k]) for k, c in scaled)],
+            divisor))
+        tail = Polynomial.monomial(n + 2) + Polynomial.monomial(n)
+        c_list.append(_linear_combination(
+            [(head, tail), *((c, c_list[k]) for k, c in scaled)], divisor))
     return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_RECURRENCE)
 
 
@@ -208,19 +213,26 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
 
     A_{n+1} = 1/(n+2) [ (X+i)**(n+2) - i**(n+2)
                         - sum_{k<=n} binom(n+2, k) (2i)**(n+1-k) A_k ],
-    seeded with A_0 = X.  Raises ValueError on any nonzero imaginary
+    seeded with A_0 = X.  Each row is one integer sum over the divisor n+2
+    reduced once (``_linear_combination``): its scalars are the integers
+    binom(n+2, k) times the Gaussian-integer numerators of (2i)**(n+1-k),
+    computed once per call.  Raises ValueError on any nonzero imaginary
     residue (the recurrence provably stays real).
     """
     _require_n_max(n_max)
     a_gauss = [X]
+    one = Polynomial([1])
     x_plus_i = Polynomial([I, 1])
     power = x_plus_i * x_plus_i  # (X+i)**(n+2) for the current step
+    # (2i)**m as (re, im, den), integers with (2i)**m == (re + im*i)/den.
+    two_i_powers = [_gaussian_integer_over(TWO_I ** m) for m in range(n_max + 1)]
     for n in range(n_max):
-        acc = power - Polynomial([I ** (n + 2)])
+        terms = [(1, power), (-(I ** (n + 2)), one)]
         for k in range(n + 1):
-            coeff = comb(n + 2, k) * (TWO_I ** (n + 1 - k))
-            acc = acc - a_gauss[k] * coeff
-        a_gauss.append(acc * Fraction(1, n + 2))
+            c = -comb(n + 2, k)
+            re, im, den = two_i_powers[n + 1 - k]
+            terms.append(((c * re, c * im, den), a_gauss[k]))
+        a_gauss.append(_linear_combination(terms, n + 2))
         power = power * x_plus_i
     return [p.rational_coefficients() for p in a_gauss]
 

@@ -17,6 +17,13 @@ part, and a Fraction otherwise, however the polynomial was built.
 :class:`TruncatedSeries` is a vector of polynomials in x
 indexed by the power of t, exact modulo t**(order+1).
 
+A sum of scaled polynomials, sum_k s_k * p_k, is reduced once as a whole
+(``_linear_combination``): each factor becomes Gaussian-integer numerators
+once, the term vectors are added as integers over the lcm of the term
+denominators, and one gcd reduction ends the row.  ``+`` and ``-`` are its
+two-term case; the recurrence and residue routes of ``ac_families`` and the
+series product and quotient sum each of their rows with it.
+
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
 share across threads.
@@ -27,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -171,14 +179,17 @@ def _gaussian_integer_over(value: Scalar) -> tuple:
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
-def _axpy(a: Sequence[int], ma: int, b: Sequence[int], mb: int) -> list:
-    """[ma*a_k + mb*b_k] over the longer length, the shorter vector padded
-    with zeros."""
-    if len(a) < len(b):
-        a, ma, b, mb = b, mb, a, ma
-    out = [x * ma + y * mb for x, y in zip(a, b)]
-    out.extend(x * ma for x in a[len(b):])
-    return out
+def _accumulate(acc, v: Sequence[int], m: int, width: int) -> list:
+    """acc + m*v, for len(v) <= width: acc is None for zeros (a new list of
+    length width is returned) or a list of length width, updated in place."""
+    if acc is None:
+        acc = [m * x for x in v] if m != 1 else list(v)
+        acc.extend([0] * (width - len(v)))
+    elif m == 1:
+        acc[:len(v)] = map(add, acc, v)
+    else:
+        acc[:len(v)] = [x + m * y for x, y in zip(acc, v)]
+    return acc
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
@@ -194,6 +205,24 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
         if x:
             out[j:j + width] = [o + x * y for o, y in zip(out[j:j + width], b)]
     return out
+
+
+def _gaussian_convolve(ar: Sequence[int], ai, br: Sequence[int], bi) -> tuple:
+    """The product of the Gaussian-integer vectors ar + ai*i and br + bi*i
+    (ai, bi None for zeros), as (re, im) lists, im None when ai and bi are
+    both None."""
+    re = _convolve(ar, br)
+    im = None
+    if ai is not None and bi is not None:
+        _accumulate(re, _convolve(ai, bi), -1, len(re))
+    if bi is not None:
+        im = _convolve(ar, bi)
+    if ai is not None:
+        if im is None:
+            im = _convolve(ai, br)
+        else:
+            _accumulate(im, _convolve(ai, br), 1, len(im))
+    return re, im
 
 
 def _twist(re: Sequence[int], im, w_re: int, w_im: int, v: int) -> tuple:
@@ -344,25 +373,15 @@ class Polynomial:
         """The highest nonzero coefficient; zero for the zero polynomial."""
         return self._scalar(-1) if self._re else self._zero_scalar()
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign*other over the lcm of the two denominators."""
-        g = gcd(self._den, other._den)
-        ma, mb = other._den // g, sign * (self._den // g)
-        re = _axpy(self._re, ma, other._re, mb)
-        im = None
-        if self._im is not None or other._im is not None:
-            im = _axpy(self._im or (), ma, other._im or (), mb)
-        return Polynomial._of(re, im, self._den * ma)
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, 1)
+        return _linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, -1)
+        return _linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
         im = None if self._im is None else [-y for y in self._im]
@@ -370,20 +389,14 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            ar, ai, br, bi = self._re, self._im, other._re, other._im
-            re = _convolve(ar, br)
-            im = None
-            if ai is not None and bi is not None:
-                re = _axpy(re, 1, _convolve(ai, bi), -1)
-            if bi is not None:
-                im = _convolve(ar, bi)
-            if ai is not None:
-                im = _axpy(im or (), 1, _convolve(ai, br), 1)
+            re, im = _gaussian_convolve(self._re, self._im, other._re, other._im)
             return Polynomial._of(re, im, self._den * other._den)
-        try:
-            sr, si, sd = _gaussian_integer_over(other)
-        except TypeError:
+        # Checked here rather than by catching the TypeError of
+        # _gaussian_integer_over, whose message renders the operand (a
+        # whole TruncatedSeries, for X * series).
+        if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
+        sr, si, sd = _gaussian_integer_over(other)
         re, im = self._re, self._im
         if im is None:
             new_re = [x * sr for x in re]
@@ -527,6 +540,68 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
+def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
+    """sum_k s_k * p_k / divisor, reduced once.
+
+    ``terms`` yields pairs (s_k, p_k): s_k an exact scalar (int, Fraction,
+    GaussianRational), a triple (re, im, den) of integers standing for
+    (re + im*i)/den with den > 0 (the form ``_gaussian_integer_over``
+    returns), or a Polynomial; p_k a Polynomial; ``divisor`` is a positive
+    integer.  Each factor is converted once to Gaussian-integer
+    numerators (a polynomial factor of degree 0 counts as a scalar; two
+    longer ones are convolved), the term vectors are summed as integers
+    over the lcm of the term denominators, and ``Polynomial._of`` reduces
+    the sum once.  A row of n terms so costs one gcd reduction instead of
+    one per term; ``+`` and ``-`` are its two-term case.
+    """
+    parts = []  # (s_re, s_im, denominator, p_re, p_im) per nonzero term
+    common, width = 1, 0
+    for s, p in terms:
+        if isinstance(s, Polynomial) and len(p._re) == 1:
+            s, p = p, s  # a constant polynomial scales; only a longer s convolves
+        re, im, den = p._re, p._im, p._den
+        if not re:
+            continue
+        if type(s) is int:
+            sr, si, sd = s, 0, 1
+        elif type(s) is tuple:
+            sr, si, sd = s
+        elif isinstance(s, Polynomial):
+            if len(s._re) > 1:
+                re, im = _gaussian_convolve(s._re, s._im, re, im)
+                sr, si, sd = 1, 0, s._den
+            elif s._re:
+                sr, sd = s._re[0], s._den
+                si = 0 if s._im is None else s._im[0]
+            else:
+                continue
+        else:
+            sr, si, sd = _gaussian_integer_over(s)
+        if sr or si:
+            den *= sd
+            if common % den:
+                common = lcm(common, den)
+            width = max(width, len(re))
+            parts.append((sr, si, den, re, im))
+    if not parts:
+        return Polynomial._of((), None, 1)
+    acc_re = acc_im = None
+    for sr, si, d, re, im in parts:
+        m = common // d
+        # (sr + si*i) * (re + im*i), scaled by m to the common denominator.
+        if sr:
+            acc_re = _accumulate(acc_re, re, sr * m, width)
+            if im is not None:
+                acc_im = _accumulate(acc_im, im, sr * m, width)
+        if si:
+            acc_im = _accumulate(acc_im, re, si * m, width)
+            if im is not None:
+                acc_re = _accumulate(acc_re, im, -si * m, width)
+    if acc_re is None:
+        acc_re = [0] * width
+    return Polynomial._of(acc_re, acc_im, common * divisor)
+
+
 #: The indeterminate, as a rational polynomial.
 X = Polynomial([0, 1])
 
@@ -612,16 +687,13 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs], self._order)
 
     def __mul__(self, other):
+        """Series product, each coefficient one row sum reduced once; or
+        every coefficient times a Polynomial or exact scalar."""
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            out = [Polynomial() for _ in range(self._order + 1)]
-            for j, cj in enumerate(self._coeffs):
-                if cj.is_zero:
-                    continue
-                for k in range(self._order + 1 - j):
-                    ck = other._coeffs[k]
-                    if not ck.is_zero:
-                        out[j + k] = out[j + k] + cj * ck
+            a, b = self._coeffs, other._coeffs
+            out = [_linear_combination((a[j], b[n - j]) for j in range(n + 1))
+                   for n in range(self._order + 1)]
             return TruncatedSeries(out, self._order)
         if not isinstance(other, (Polynomial, int, Fraction, GaussianRational)):
             return NotImplemented
@@ -636,6 +708,11 @@ class TruncatedSeries:
         t**valuation(other) from both sides, so the quotient's order drops
         to ``order - valuation(other)``.  After cancellation the divisor
         must have an invertible (nonzero scalar) constant term.
+
+        Quotient coefficient n is one row sum reduced once
+        (``_linear_combination``): inv * num[n] minus (inv * den[j]) *
+        quotient[n-j] over the nonzero den[j], j >= 1, with inv the inverse
+        of the constant term and each inv * den[j] formed once per call.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -661,14 +738,13 @@ class TruncatedSeries:
                 f" got degree {lead.degree}"
             )
         inv = 1 / lead.coefficient(0)
+        steps = [(j, dj * -inv) for j, dj in enumerate(den) if j and not dj.is_zero]
+        inv_int = _gaussian_integer_over(inv)
         quotient: list[Polynomial] = []
         for n in range(new_order + 1):
-            acc = num[n]
-            for j in range(1, min(n, len(den) - 1) + 1):
-                dj = den[j]
-                if not dj.is_zero:
-                    acc = acc - dj * quotient[n - j]
-            quotient.append(acc * inv)
+            quotient.append(_linear_combination(
+                [(inv_int, num[n]),
+                 *((dj, quotient[n - j]) for j, dj in steps if j <= n)]))
         return TruncatedSeries(quotient, new_order)
 
     def __eq__(self, other) -> bool:

@@ -11,6 +11,7 @@ from acpolys.ac_families import build_by_recurrence
 from acpolys.report import FAIL, PASS, exact_check
 from acpolys.exact_core import (
     _gaussian_integer_over,
+    _linear_combination,
     GaussianRational,
     I,
     Polynomial,
@@ -429,6 +430,69 @@ class TestPolynomial:
         q = Polynomial([1, -2, 1])
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
+
+
+# ---------------------------------------------------------------------------
+# _linear_combination: one row sum, reduced once
+
+
+def as_scalar(s):
+    """A kernel factor as an ordinary operand of ``*``: a (re, im, den)
+    triple becomes the GaussianRational it stands for."""
+    if isinstance(s, tuple):
+        re, im, den = s
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return s
+
+
+def folded(terms, divisor):
+    """The reference: a left fold of ``*`` and ``+``, divided at the end."""
+    acc = Polynomial()
+    for s, p in terms:
+        acc = acc + as_scalar(s) * p
+    return acc * Fraction(1, divisor)
+
+
+triples_st = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
+factors_st = st.one_of(
+    scalars_st, triples_st, st.just(0), gaussian_polys_st,
+    st.lists(st.one_of(fractions_st, gaussians_st), max_size=1).map(Polynomial),
+)
+terms_st = st.lists(st.tuples(factors_st, gaussian_polys_st), max_size=6)
+
+
+class TestLinearCombination:
+    @given(terms_st, st.integers(1, 12))
+    @example([], 1)
+    @example([(0, Polynomial([1, 2])), (Polynomial(), Polynomial([I]))], 5)
+    @example([(1, Polynomial())], 1)
+    @example([((0, 0, 7), Polynomial([HALF]))], 3)
+    @settings(max_examples=150)
+    def test_matches_left_fold(self, terms, divisor):
+        got = _linear_combination(terms, divisor)
+        ref = folded(terms, divisor)
+        assert_canonical(got)
+        assert got == ref
+        assert [type(c) for c in got.coeffs] == [type(c) for c in ref.coeffs]
+
+    @given(terms_st, st.integers(1, 12))
+    @settings(max_examples=60)
+    def test_cancelling_terms_give_the_canonical_zero(self, terms, divisor):
+        negated = [(s, -p) for s, p in terms]
+        for order in (terms + negated, negated + terms,
+                      [t for pair in zip(terms, negated) for t in pair]):
+            got = _linear_combination(order, divisor)
+            assert_canonical(got)
+            assert (got._re, got._im, got._den) == ((), None, 1)
+
+    def test_accepts_a_one_shot_iterator(self):
+        terms = iter([(2, X), (Fraction(-1, 3), Polynomial([1, 1]))])
+        assert _linear_combination(terms, 2) == Polynomial([Fraction(-1, 6), Fraction(5, 6)])
+
+    def test_polynomial_factor_is_convolved(self):
+        got = _linear_combination([(X, X), (Polynomial([I, 1]), Polynomial([-I, 1]))])
+        assert got == Polynomial([1, 0, 2])
+        assert got._im is None
 
 
 # ---------------------------------------------------------------------------
