@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exact_core import (
     I,
@@ -156,6 +156,12 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_CLOSED_FORM)
 
 
+def _over_one_denominator(values) -> tuple:
+    """(numerators, den): the Fractions ``values`` as integers over their lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def build_by_coefficient_formula(n_max: int) -> ACFamily:
     """Assemble each polynomial directly from per-coefficient formulas.
 
@@ -163,28 +169,32 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
     lam_n^k = (-1)**((n-k-1)/2) binom(n, k) 2**(n-k+1) beta_{n-k+1}/(n-k+1)
     when n-k is odd, with lam_n^0 = d_n, lam_n^n = 0 and
     lam_n^{n+1} = n/(n+1).  Parities where the Bernoulli index would be
-    odd (>= 3) give exactly zero and are skipped.
+    odd (>= 3) give exactly zero.  The cs(j), and the factors
+    e_m = (-1)**(m/2-1) 2**m beta_m / m of lam (m = n-k+1, zero for odd m),
+    are put over one denominator each, once per call; each row is then a
+    vector of integer products, reduced once.
     """
     _require_n_max(n_max)
     beta = bernoulli_numbers(n_max)
+    cs, cs_den = _over_one_denominator([cosecant_number(j) for j in range(n_max + 1)])
+    e, e_den = _over_one_denominator([
+        Fraction((-1) ** (m // 2 - 1) * 2**m) * beta[m] / m if m % 2 == 0 and m else Fraction(0)
+        for m in range(n_max + 1)
+    ])
     a_list = []
     c_list = []
     for n in range(n_max + 1):
-        a_coeffs = [Fraction(0)] * (n + 2)
-        for k in range(1, n + 2):
-            cs = cosecant_number(n + 1 - k)
-            if cs:
-                a_coeffs[k] = Fraction(comb(n + 1, k), n + 1) * cs
-        a_list.append(Polynomial(a_coeffs))
-        c_coeffs = [Fraction(0)] * (n + 2)
-        c_coeffs[0] = tangent_half_coeff(n)
-        c_coeffs[n + 1] = Fraction(n, n + 1)
-        for k in range(1, n + 1):
-            m = n - k + 1
-            if m % 2 == 0:
-                sign = (-1) ** ((n - k - 1) // 2)
-                c_coeffs[k] = sign * comb(n, k) * Fraction(2**m) * beta[m] / m
-        c_list.append(Polynomial(c_coeffs))
+        a_re = [0, *(comb(n + 1, k) * cs[n + 1 - k] for k in range(1, n + 2))]
+        a_list.append(Polynomial._of(a_re, None, cs_den * (n + 1)))
+        d_n = tangent_half_coeff(n)
+        den = lcm(e_den, d_n.denominator, n + 1)
+        scale = den // e_den
+        c_re = [
+            d_n.numerator * (den // d_n.denominator),
+            *(comb(n, k) * e[n - k + 1] * scale for k in range(1, n + 1)),
+            n * (den // (n + 1)),
+        ]
+        c_list.append(Polynomial._of(c_re, None, den))
     return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_COEFFICIENT)
 
 

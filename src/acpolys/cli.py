@@ -12,6 +12,13 @@ Exact values are printed as "p/q" strings, never floats; floats appear
 only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
 1 a check failed, 2 usage error, 3 quadrature failed to converge, 4 internal
 error (an unexpected exception, reported on one stderr line).
+
+``selftest`` runs its integral suites in one forked worker process while
+the exact suites run in the parent; the worker inherits the run's family
+and sends back only its report.  An exception in the worker is raised in
+the parent as if the suite had run there.  A worker that dies without a
+report (killed by a signal, out of memory) is exit 4, on one line that
+names the signal or exit status.
 """
 
 from __future__ import annotations
@@ -235,9 +242,11 @@ def _operator_lab():
     import that busy-waits for about 0.1 s of CPU, while the one BLAS
     product per grid (G x G by G x 4) takes milliseconds on one core: one
     thread cuts the CPU of a `verify integrals` request from about 0.43 to
-    0.28 s (2-CPU x86 host) at unchanged wall time and output.  An
-    OPENBLAS_NUM_THREADS already set still wins, and library users who
-    import operator_lab keep numpy's default."""
+    0.28 s (2-CPU x86 host) at unchanged wall time and output.  In
+    ``selftest`` this runs only in the forked integrals worker, so the
+    OPENBLAS_NUM_THREADS default is set there and the parent never loads
+    numpy.  An OPENBLAS_NUM_THREADS already set still wins, and library
+    users who import operator_lab keep numpy's default."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import operator_lab
 
@@ -267,9 +276,82 @@ def _cmd_verify(args) -> tuple:
     return report.exit_code(), emit_csv(_report_rows(report))
 
 
+def _beside(here, there) -> tuple:
+    """``(here(), there())``, with ``there()`` run in one forked worker
+    process while this process runs ``here()``.
+
+    The worker inherits everything ``there`` reads through the fork; only
+    its result, or the exception it raised, comes back, pickled through a
+    pipe.  The worker always leaves by ``os._exit``: it never flushes this
+    process's stdio buffers or runs its exit handlers.  An exception that
+    does not survive a pickle round trip comes back as
+    ``RuntimeError(repr(exc))``.  A worker that ends without a result
+    raises RuntimeError naming its signal or exit status.  The worker is
+    reaped before this returns or raises, also when ``here()`` raises,
+    whose exception then wins (it would have come first).  Without
+    ``os.fork`` both run here, ``here()`` first.
+    """
+    if not hasattr(os, "fork"):
+        return here(), there()
+    import pickle
+    import warnings
+
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with threads (an embedding
+        # test runner's numpy, say) forks.  Raised as an error it would
+        # leave a worker this function never learns of and cannot reap.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, there()))
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps((False, exc))
+                    pickle.loads(payload)
+                except Exception:
+                    payload = pickle.dumps((False, RuntimeError(repr(exc))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:  # closed first, so a writer never blocks the reap
+            mine = here()
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code or not payload:
+        if code < 0:
+            import signal
+
+            names = {s.value: s.name for s in signal.Signals}
+            reason = f"killed by {names.get(-code, f'signal {-code}')}"
+        else:
+            reason = f"exit status {code}"
+        raise RuntimeError(f"forked worker ended without a result ({reason})")
+    ok, theirs = pickle.loads(payload)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 def _cmd_selftest(args) -> tuple:
     family = build_by_recurrence(args.max_n)
-    reports = [_suite_report(name, args, family) for name in VERIFY_SUITES]
+    exact, integrals = _beside(
+        lambda: [_suite_report(name, args, family) for name in ("identities", "uv")],
+        lambda: _suite_report("integrals", args, family),
+    )
+    reports = [*exact, integrals]
     code = max(r.exit_code() for r in reports)
     if args.format == "json":
         joined = VerificationReport("selftest", [c for r in reports for c in r.checks])

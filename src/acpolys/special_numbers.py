@@ -11,7 +11,9 @@ this module used as a cross-check.
 
 The beta_n are computed once per process: ``bernoulli_numbers`` keeps
 them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
-``tangent_half_coeff`` take only ``n`` and read beta from it.  The
+``tangent_half_coeff`` take only ``n`` and read beta from it.  Each
+B_n(X) is also built once per process, so the closed-form route and the
+Euler polynomials read the same B_{n+1}.  The
 series constructions never read that memo.  The memo holds ``Fraction``
 values, but the recurrence that extends it sums integers: the numerators
 of the known beta_k over their one common denominator (the layout of
@@ -72,10 +74,19 @@ def bernoulli_numbers(n_max: int) -> tuple:
     return values[: n_max + 1]
 
 
+# B_n(X) by n, each built once per process.  A plain dict rather than
+# functools.cache keeps ``bernoulli_poly`` a plain function, which
+# bench/tracing.py wraps and counts.
+_B_POLY = {}
+
+
 def bernoulli_poly(n: int) -> Polynomial:
-    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k."""
-    beta = bernoulli_numbers(n)
-    return Polynomial([comb(n, k) * beta[n - k] for k in range(n + 1)])
+    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k, built once per process."""
+    p = _B_POLY.get(n)
+    if p is None:
+        beta = bernoulli_numbers(n)
+        p = _B_POLY[n] = Polynomial([comb(n, k) * beta[n - k] for k in range(n + 1)])
+    return p
 
 
 def euler_poly(n: int) -> Polynomial:

@@ -3,15 +3,20 @@
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acpolys import cli
+from acpolys import cli, operator_lab
 from acpolys.ac_families import build_by_recurrence
 from acpolys.cli import ALL_ROUTES, VERIFY_SUITES, canonical_json, latex_polynomial, run
 from acpolys.operator_lab import SUITES
@@ -333,6 +338,114 @@ class TestInternalError:
         assert err == "acpolys: error: bad input\n"
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but cannot be rebuilt from its args alone."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+
+
+@needs_fork
+class TestIntegralsWorker:
+    """selftest runs its integral suites in one forked worker: what the
+    worker raises or how it dies maps to the exit codes of a serial run,
+    and the worker is always reaped."""
+
+    def test_a_passing_run_leaves_no_process(self, capsys):
+        code, _, err = invoke(capsys, "selftest", "--max-n", "2")
+        assert (code, err) == (0, "")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (ValueError("bad input"), cli.EXIT_USAGE, "acpolys: error: bad input"),
+        (RuntimeError("boom"), cli.EXIT_INTERNAL,
+         "acpolys: internal error: RuntimeError('boom')"),
+    ])
+    def test_worker_exception_exits_as_serial_code_does(
+            self, capsys, monkeypatch, exc, code, line):
+        def raises(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(operator_lab, "integrals_report", raises)
+        assert invoke(capsys, "selftest", "--max-n", "3") == (code, "", line + "\n")
+        assert invoke(capsys, "verify", "integrals") == (code, "", line + "\n")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("exc_type", ["local", "two-argument"])
+    def test_an_exception_that_does_not_round_trip_comes_back_as_its_repr(
+            self, capsys, monkeypatch, exc_type):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        exc = Local("x") if exc_type == "local" else _NeedsTwoArguments("x", 1)
+
+        def raises(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(operator_lab, "integrals_report", raises)
+        code, out, err = invoke(capsys, "selftest", "--max-n", "3")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == f"acpolys: internal error: {RuntimeError(repr(exc))!r}\n"
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("die, reason", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os._exit(0), "exit status 0"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+    ], ids=["exit-3", "exit-0", "SIGKILL"])
+    def test_a_worker_that_dies_exits_four_on_one_line(
+            self, capsys, monkeypatch, die, reason):
+        monkeypatch.setattr(operator_lab, "integrals_report", lambda *a, **k: die())
+        code, out, err = invoke(capsys, "selftest", "--max-n", "3")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == ("acpolys: internal error: RuntimeError('forked worker "
+                       f"ended without a result ({reason})')\n")
+        assert_no_child_process()
+
+    def test_the_worker_is_reaped_when_the_parent_raises(self, capsys, monkeypatch):
+        def broken(family):
+            raise RuntimeError("parent")
+
+        monkeypatch.setattr(cli, "identities_report", broken)
+        code, out, err = invoke(capsys, "selftest", "--max-n", "48")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "acpolys: internal error: RuntimeError('parent')\n"
+        assert_no_child_process()
+
+    def test_without_fork_the_suites_run_here(self, capsys, monkeypatch):
+        expected = invoke(capsys, "selftest", "--max-n", "3", "--format", "csv")
+        monkeypatch.delattr(os, "fork")
+        assert invoke(capsys, "selftest", "--max-n", "3", "--format", "csv") == expected
+
+    def test_the_worker_neither_flushes_nor_runs_exit_handlers(self):
+        # Unflushed stdout and an atexit handler of the parent each appear
+        # once, so the worker left by os._exit.
+        script = (
+            "import atexit, sys\n"
+            "from acpolys import cli\n"
+            "atexit.register(print, 'exit handler')\n"
+            "sys.stdout.write('pending ')\n"
+            "sys.exit(cli.run(['selftest', '--max-n', '0', '--format', 'csv']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.count("pending ") == 1
+        assert result.stdout.count("exit handler") == 1
+        assert result.stdout.startswith("pending identities,")
+
+
 def _option(flag, values):
     """``[flag, value]`` or nothing, so each option may be left at its default."""
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
@@ -451,6 +564,31 @@ class TestByteStability:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "0fd38aca018f0a476cbd5f76bbff26e66f922403602afc41ea0af7fc62458ebb"),
+        ("csv", "a40552f41945931db2bd3b22d8f58c56505ddfe5b529dc48406f6f5500731c36"),
+    ])
+    def test_selftest_digest(self, capsys, fmt, digest):
+        # selftest --max-n 48 is its exact reports and summary, pinned here
+        # by SHA-256, then its integrals report.  The integral error metrics
+        # are rounding-level floats whose last digits depend on the BLAS
+        # kernel (OpenBLAS's Haswell and SkylakeX kernels print different
+        # ones), so that report is pinned to the serial `verify integrals`
+        # output of this process instead.
+        code, out, err = invoke(capsys, "selftest", "--max-n", "48", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            doc = json.loads(out)
+            integrals = canonical_json(doc["reports"].pop()) + "\n"
+            exact = canonical_json(doc)
+        else:
+            lines = out.splitlines(keepends=True)
+            integrals = "".join(x for x in lines if x.startswith("integrals/"))
+            exact = "".join(x for x in lines if not x.startswith("integrals/"))
+        assert hashlib.sha256(exact.encode()).hexdigest() == digest
+        serial = invoke(capsys, "verify", "integrals", "--max-n", "48", "--format", fmt)
+        assert serial == (0, integrals, "")
 
     def test_latex_digest(self, capsys):
         # SHA-256 of the LaTeX of A_n then C_n, n = 0..64, recurrence route.

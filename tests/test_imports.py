@@ -82,6 +82,11 @@ def test_exact_requests_do_not_load_numpy(argv):
     assert numpy_loaded(*argv) is False
 
 
+def test_selftest_parent_does_not_load_numpy():
+    # selftest runs its integral suites in a forked worker, which loads numpy.
+    assert numpy_loaded("selftest", "--max-n", "3") is False
+
+
 def test_integrals_load_numpy():
     assert numpy_loaded("verify", "integrals", "--suite", "classical") is True
 
@@ -122,6 +127,8 @@ needs_proc_status = pytest.mark.skipif(
 @needs_proc_status
 @pytest.mark.parametrize("argv", [
     ("verify", "integrals", "--suite", "classical"),
+    # selftest loads numpy only in its forked integrals worker, so this case
+    # counts the threads of the parent, which never loads numpy.
     ("selftest", "--max-n", "3"),
 ], ids=" ".join)
 def test_float_requests_run_blas_on_one_thread(argv):

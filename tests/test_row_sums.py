@@ -6,6 +6,9 @@
 they replaced, one ``Polynomial`` ``+``/``-`` (and one reduction) per term,
 as the reference for those rows, the way ``build_uv_fractions`` in
 ``test_generalized_uv.py`` keeps the Fraction recursion of ``build_uv``.
+``build_by_coefficient_formula`` builds each row as integers over one
+denominator; ``coefficient_formula_per_coefficient`` keeps its
+per-coefficient ``Fraction`` products.
 """
 
 import re
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from acpolys import ac_families
 from acpolys.ac_families import (
     build_a_by_residue_recurrence,
+    build_by_coefficient_formula,
     build_by_generating_function,
     build_by_recurrence,
 )
@@ -31,13 +35,16 @@ from acpolys.exact_core import (
     X,
 )
 from acpolys.special_numbers import (
+    bernoulli_numbers,
     bernoulli_numbers_series,
     cos_series,
+    cosecant_number,
     cosecant_numbers_series,
     exp_series,
     exp_xt_series,
     sin_series,
     t_series,
+    tangent_half_coeff,
     tangent_half_coeffs_series,
 )
 
@@ -125,6 +132,29 @@ def generating_function_per_term(n_max):
     return a_list, c_list
 
 
+def coefficient_formula_per_coefficient(n_max):
+    """build_by_coefficient_formula with one Fraction product per coefficient."""
+    beta = bernoulli_numbers(n_max)
+    a_list, c_list = [], []
+    for n in range(n_max + 1):
+        a_coeffs = [Fraction(0)] * (n + 2)
+        for k in range(1, n + 2):
+            cs = cosecant_number(n + 1 - k)
+            if cs:
+                a_coeffs[k] = Fraction(comb(n + 1, k), n + 1) * cs
+        a_list.append(Polynomial(a_coeffs))
+        c_coeffs = [Fraction(0)] * (n + 2)
+        c_coeffs[0] = tangent_half_coeff(n)
+        c_coeffs[n + 1] = Fraction(n, n + 1)
+        for k in range(1, n + 1):
+            m = n - k + 1
+            if m % 2 == 0:
+                sign = (-1) ** ((n - k - 1) // 2)
+                c_coeffs[k] = sign * comb(n, k) * Fraction(2**m) * beta[m] / m
+        c_list.append(Polynomial(c_coeffs))
+    return a_list, c_list
+
+
 def scaled_constants(quotient, n_max):
     return [factorial(n) * Fraction(quotient.coefficient(n).coefficient(0))
             for n in range(n_max + 1)]
@@ -169,6 +199,15 @@ def test_generating_function_rows_equal_per_term_loop(generating_function_refere
         family = build_by_generating_function(n_max)
         assert family.a_polys == tuple(a_ref[:n_max + 1]), n_max
         assert family.c_polys == tuple(c_ref[:n_max + 1]), n_max
+
+
+def test_coefficient_formula_rows_equal_per_coefficient_products():
+    a_ref, c_ref = coefficient_formula_per_coefficient(CHECKED_MAX_LARGE)
+    for n_max in CHECKED_N:
+        family = build_by_coefficient_formula(n_max)
+        assert family.a_polys == tuple(a_ref[:n_max + 1]), n_max
+        assert family.c_polys == tuple(c_ref[:n_max + 1]), n_max
+    assert all(type(c) is Fraction for p in family.c_polys for c in p.coeffs)
 
 
 def test_special_number_quotients_equal_per_term_loop():

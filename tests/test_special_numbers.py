@@ -182,6 +182,15 @@ class TestBernoulliPolynomials:
         for n in range(10):
             assert bernoulli_poly(n).leading() == 1
 
+    def test_built_once_and_shared_with_euler(self, monkeypatch):
+        monkeypatch.setattr(special_numbers, "_B_POLY", {})
+        with pytest.raises(ValueError):
+            bernoulli_poly(-1)
+        assert special_numbers._B_POLY == {}
+        euler_poly(7)
+        assert list(special_numbers._B_POLY) == [8]
+        assert bernoulli_poly(8) is special_numbers._B_POLY[8] is bernoulli_poly(8)
+
 
 class TestEulerPolynomials:
     def test_oracle_polys(self):
