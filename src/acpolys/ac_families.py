@@ -35,6 +35,7 @@ from .exact_core import (
     X,
     _gaussian_integer_over,
     _linear_combination,
+    _over_one_denominator,
 )
 from .report import Check, PASS, FAIL, VerificationReport, exact_check
 from .special_numbers import (
@@ -82,8 +83,11 @@ class ACFamily:
 
     a_polys: tuple
     c_polys: tuple
-    max_n: int
     route: str
+
+    @property
+    def max_n(self) -> int:
+        return len(self.a_polys) - 1
 
     def a(self, n: int) -> Polynomial:
         return self.a_polys[_index(n)]
@@ -126,7 +130,7 @@ def build_by_recurrence(n_max: int) -> ACFamily:
         tail = Polynomial.monomial(n + 2) + Polynomial.monomial(n)
         c_list.append(_linear_combination(
             [(head, tail), *((c, c_list[k]) for k, c in scaled)], divisor))
-    return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_RECURRENCE)
+    return ACFamily(tuple(a_list), tuple(c_list), ROUTE_RECURRENCE)
 
 
 def build_by_closed_form(n_max: int) -> ACFamily:
@@ -153,13 +157,7 @@ def build_by_closed_form(n_max: int) -> ACFamily:
         tail = Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)
         c_gauss = (b_at_half - b.compose_affine(inv_2i, 0)) * factor + tail
         c_list.append(c_gauss.rational_coefficients())
-    return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_CLOSED_FORM)
-
-
-def _over_one_denominator(values) -> tuple:
-    """(numerators, den): the Fractions ``values`` as integers over their lcm."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return ACFamily(tuple(a_list), tuple(c_list), ROUTE_CLOSED_FORM)
 
 
 def build_by_coefficient_formula(n_max: int) -> ACFamily:
@@ -176,8 +174,8 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
     """
     _require_n_max(n_max)
     beta = bernoulli_numbers(n_max)
-    cs, cs_den = _over_one_denominator([cosecant_number(j) for j in range(n_max + 1)])
-    e, e_den = _over_one_denominator([
+    cs, _, cs_den = _over_one_denominator([cosecant_number(j) for j in range(n_max + 1)])
+    e, _, e_den = _over_one_denominator([
         Fraction((-1) ** (m // 2 - 1) * 2**m) * beta[m] / m if m % 2 == 0 and m else Fraction(0)
         for m in range(n_max + 1)
     ])
@@ -195,7 +193,7 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
             n * (den // (n + 1)),
         ]
         c_list.append(Polynomial._of(c_re, None, den))
-    return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_COEFFICIENT)
+    return ACFamily(tuple(a_list), tuple(c_list), ROUTE_COEFFICIENT)
 
 
 def build_by_generating_function(n_max: int) -> ACFamily:
@@ -215,7 +213,7 @@ def build_by_generating_function(n_max: int) -> ACFamily:
     g = (X * ext).truncate(n_max) + (one - ext * cos_series(order)) / sin_t
     a_list = [f.coefficient(n) * Fraction(factorial(n)) for n in range(n_max + 1)]
     c_list = [g.coefficient(n) * Fraction(factorial(n)) for n in range(n_max + 1)]
-    return ACFamily(tuple(a_list), tuple(c_list), n_max, ROUTE_GENERATING_FUNCTION)
+    return ACFamily(tuple(a_list), tuple(c_list), ROUTE_GENERATING_FUNCTION)
 
 
 def build_a_by_residue_recurrence(n_max: int) -> list:

@@ -11,7 +11,8 @@ Subcommands::
 Exact values are printed as "p/q" strings, never floats; floats appear
 only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
 1 a check failed, 2 usage error, 3 quadrature failed to converge, 4 internal
-error (an unexpected exception, reported on one stderr line).
+error (an unexpected exception) or output that could not be written, each
+reported on one stderr line.
 
 ``selftest`` runs its integral suites in one forked worker process while
 the exact suites run in the parent; the worker inherits the run's family
@@ -30,7 +31,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .ac_families import (
     FAMILY_ROUTES,
@@ -117,16 +117,16 @@ def _latex_terms(values) -> str:
 
 
 def latex_polynomial(p: Polynomial) -> str:
-    """Canonical LaTeX: a single common-denominator fraction when the
-    denominator lcm stays small, per-term fractions otherwise."""
-    coeffs = [Fraction(c) for c in p.coeffs]
-    if not coeffs:
+    """Canonical LaTeX of a polynomial over Q: its stored numerators over its
+    one denominator (the lcm of its coefficients' denominators) while that
+    stays small, per-term fractions otherwise."""
+    p = p.rational_coefficients()
+    if p.is_zero:
         return "0"
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    if denom > _LCM_CAP:
-        return _latex_terms(coeffs)
-    body = _latex_terms([int(c * denom) for c in coeffs])
-    return body if denom == 1 else rf"\frac{{{body}}}{{{denom}}}"
+    if p._den > _LCM_CAP:
+        return _latex_terms(p.coeffs)
+    body = _latex_terms(p._re)
+    return body if p._den == 1 else rf"\frac{{{body}}}{{{p._den}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def _cmd_poly(args) -> tuple:
     n = args.n
     if args.route == ROUTE_RESIDUE:
         if args.family == "c":
-            raise UsageError("the residue route builds only the A family")
+            raise ValueError("the residue route builds only the A family")
         p = build_a_by_residue_recurrence(n)[n]
     else:
         family = build_route(args.route, n)
@@ -363,10 +363,6 @@ def _cmd_selftest(args) -> tuple:
     return code, emit_csv(row for r in reports for row in _report_rows(r))
 
 
-class UsageError(Exception):
-    pass
-
-
 def _checked(convert, accept, expected: str):
     """argparse type: ``convert(text)`` if it parses and passes ``accept``,
     else a usage error naming what was ``expected``."""
@@ -464,15 +460,33 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, output = _DISPATCH[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"acpolys: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug: keep exit 1 meaning "a check failed"
         print(f"acpolys: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except OSError as exc:  # a full disk, a pipe closed by its reader
+            print(f"acpolys: error: cannot write output: {exc}", file=sys.stderr)
+            _discard_stdout()
+            return EXIT_INTERNAL
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that what stdout
+    still buffers is flushed there at exit rather than into a second error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-process caller's buffer: left as is
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

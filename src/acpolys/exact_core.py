@@ -21,8 +21,9 @@ A sum of scaled polynomials, sum_k s_k * p_k, is reduced once as a whole
 (``_linear_combination``): each factor becomes Gaussian-integer numerators
 once, the term vectors are added as integers over the lcm of the term
 denominators, and one gcd reduction ends the row.  ``+`` and ``-`` are its
-two-term case; the recurrence and residue routes of ``ac_families`` and the
-series product and quotient sum each of their rows with it.
+two-term case, ``*`` and unary ``-`` its one-term case; the recurrence and
+residue routes of ``ac_families`` and the series product and quotient sum
+each of their rows with it.
 
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
@@ -66,33 +67,31 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            re, im = other.re, other.im
-            return GaussianRational(self.re * re - self.im * im, self.re * im + self.im * re)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        re, im = other.re, other.im
+        return GaussianRational(self.re * re - self.im * im, self.re * im + self.im * re)
 
     __rmul__ = __mul__
 
@@ -177,6 +176,15 @@ def _gaussian_integer_over(value: Scalar) -> tuple:
         raise TypeError(f"not an exact scalar: {value!r}")
     d = lcm(x.denominator, y.denominator)
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
+def _over_one_denominator(values: Iterable[Scalar]) -> tuple:
+    """``(re, im, den)``: the exact scalars ``values`` as Gaussian-integer
+    numerators re[k] + im[k]*i over den, the lcm of their denominators."""
+    parts = [_gaussian_integer_over(v) for v in values]
+    den = lcm(*(d for _, _, d in parts))
+    return ([x * (den // d) for x, _, d in parts],
+            [y * (den // d) for _, y, d in parts], den)
 
 
 def _accumulate(acc, v: Sequence[int], m: int, width: int) -> list:
@@ -291,10 +299,7 @@ class Polynomial:
     __slots__ = ("_re", "_im", "_den")
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
-        parts = [_gaussian_integer_over(c) for c in coeffs]
-        den = lcm(*(d for _, _, d in parts))
-        return cls._of([x * (den // d) for x, _, d in parts],
-                       [y * (den // d) for _, y, d in parts], den)
+        return cls._of(*_over_one_denominator(coeffs))
 
     @classmethod
     def _of(cls, re: Sequence[int], im, den: int) -> "Polynomial":
@@ -384,30 +389,14 @@ class Polynomial:
         return _linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
-        im = None if self._im is None else [-y for y in self._im]
-        return Polynomial._of([-x for x in self._re], im, self._den)
+        return _linear_combination(((-1, self),))
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            re, im = _gaussian_convolve(self._re, self._im, other._re, other._im)
-            return Polynomial._of(re, im, self._den * other._den)
-        # Checked here rather than by catching the TypeError of
-        # _gaussian_integer_over, whose message renders the operand (a
-        # whole TruncatedSeries, for X * series).
-        if not isinstance(other, (int, Fraction, GaussianRational)):
+        # Checked here, not by catching _gaussian_integer_over's TypeError,
+        # whose message renders the operand (a whole series, for X * series).
+        if not isinstance(other, (Polynomial, int, Fraction, GaussianRational)):
             return NotImplemented
-        sr, si, sd = _gaussian_integer_over(other)
-        re, im = self._re, self._im
-        if im is None:
-            new_re = [x * sr for x in re]
-            new_im = [x * si for x in re] if si else None
-        elif si:
-            new_re = [x * sr - y * si for x, y in zip(re, im)]
-            new_im = [x * si + y * sr for x, y in zip(re, im)]
-        else:
-            new_re = [x * sr for x in re]
-            new_im = [y * sr for y in im]
-        return Polynomial._of(new_re, new_im, self._den * sd)
+        return _linear_combination(((other, self),))
 
     __rmul__ = __mul__
 
@@ -552,7 +541,8 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
     longer ones are convolved), the term vectors are summed as integers
     over the lcm of the term denominators, and ``Polynomial._of`` reduces
     the sum once.  A row of n terms so costs one gcd reduction instead of
-    one per term; ``+`` and ``-`` are its two-term case.
+    one per term; ``+`` and ``-`` are its two-term case, ``*`` (by a
+    scalar or a polynomial) and unary ``-`` its one-term case.
     """
     parts = []  # (s_re, s_im, denominator, p_re, p_im) per nonzero term
     common, width = 1, 0

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ac_families import ACFamily
+from .ac_families import ACFamily, _require_n_max
+from .exact_core import _over_one_denominator
 from .report import exact_check
 
 
@@ -43,11 +44,9 @@ def row_width(n: int) -> int:
 def _integer_row(u: dict, v: dict, m: int) -> tuple:
     """Row m over one denominator: (D_m, [0, D_m u_m^1, ...], [0, D_m v_m^1, ...]),
     D_m the lcm of the row's denominators, the lists indexed by k."""
-    us = [u[(m, k)] for k in range(1, row_width(m) + 1)]
-    vs = [v[(m, k)] for k in range(1, row_width(m) + 1)]
-    den = lcm(*(x.denominator for x in us + vs))
-    return (den, [0, *(x.numerator * (den // x.denominator) for x in us)],
-            [0, *(x.numerator * (den // x.denominator) for x in vs)])
+    keys = [(m, k) for k in range(1, row_width(m) + 1)]
+    nums, _, den = _over_one_denominator([u[key] for key in keys] + [v[key] for key in keys])
+    return den, [0, *nums[:len(keys)]], [0, *nums[len(keys):]]
 
 
 def build_uv(n_max: int) -> UVTables:
@@ -68,8 +67,7 @@ def build_uv(n_max: int) -> UVTables:
     D_{n+1-2k} (n+2-2k), and is reduced once, when it becomes a
     ``Fraction`` of the returned tables.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _require_n_max(n_max)
     if n_max == 0:
         return UVTables({}, {}, 0)
     u = {(1, 1): Fraction(0)}

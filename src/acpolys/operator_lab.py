@@ -442,7 +442,7 @@ def _quadrature_checks(integrate, tol: float, *comparisons) -> list:
             for check_id, description, target in comparisons]
 
 
-def c_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
+def c_form_checks(family: ACFamily, tol: float) -> list:
     """Quadrature vs pi**(n+1) C_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
@@ -458,7 +458,7 @@ def c_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
     return checks
 
 
-def a_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
+def a_form_checks(family: ACFamily, tol: float) -> list:
     """Quadrature vs -pi**(n+1) A_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
@@ -475,7 +475,7 @@ def a_form_checks(family: ACFamily, tol: float = 1e-8) -> list:
     return checks
 
 
-def classical_checks(tol: float = 1e-8) -> list:
+def classical_checks(tol: float) -> list:
     """The log-kernel integral vs its exact Bernoulli value, n = 1, 2, 3."""
     checks = []
     for n in (1, 2, 3):
@@ -488,7 +488,7 @@ def classical_checks(tol: float = 1e-8) -> list:
     return checks
 
 
-def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> list:
+def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float) -> list:
     """T, the Nystrom matrix of ``grid``, reproduces T(1/(x+a)) =
     gamma_a/(x+a) at every grid node, for a = 0.5, 1, 2, 5.
 
@@ -508,7 +508,7 @@ def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> list:
     ]
 
 
-def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> Check:
+def operator_identity_check(grid: Grid, T: np.ndarray, tol: float) -> Check:
     """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+1), with T
     the Nystrom matrix of ``grid``.
 
@@ -530,7 +530,7 @@ def operator_identity_check(grid: Grid, T: np.ndarray, tol: float = 1e-7) -> Che
     )
 
 
-def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float = 1e-7) -> list:
+def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float) -> list:
     """Grid moments of phi_0 and T(phi_0), with T the Nystrom matrix of
     ``grid``, against the exact lambda tables.
 
@@ -562,8 +562,7 @@ def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float = 1e-7)
     return checks
 
 
-def transform_moment_identity(a: float, n: int, family: ACFamily,
-                              tol: float = 1e-8) -> list:
+def transform_moment_identity(a: float, n: int, family: ACFamily, tol: float) -> list:
     """integral phi_0**n/(x+a) dx against both exact renderings.
 
     Compared to -pi**(n+1) A_n(gamma_a/pi) and to the expansion

@@ -26,10 +26,10 @@ factorials, not hardcoded, so any truncation order is available.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import add, mul
 
-from .exact_core import Polynomial, TruncatedSeries
+from .exact_core import Polynomial, TruncatedSeries, _over_one_denominator
 
 # beta_0 .. beta_m for the largest m requested so far in this process.  It
 # is only ever replaced by a longer tuple, never changed in place, so a
@@ -55,8 +55,7 @@ def bernoulli_numbers(n_max: int) -> tuple:
     values = _BETA
     if len(values) <= n_max:
         extended = list(values)
-        den = lcm(*(b.denominator for b in values))
-        nums = [b.numerator * (den // b.denominator) for b in values]
+        nums, _, den = _over_one_denominator(values)
         binom = [comb(len(values), k) for k in range(len(values) + 1)]
         for n in range(len(values), n_max + 1):
             binom = [1, *map(add, binom, binom[1:]), 1]  # binom(n+1, k)

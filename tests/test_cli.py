@@ -338,6 +338,63 @@ class TestInternalError:
         assert err == "acpolys: error: bad input\n"
 
 
+def _subprocess_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+    return env
+
+
+class TestFailedWrites:
+    """Output that cannot be written is exit 4 on one stderr line, with no
+    traceback, also none from the interpreter's flush at exit."""
+
+    def _run_into(self, stdout, *argv, unbuffered=False):
+        env = _subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        result = subprocess.run([sys.executable, "-m", "acpolys.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE,
+                                env=env, text=True, timeout=120)
+        assert result.returncode == cli.EXIT_INTERNAL == 4
+        assert result.stderr.startswith("acpolys: error: cannot write output: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        return result.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_disk(self, unbuffered):
+        # Buffered, a short output fails only when it is flushed, and what
+        # stays buffered is flushed again at exit; unbuffered, print fails.
+        with open("/dev/full", "w") as full:
+            err = self._run_into(full, "numbers", "--kind", "tangent", "--max-n", "5",
+                                 unbuffered=unbuffered)
+        assert "No space left on device" in err
+
+    def test_a_pipe_closed_by_its_reader(self):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            err = self._run_into(write_fd, "coeffs", "uv", "--max-n", "150", "--format", "csv")
+        finally:
+            os.close(write_fd)
+        assert "Broken pipe" in err
+
+    def test_an_in_process_stdout_without_a_descriptor(self):
+        class Refusing(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stdout, stderr = Refusing(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run(["numbers", "--kind", "tangent", "--max-n", "5"])
+        assert code == cli.EXIT_INTERNAL
+        assert stderr.getvalue() == "acpolys: error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -435,10 +492,7 @@ class TestIntegralsWorker:
             "sys.stdout.write('pending ')\n"
             "sys.exit(cli.run(['selftest', '--max-n', '0', '--format', 'csv']))\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
+        result = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.count("pending ") == 1
@@ -556,6 +610,8 @@ class TestByteStability:
              "be047ff19dee3ae600e309cbc2f3f5470a2d732098ccb36bceca49eaed464dfb", "48"),
             ("uv",
              "bf3d25cc6fe7cfad126d10013bd853bbfc83fe433a199d78437f1a84bfcc542e", "48"),
+            ("identities",
+             "3aa78141f5251cb06be203ee302ed066b47426707643bfc7d6db178383c033d8", "96"),
         ],
     )
     def test_exact_report_digest(self, capsys, suite, digest, max_n):

@@ -446,17 +446,24 @@ def as_scalar(s):
 
 
 def folded(terms, divisor):
-    """The reference: a left fold of ``*`` and ``+``, divided at the end."""
-    acc = Polynomial()
+    """The reference: per-coefficient schoolbook products and sums, divided
+    at the end.  It reads no Polynomial arithmetic, whose ``*``, ``+`` and
+    unary ``-`` are themselves rows of the kernel under test."""
+    acc = []
     for s, p in terms:
-        acc = acc + as_scalar(s) * p
-    return acc * Fraction(1, divisor)
+        s = as_scalar(s)
+        factor = list(s.coeffs) if isinstance(s, Polynomial) else [s]
+        acc = reference_add(acc, reference_mul(factor, list(p.coeffs)))
+    return Polynomial([x / divisor for x in acc])
 
 
 triples_st = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
+# Polynomial factors of every length, constants (read as scalars) and longer
+# ones (convolved), with zero coefficients (skipped by the convolution).
 factors_st = st.one_of(
     scalars_st, triples_st, st.just(0), gaussian_polys_st,
-    st.lists(st.one_of(fractions_st, gaussians_st), max_size=1).map(Polynomial),
+    st.lists(st.one_of(st.just(0), st.just(GaussianRational(0)), fractions_st, gaussians_st),
+             max_size=6).map(Polynomial),
 )
 terms_st = st.lists(st.tuples(factors_st, gaussian_polys_st), max_size=6)
 
@@ -467,6 +474,9 @@ class TestLinearCombination:
     @example([(0, Polynomial([1, 2])), (Polynomial(), Polynomial([I]))], 5)
     @example([(1, Polynomial())], 1)
     @example([((0, 0, 7), Polynomial([HALF]))], 3)
+    @example([(Polynomial([0, I, 0, 2]), Polynomial([1, 0, HALF])),
+              (Polynomial([HALF, 0, -1]), X), (3, Polynomial([I])),
+              (Polynomial([GaussianRational(0, HALF)]), Polynomial([0, 0, 1]))], 4)
     @settings(max_examples=150)
     def test_matches_left_fold(self, terms, divisor):
         got = _linear_combination(terms, divisor)

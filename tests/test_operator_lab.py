@@ -362,12 +362,12 @@ class TestMoments:
 
     def test_transform_moment_identity_checks(self):
         for n, a in ((0, 1.0), (1, 1.0), (2, 2.0)):
-            checks = transform_moment_identity(a, n, build_by_recurrence(2))
+            checks = transform_moment_identity(a, n, build_by_recurrence(2), tol=1e-8)
             assert all(c.status == PASS for c in checks), f"(n,a)=({n},{a})"
 
     def test_transform_moment_requires_positive_a(self):
         with pytest.raises(ValueError):
-            transform_moment_identity(-1.0, 1, build_by_recurrence(1))
+            transform_moment_identity(-1.0, 1, build_by_recurrence(1), tol=1e-8)
 
 
 class TestReportAssembly:
