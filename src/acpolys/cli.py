@@ -380,8 +380,9 @@ def _checked(convert, accept, expected: str):
 
 
 _non_negative = _checked(int, lambda v: v >= 0, "an integer >= 0")
-#: The largest --grid-size: the Nystrom matrix of a G-node grid takes
-#: 8 G^2 bytes, 512 MiB at this bound.
+#: The largest --grid-size, a bound on kernel work: one Nystrom pass on a
+#: G-node grid builds all G^2 matrix entries (67 million at this bound),
+#: though it holds only one block of rows at a time.
 _MAX_GRID_SIZE = 8192
 
 _grid_size = _checked(int, lambda v: 2 <= v <= _MAX_GRID_SIZE,

@@ -22,13 +22,14 @@ with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
 and, on grids, by carrying an exact complement array 1-x alongside the
 nodes.  Removable singularities are bridged by a two-term Taylor rule
 inside a small guard window in quadrature, and on grids by the derivative
-of each panel's barycentric interpolant, folded into one Nystrom matrix.
+of each panel's barycentric interpolant, folded into the Nystrom matrix.
 
-On a grid, T exists only as that matrix, ``nystrom_matrix(grid)``: a
-report builds it once per grid and hands it to the grid checks, which work
-on plain arrays of node values (T(f) is ``T @ values``, the integral is
-``grid.weights @ values``).  The graded matrix is released before the
-equal-panel one is built, so a report never holds two.
+On a grid, T exists only as ``nystrom_apply(grid, values)``, which builds
+the Nystrom matrix ROW_BLOCK rows at a time and multiplies each block into
+T(f) before building the next, so no G x G array is ever held.  The grid
+checks work on plain arrays of node values (the integral is
+``grid.weights @ values``), and stack the functions they transform so each
+grid costs one pass.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ GRADED_LEVELS = 40
 #: off without the two end panels; the compound identity reaches its
 #: 1.3e-13 only from about x = 1e-3 inward.
 INTERIOR_WINDOW = (0.05, 0.95)
+
+#: Rows of the Nystrom matrix that ``nystrom_apply`` builds at a time, a
+#: whole number of panels: one block takes 8 ROW_BLOCK G bytes, 2.5 MB at
+#: G = 2400.
+ROW_BLOCK = 8 * PANEL
 
 
 class QuadratureError(RuntimeError):
@@ -174,7 +180,7 @@ def _mirrored_grid(bounds) -> Grid:
     complement exactly s), which a plain float subtraction 1 - x cannot
     deliver near 1.  A mirrored panel's barycentric weights are the reversed
     ones: equal to the panel rule's up to one sign per panel, which the
-    ratios in nystrom_matrix cancel.
+    ratios in nystrom_apply cancel.
     """
     y, w, bary = _panel_rule()
     lo, hi = np.asarray(bounds).T
@@ -213,36 +219,55 @@ def phi0(grid: Grid) -> np.ndarray:
     return np.log(grid.nodes) - np.log(grid.complements)
 
 
-def nystrom_matrix(grid: Grid) -> np.ndarray:
-    """The G x G Nystrom matrix M of T(f)(x) = integral (f(t)-f(x))/(t-x) dt,
-    so that T(f)(x_i) ~ sum_j M_ij f(x_j).
+def nystrom_apply(grid: Grid, values: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    """T(f)(x_i) for the node values ``values`` of f (a G-vector, or a G x k
+    stack of k functions), at every node or at the nodes ``rows``, a slice
+    of whole panels; T(f)(x) = integral_0^1 (f(t)-f(x))/(t-x) dt.
 
-    Off the diagonal, M_ij = w_j / (x_j - x_i).  The kernel at t = x is the
-    removable limit f'(x_i), the derivative of the barycentric interpolant
-    of f on the panel of x_i (Berrut & Trefethen, SIAM Review 2004); that
-    rule is linear in f, so within a panel it moves into the matrix as
-    M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i).  Each diagonal entry
-    is minus its row sum, because T(1) = 0.  The matrix is filled in place,
-    one panel of rows at a time, so the build holds one G x G array.
+    The Nystrom matrix M of T is built ROW_BLOCK rows at a time into one
+    buffer, and each block is multiplied into the output before the next
+    overwrites it.  Off the diagonal, M_ij = w_j / (x_j - x_i).  The kernel
+    at t = x is the removable limit f'(x_i), the derivative of the
+    barycentric interpolant of f on the panel of x_i (Berrut & Trefethen,
+    SIAM Review 2004); that rule is linear in f, so within a panel it moves
+    into the matrix as M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i).
+    Each diagonal entry is minus its row sum, because T(1) = 0.
     """
     x, w, bary = grid.nodes, grid.weights, grid.bary
-    m = x[None, :] - x[:, None]
-    np.fill_diagonal(m, np.inf)
-    np.reciprocal(m, out=m)
+    start, stop, step = (rows or slice(None)).indices(len(x))
+    if step != 1 or start % PANEL or stop % PANEL:
+        raise ValueError(f"rows {start}:{stop}:{step} are not whole panels of {PANEL}")
     scale = w / bary
-    for lo in range(0, len(x), PANEL):
-        hi = lo + PANEL
-        rows = m[lo:hi]
-        rows[:, :lo] *= w[:lo]
-        rows[:, hi:] *= w[hi:]
-        rows[:, lo:hi] *= w[lo:hi] - np.multiply.outer(scale[lo:hi], bary[lo:hi])
-    np.fill_diagonal(m, -m.sum(axis=1))
-    return m
+    out = np.empty((stop - start,) + values.shape[1:])
+    buffer = np.empty((min(ROW_BLOCK, stop - start), len(x)))
+    for lo in range(start, stop, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, stop)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        block = np.subtract(x, x[lo:hi, None], out=buffer[:hi - lo])
+        block[diag] = np.inf
+        # Each row's own panel: the diagonal PANEL x PANEL blocks of
+        # block[:, lo:hi], own[k, :, k, :] for the k-th panel of the block.
+        k = np.arange((hi - lo) // PANEL)
+        own = block[:, lo:hi].reshape(len(k), PANEL, len(k), PANEL)
+        wp, sp, bp = (a[lo:hi].reshape(-1, PANEL) for a in (w, scale, bary))
+        own_entries = (wp[:, None, :] - sp[:, :, None] * bp[:, None, :]) / own[k, :, k, :]
+        np.divide(w, block, out=block)
+        own[k, :, k, :] = own_entries
+        block[diag] = -block.sum(axis=1)
+        out[lo - start:hi - start] = block @ values
+    return out
 
 
 def interior_mask(nodes: np.ndarray) -> np.ndarray:
     lo, hi = INTERIOR_WINDOW
     return (nodes >= lo) & (nodes <= hi)
+
+
+def interior_rows(grid: Grid) -> slice:
+    """The rows of the panels that hold the INTERIOR_WINDOW nodes of ``grid``."""
+    inside = np.flatnonzero(interior_mask(grid.nodes))
+    first, last = int(inside[0]) // PANEL, int(inside[-1]) // PANEL
+    return slice(first * PANEL, (last + 1) * PANEL)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +513,16 @@ def classical_checks(tol: float) -> list:
     return checks
 
 
-def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float) -> list:
-    """T, the Nystrom matrix of ``grid``, reproduces T(1/(x+a)) =
-    gamma_a/(x+a) at every grid node, for a = 0.5, 1, 2, 5.
+def eigenfunction_checks(grid: Grid, tol: float) -> list:
+    """The Nystrom rule on ``grid`` reproduces T(1/(x+a)) = gamma_a/(x+a)
+    at every grid node, for a = 0.5, 1, 2, 5.
 
-    All four are transformed by one product, one column per a.
+    All four are transformed by one pass of nystrom_apply, one column per a.
     """
     a_values = (0.5, 1.0, 2.0, 5.0)
     f = 1.0 / (grid.nodes[:, None] + np.asarray(a_values))
     expected = np.array([math.log(a / (1.0 + a)) for a in a_values]) * f
-    errors = np.max(np.abs(T @ f - expected) / np.abs(expected), axis=0)
+    errors = np.max(np.abs(nystrom_apply(grid, f) - expected) / np.abs(expected), axis=0)
     return [
         _grid_check(
             f"eigen/a={a:g}",
@@ -508,21 +533,22 @@ def eigenfunction_checks(grid: Grid, T: np.ndarray, tol: float) -> list:
     ]
 
 
-def operator_identity_check(grid: Grid, T: np.ndarray, tol: float) -> Check:
-    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+1), with T
-    the Nystrom matrix of ``grid``.
+def operator_identity_check(grid: Grid, f: np.ndarray, t_f: np.ndarray,
+                            tol: float) -> Check:
+    """T(2 phi_0 f - T(f)) = (phi_0**2 + pi**2) f for f = 1/(x+1), from the
+    node values ``f`` of f on ``grid`` and their transform ``t_f``.
 
     Meant for the graded grid, whose dyadic panels resolve the ln
     singularities of phi_0 at both ends.  The comparison is restricted to
-    interior nodes: at the extreme graded nodes the outer apply is about
-    2.3e-3 off.
+    interior nodes (at the extreme graded nodes the outer apply is about
+    2.3e-3 off), so the outer apply builds only the rows of their panels.
     """
-    mask = interior_mask(grid.nodes)
-    f = 1.0 / (grid.nodes + 1.0)
+    rows = interior_rows(grid)
+    mask = interior_mask(grid.nodes)[rows]
     p = phi0(grid)
-    outer = T @ (2.0 * p * f - T @ f)
-    expected = (p**2 + PI**2) * f
-    rel = np.max(np.abs(outer[mask] - expected[mask]) / np.abs(expected[mask]))
+    outer = nystrom_apply(grid, 2.0 * p * f - t_f, rows=rows)[mask]
+    expected = ((p**2 + PI**2) * f)[rows][mask]
+    rel = np.max(np.abs(outer - expected) / np.abs(expected))
     return _grid_check(
         "compound_operator_identity",
         "T(2 phi0 f - T f) = (phi0^2 + pi^2) f for f = 1/(x+1), interior nodes",
@@ -530,9 +556,10 @@ def operator_identity_check(grid: Grid, T: np.ndarray, tol: float) -> Check:
     )
 
 
-def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float) -> list:
-    """Grid moments of phi_0 and T(phi_0), with T the Nystrom matrix of
-    ``grid``, against the exact lambda tables.
+def moment_check(family: ACFamily, grid: Grid, t_phi0: np.ndarray,
+                 tol: float) -> list:
+    """Grid moments of phi_0 and of ``t_phi0``, its transform on ``grid``,
+    against the exact lambda tables.
 
     The integral of phi_0 is 0 (= lam_1^1 * pi), and the integral of
     T(phi_0) is lam_2^1 * pi**2 = 2 pi**2/3, with the arithmetic identity
@@ -553,7 +580,7 @@ def moment_check(family: ACFamily, grid: Grid, T: np.ndarray, tol: float) -> lis
         lam_21 = family.c(2).coefficient(1)
         checks += [
             _numeric_check("moment/n=2", "int_0^1 T(phi_0) dx = lam_2^1 pi^2",
-                           float(grid.weights @ (T @ p)),
+                           float(grid.weights @ t_phi0),
                            rational_to_float(lam_21) * PI**2, tol),
             exact_check("moment/lambda_beta",
                         "lam_2^1 = 4 beta_2 (exact rational identity)",
@@ -601,9 +628,10 @@ def integrals_report(family: ACFamily, suite: str = "all",
     checks (moments, eigenfunctions, compound identity) run at 10x.  The
     eigenfunction checks use ``gauss_legendre_grid(grid_size)``; the
     moment checks and the compound identity share one graded grid.  Each
-    grid and its Nystrom matrix are built once per report, and the graded
-    matrix is released before the equal-panel one is built, so a report
-    never holds two matrices.
+    grid is built once per report.  One pass of ``nystrom_apply``
+    transforms phi_0 and f = 1/(x+1) on the graded grid together, and the
+    compound identity's outer apply builds only its interior rows; every
+    pass holds one ROW_BLOCK of rows at a time.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite: {suite}")
@@ -617,18 +645,14 @@ def integrals_report(family: ACFamily, suite: str = "all",
         report.extend(classical_checks(tol=tolerance))
     if suite in ("moments", "eigen", "all"):
         graded = graded_gauss_grid()
-        T = nystrom_matrix(graded)
+        f = 1.0 / (graded.nodes + 1.0)
+        t_phi0, t_f = nystrom_apply(graded, np.stack([phi0(graded), f], axis=1)).T
     if suite in ("moments", "all"):
-        report.extend(moment_check(family, graded, T, tol=grid_tol))
+        report.extend(moment_check(family, graded, t_phi0, tol=grid_tol))
         for nn, aa in ((0, 1.0), (1, 1.0), (2, 2.0)):
             if nn <= family.max_n:
                 report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
     if suite in ("eigen", "all"):
-        # The compound check runs first so that the graded matrix is freed
-        # before the equal-panel one is built; it is reported last.
-        compound = operator_identity_check(graded, T, tol=grid_tol)
-        del T
-        grid = gauss_legendre_grid(grid_size)
-        report.extend(eigenfunction_checks(grid, nystrom_matrix(grid), tol=grid_tol))
-        report.checks.append(compound)
+        report.extend(eigenfunction_checks(gauss_legendre_grid(grid_size), tol=grid_tol))
+        report.checks.append(operator_identity_check(graded, f, t_f, tol=grid_tol))
     return report

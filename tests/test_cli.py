@@ -303,8 +303,8 @@ class TestUsageErrors:
             ("verify", "integrals", "--tolerance", "nan"),
             ("verify", "integrals", "--tolerance", "-1"),
             ("selftest", "--tolerance", "inf"),
-            # A G-node grid's Nystrom matrix takes 8 G^2 bytes; argparse
-            # rejects G > 8192 before any grid or matrix is built.
+            # A Nystrom pass on a G-node grid builds G^2 entries; argparse
+            # rejects G > 8192 before any grid is built.
             ("verify", "integrals", "--grid-size", "8193"),
         ],
     )

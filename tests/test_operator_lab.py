@@ -25,8 +25,9 @@ from acpolys.operator_lab import (
     integral_c_form,
     integrals_report,
     interior_mask,
+    interior_rows,
     moment_check,
-    nystrom_matrix,
+    nystrom_apply,
     operator_identity_check,
     phi0,
     rational_to_float,
@@ -42,10 +43,29 @@ PI = math.pi
 FAMILY = build_by_recurrence(3)
 
 
+def reference_nystrom_matrix(grid):
+    """The whole G x G Nystrom matrix M of T, so that T(f)(x_i) ~ sum_j M_ij
+    f(x_j), filled in place one panel of rows at a time: the matrix that
+    nystrom_apply builds ROW_BLOCK rows at a time."""
+    x, w, bary = grid.nodes, grid.weights, grid.bary
+    m = x[None, :] - x[:, None]
+    np.fill_diagonal(m, np.inf)
+    np.reciprocal(m, out=m)
+    scale = w / bary
+    for lo in range(0, len(x), operator_lab.PANEL):
+        hi = lo + operator_lab.PANEL
+        rows = m[lo:hi]
+        rows[:, :lo] *= w[:lo]
+        rows[:, hi:] *= w[hi:]
+        rows[:, lo:hi] *= w[lo:hi] - np.multiply.outer(scale[lo:hi], bary[lo:hi])
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return m
+
+
 def reference_apply_T(grid, v):
     """T(f), for the node values v of f, with one kernel (f_j - f_i)/(x_j - x_i)
     per apply and the barycentric diagonal read from its panel blocks: the
-    kernel-per-apply Nystrom rule that nystrom_matrix folds into one matrix."""
+    kernel-per-apply Nystrom rule that nystrom_apply folds into the matrix."""
     x = grid.nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
@@ -119,8 +139,9 @@ class TestGrids:
         assert len(grid.nodes) == panels * operator_lab.PANEL
         offsets = grid.nodes.reshape(panels, -1) - np.arange(panels)[:, None] / panels
         assert np.allclose(offsets, offsets[0], rtol=0.0, atol=4e-16)
-        assert np.allclose(grid.weights.reshape(panels, -1).sum(axis=1), 1.0 / panels,
-                           rtol=1e-14, atol=0.0)
+        panel_weights = grid.weights.reshape(panels, -1).sum(axis=1)
+        assert np.allclose(panel_weights, 1.0 / panels, rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(panel_weights - 1.0 / panels)) <= 1e-15
 
     def test_gauss_grid_build_is_small(self):
         # Only the 16-node rule is solved for, once per process (the warm-up
@@ -153,7 +174,7 @@ class TestTransform:
         # The largest error is 6.5e-14, at G = 2400 and a = 5.
         for size in (200, 800, 2400):
             grid = gauss_legendre_grid(size)
-            checks = eigenfunction_checks(grid, nystrom_matrix(grid), tol=5e-13)
+            checks = eigenfunction_checks(grid, tol=5e-13)
             assert len(checks) == 4
             assert all(c.status == PASS for c in checks), size
 
@@ -178,10 +199,10 @@ class TestTransform:
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_apply_T_diagonal_is_the_derivative(self, grid_builder):
         # With a single unit weight at node i, T applied to f is the kernel
-        # diagonal K_ii at node i: the removable limit f'(x_i).  Outside the
-        # interior window the graded panels are so narrow that every
-        # difference quotient of f, this one included, is only good to
-        # about eps / (panel width).
+        # diagonal K_ii at node i: the removable limit f'(x_i); only the rows
+        # of the panel of x_i are built.  Outside the interior window the
+        # graded panels are so narrow that every difference quotient of f,
+        # this one included, is only good to about eps / (panel width).
         grid = grid_builder()
         a = 0.75
         inside = np.flatnonzero(interior_mask(grid.nodes))
@@ -190,22 +211,25 @@ class TestTransform:
         for i in picks:
             weights = np.zeros_like(grid.weights)
             weights[i] = 1.0
-            T = nystrom_matrix(grid._replace(weights=weights))
-            diag.append(T[i] @ (1.0 / (grid.nodes + a)))
+            lo = i - i % operator_lab.PANEL
+            rows = nystrom_apply(grid._replace(weights=weights), 1.0 / (grid.nodes + a),
+                                 rows=slice(lo, lo + operator_lab.PANEL))
+            diag.append(rows[i - lo])
         expected = -1.0 / (grid.nodes[picks] + a) ** 2
         assert np.max(np.abs(np.array(diag) - expected) / np.abs(expected)) < 1e-9
 
     def test_compound_identity(self):
         # The interior error is 1.3e-13.
         grid = graded_gauss_grid()
-        check = operator_identity_check(grid, nystrom_matrix(grid), tol=1e-12)
+        f = 1.0 / (grid.nodes + 1.0)
+        check = operator_identity_check(grid, f, nystrom_apply(grid, f), tol=1e-12)
         assert check.status == PASS
 
     def test_phi0_transform_matches_exact_polynomial(self):
         # T(phi_0^1) = pi^2 C_1(phi_0/pi) = (phi_0^2 + pi^2)/2 pointwise
         grid = graded_gauss_grid()
         phi = phi0(grid)
-        t_phi = nystrom_matrix(grid) @ phi
+        t_phi = nystrom_apply(grid, phi)
         family = build_by_recurrence(1)
         expected = np.array(
             [PI**2 * evaluate_polynomial_float(family.c(1), p / PI) for p in phi]
@@ -215,26 +239,36 @@ class TestTransform:
         assert np.max(rel) < 1e-12
 
 
-class TestNystromMatrix:
+def _eps_bound(m, values):
+    """32 eps times |m| @ |values|: how far two summation orders of the
+    products of m and values may part."""
+    return 32 * np.finfo(float).eps * (np.abs(m) @ np.abs(values))
+
+
+class TestNystromApply:
     @pytest.mark.parametrize("grid_builder", [partial(gauss_legendre_grid, 2400),
                                               graded_gauss_grid],
                              ids=["gauss_legendre_grid", "graded_gauss_grid"])
     def test_matches_kernel_per_apply(self, grid_builder):
         grid = grid_builder()
-        m = nystrom_matrix(grid)
+        m = reference_nystrom_matrix(grid)
         phi = phi0(grid)
         samples = [1.0 / (grid.nodes + a) for a in (0.5, 1.0, 5.0)]
         samples += [phi, phi**3 / (grid.nodes + 1.0)]
         for values in samples:
+            applied = nystrom_apply(grid, values)
             expected = reference_apply_T(grid, values)
-            err = np.max(np.abs(m @ values - expected)) / np.max(np.abs(expected))
+            err = np.max(np.abs(applied - expected)) / np.max(np.abs(expected))
             assert err <= 1e-12
+            assert np.all(np.abs(applied - m @ values) <= _eps_bound(m, values))
 
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_rows_sum_to_zero(self, grid_builder):
         # T(1) = 0: each diagonal entry cancels the rest of its row.
-        m = nystrom_matrix(grid_builder())
-        assert np.all(np.abs(m.sum(axis=1)) <= 1e-12 * np.abs(m).sum(axis=1))
+        grid = grid_builder()
+        ones = np.ones_like(grid.nodes)
+        bound = 1e-12 * (np.abs(reference_nystrom_matrix(grid)) @ ones)
+        assert np.all(np.abs(nystrom_apply(grid, ones)) <= bound)
 
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_stacked_apply_matches_columns(self, grid_builder):
@@ -243,24 +277,51 @@ class TestNystromMatrix:
         grid = grid_builder()
         x = grid.nodes
         stack = np.stack([1.0 / (x + 2.0), np.sin(3.0 * x), x**4], axis=1)
-        T = nystrom_matrix(grid)
-        together = T @ stack
+        together = nystrom_apply(grid, stack)
         assert together.shape == stack.shape
-        bound = 32 * np.finfo(float).eps * (np.abs(T) @ np.abs(stack))
+        bound = _eps_bound(reference_nystrom_matrix(grid), stack)
         for k in range(stack.shape[1]):
-            assert np.all(np.abs(together[:, k] - T @ stack[:, k]) <= bound[:, k])
+            assert np.all(np.abs(together[:, k] - nystrom_apply(grid, stack[:, k]))
+                          <= bound[:, k])
 
-    def test_build_holds_one_matrix(self):
-        # Rows are scaled in place one 16-node panel at a time, so the build
-        # holds the G x G matrix and only panel-sized temporaries.
+    @pytest.mark.parametrize("rows", [slice(0, 16), slice(112, 400), slice(1200, None)],
+                             ids=["first_panel", "across_blocks", "to_the_end"])
+    def test_row_slice_matches_full_apply(self, rows):
+        grid = graded_gauss_grid()
+        values = np.stack([phi0(grid), 1.0 / (grid.nodes + 1.0)], axis=1)
+        part = nystrom_apply(grid, values, rows=rows)
+        assert part.shape == values[rows].shape
+        full = nystrom_apply(grid, values)
+        bound = _eps_bound(reference_nystrom_matrix(grid), values)
+        assert np.all(np.abs(part - full[rows]) <= bound[rows])
+
+    def test_interior_rows_are_whole_panels_around_the_window(self):
+        grid = graded_gauss_grid()
+        rows = interior_rows(grid)
+        assert rows.start % operator_lab.PANEL == rows.stop % operator_lab.PANEL == 0
+        assert rows.stop - rows.start == 128
+        inside = interior_mask(grid.nodes)
+        assert inside[rows].sum() == inside.sum()
+
+    @pytest.mark.parametrize("rows", [slice(1, 17), slice(0, 8), slice(0, 32, 2)])
+    def test_rows_must_be_whole_panels(self, rows):
+        grid = gauss_legendre_grid()
+        with pytest.raises(ValueError):
+            nystrom_apply(grid, grid.nodes, rows=rows)
+
+    def test_apply_holds_one_block(self):
+        # The matrix is built ROW_BLOCK rows at a time into one reused
+        # buffer, so an apply holds one block of rows and only small
+        # temporaries besides.
         grid = gauss_legendre_grid(2400)
+        values = phi0(grid)
         tracemalloc.start()
         try:
-            nystrom_matrix(grid)
+            nystrom_apply(grid, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * len(grid.nodes) ** 2
+        assert peak <= 2 * 8 * operator_lab.ROW_BLOCK * len(grid.nodes)
 
 
 class TestBridge:
@@ -346,7 +407,8 @@ class TestMoments:
     @staticmethod
     def _moment_checks():
         grid = graded_gauss_grid()
-        return moment_check(build_by_recurrence(2), grid, nystrom_matrix(grid), tol=1e-12)
+        return moment_check(build_by_recurrence(2), grid, nystrom_apply(grid, phi0(grid)),
+                            tol=1e-12)
 
     def test_moment_one_vanishes(self):
         # The grid integral of phi_0 is 3.5e-18 off 0.
@@ -377,9 +439,10 @@ class TestReportAssembly:
         assert report.counts["total"] == 25
 
     def test_each_grid_is_built_once(self, monkeypatch):
-        # One Nystrom matrix per grid, too: the graded one serves the moment
-        # checks and the compound identity.
-        names = ("gauss_legendre_grid", "graded_gauss_grid", "nystrom_matrix")
+        # Kernel passes are counted too: the graded grid gets one full pass
+        # (phi_0 and f stacked) and one pass over its interior rows (the
+        # compound identity's outer apply), the equal grid one full pass.
+        names = ("gauss_legendre_grid", "graded_gauss_grid")
         calls = {}
         for name in names:
             builder = getattr(operator_lab, name)
@@ -389,15 +452,29 @@ class TestReportAssembly:
                 return _builder(*args, **kwargs)
 
             monkeypatch.setattr(operator_lab, name, counted)
-        for suite, expected in (("all", (1, 1, 2)), ("moments", (0, 1, 1)),
-                                ("eigen", (1, 1, 2))):
-            calls.update(dict.fromkeys(names, 0))
-            integrals_report(FAMILY, suite)
-            assert calls == dict(zip(names, expected)), suite
+        passes = []
 
-    def test_report_holds_one_matrix_at_a_time(self):
-        # The graded matrix (1312 nodes) is released before the 2400-node
-        # one is built; holding both would peak near 1.3 x 8 G^2 bytes.
+        def counted_apply(grid, values, rows=None):
+            passes.append((len(grid.nodes), rows))
+            return nystrom_apply(grid, values, rows)
+
+        monkeypatch.setattr(operator_lab, "nystrom_apply", counted_apply)
+        graded = (len(graded_gauss_grid().nodes), None)
+        interior = (graded[0], interior_rows(graded_gauss_grid()))
+        equal = (len(gauss_legendre_grid().nodes), None)
+        for suite, grids, expected in (("all", (1, 1), [graded, equal, interior]),
+                                       ("moments", (0, 1), [graded]),
+                                       ("eigen", (1, 1), [graded, equal, interior])):
+            calls.update(dict.fromkeys(names, 0))
+            passes.clear()
+            integrals_report(FAMILY, suite)
+            assert calls == dict(zip(names, grids)), suite
+            assert passes == expected, suite
+
+    def test_report_holds_one_block_at_a_time(self):
+        # Every pass builds ROW_BLOCK rows of T at a time, so the report's
+        # peak is about one block of the 2400-node grid (2.5 MB), where the
+        # whole matrix would take 46 MB.
         integrals_report(FAMILY, "all", grid_size=2400)
         tracemalloc.start()
         try:
@@ -405,7 +482,7 @@ class TestReportAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * 2400**2
+        assert peak <= 2 * 8 * operator_lab.ROW_BLOCK * 2400
 
     def test_compound_identity_ignores_grid_size(self):
         report = integrals_report(FAMILY, suite="eigen", grid_size=17)
