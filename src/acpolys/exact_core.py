@@ -22,8 +22,8 @@ A sum of scaled polynomials, sum_k s_k * p_k, is reduced once as a whole
 once, the term vectors are added as integers over the lcm of the term
 denominators, and one gcd reduction ends the row.  ``+`` and ``-`` are its
 two-term case, ``*`` and unary ``-`` its one-term case; the recurrence and
-residue routes of ``ac_families`` and the series product and quotient sum
-each of their rows with it.
+residue routes of ``ac_families``, the u/v triangles of ``generalized_uv``
+and the series product and quotient sum each of their rows with it.
 
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
@@ -409,31 +409,19 @@ class Polynomial:
         return hash((self._re, self._im, self._den))
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Exact evaluation at x, by Horner's rule on integers.
+        """Exact evaluation at x, as the sum of ``_twist``'s terms.
 
-        With x = (u + v*i)/q, n = degree and numerators
-        n_k = _re[k] + _im[k]*i, the value is
-        sum_k n_k (u + v*i)**k q**(n-k) over _den * q**n.
+        With x = (u + v*i)/q, N = degree and numerators
+        n_k = _re[k] + _im[k]*i, ``_twist`` gives each n_k (u + v*i)**k
+        q**(N-k), and the value is their sum over _den * q**N.  It is a
+        GaussianRational when the polynomial or x is one, else a Fraction.
         """
         u, v, q = _gaussian_integer_over(x)
-        re, im = self._re, self._im
-        gaussian = im is not None or isinstance(x, GaussianRational)
-        if not re:
-            return GaussianRational(0) if gaussian else Fraction(0)
-        if im is None:
-            im = (0,) * len(re)
-        acc_re = acc_im = 0
-        scale = 1  # q**(n-k) for the coefficient k being added
-        for k in range(len(re) - 1, -1, -1):
-            acc_re, acc_im = (
-                acc_re * u - acc_im * v + re[k] * scale,
-                acc_re * v + acc_im * u + im[k] * scale,
-            )
-            scale *= q
-        den = self._den * (scale // q)
-        if gaussian:
-            return GaussianRational(Fraction(acc_re, den), Fraction(acc_im, den))
-        return Fraction(acc_re, den)
+        re, im = _twist(self._re, self._im, u, v, q)
+        den = self._den * q ** max(self.degree, 0)
+        if self._im is None and not isinstance(x, GaussianRational):
+            return Fraction(sum(re), den)
+        return GaussianRational(Fraction(sum(re), den), Fraction(sum(im or ()), den))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """Return p(a*X + b), computed exactly by a Taylor shift by 1 over Z[i].

@@ -6,10 +6,11 @@ For operators with 2ab = a**2 + b**2 + c**2 (c central), the expansion
                    + sum_k (u_n^k a**(n+1-2k) + v_n^k b**(n+1-2k)) c**(2k)
 
 defines exact rational tables u, v on the index domain
-1 <= k <= floor((n+1)/2), built here by a double recursion in (n, k).
-The recursion sums integers: each row is held as integer numerators over
-one denominator, and each new entry is reduced once, into the ``Fraction``
-the tables hold.
+1 <= k <= floor((n+1)/2), built here by a recursion in n.  Row n is held
+as two polynomials U_n = sum_k u_n^k Y**k and V_n = sum_k v_n^k Y**k in a
+variable Y, and each new row is one ``exact_core._linear_combination`` of
+earlier rows (see ``build_uv``): summed on integers over one denominator
+and reduced once.  The tables hold the rows' coefficients as ``Fraction``.
 When c**2 = 1 the expansion collapses onto the A/C families, giving the
 cross-check u_n^k = (n+1) alpha_n^{n+1-2k} and v_n^k = (n+1) lam_n^{n+1-2k}
 (with the conventions u_n^0 = 1, v_n^0 = n matching alpha_n^{n+1} = 1/(n+1)
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ac_families import ACFamily, _require_n_max
-from .exact_core import _over_one_denominator
+from .exact_core import Polynomial, X as Y, _linear_combination
 from .report import exact_check
 
 
@@ -41,60 +42,54 @@ def row_width(n: int) -> int:
     return (n + 1) // 2
 
 
-def _integer_row(u: dict, v: dict, m: int) -> tuple:
-    """Row m over one denominator: (D_m, [0, D_m u_m^1, ...], [0, D_m v_m^1, ...]),
-    D_m the lcm of the row's denominators, the lists indexed by k."""
-    keys = [(m, k) for k in range(1, row_width(m) + 1)]
-    nums, _, den = _over_one_denominator([u[key] for key in keys] + [v[key] for key in keys])
-    return den, [0, *nums[:len(keys)]], [0, *nums[len(keys):]]
+def _shifted(weights: list, rows: list, n: int) -> list:
+    """The terms (w_n^k, Y**k R_{n+1-2k}), k >= 1, of row n+1 for the rows R
+    of U or V; Y**k R is R's numerators after k zeros."""
+    return [(weights[k], Polynomial._of((0,) * k + rows[n + 1 - 2 * k]._re, None,
+                                        rows[n + 1 - 2 * k]._den))
+            for k in range(1, len(weights))]
 
 
 def build_uv(n_max: int) -> UVTables:
-    """Fill the tables by the recursion in (n, q), exactly.
+    """Fill the tables by the recursion in n, one polynomial row at a time.
 
-    Row n+1 comes from rows <= n via: the q = 1 rule
-    v_{n+1}^1 = (n+1) + (n-1)/n v_n^1, u_{n+1}^1 = u_n^1 + v_n^1/n; and
-    for 2 <= q <= floor((n+2)/2) the convolution sums over k < q, plus the
-    row-n terms in v_n^q and u_n^q while q <= floor((n+1)/2).  When n is
-    even, the new entry q = (n+2)/2 (the top index) is the sums alone.
-    Initial row: u_1^1 = 0, v_1^1 = 1.  Rows start at n = 1, so
-    ``build_uv(0)`` is empty.
+    Row n is held as two polynomials in a variable Y,
+    U_n = sum_k u_n^k Y**k and V_n = sum_k v_n^k Y**k, from
+    U_0 = V_0 = U_1 = 0 and V_1 = Y.  With
+    W_n = sum_q v_n^q / (n+2-2q) Y**q and w_n^k its coefficients,
 
-    The recursion runs on integers: each row m is held as the numerators
-    of its u and v entries over one denominator D_m (the layout of
-    ``exact_core.Polynomial``).  A new entry is the integer sum of its
-    terms over the lcm of their denominators, D_n times the lcm of the
-    D_{n+1-2k} (n+2-2k), and is reduced once, when it becomes a
-    ``Fraction`` of the returned tables.
+        V_{n+1} = (n+1) Y + V_n - W_n + sum_k w_n^k Y**k V_{n+1-2k},
+        U_{n+1} = U_n + W_n + sum_k w_n^k Y**k U_{n+1-2k}.
+
+    This is the recursion in (n, q): coefficient 1 is the q = 1 rule
+    v_{n+1}^1 = (n+1) + (n-1)/n v_n^1, u_{n+1}^1 = u_n^1 + v_n^1/n, and
+    coefficient q >= 2 is the convolution over k < q plus the row-n term
+    (n+1-2q)/(n+2-2q) v_n^q = v_n^q - w_n^q (or u_n^q + w_n^q).  Each
+    Y**k V_{n+1-2k} has degree floor((n+2)/2), the width of row n+1, so
+    nothing is truncated; for odd n the term k = (n+1)/2 meets V_0 = 0.
+    Each new row is one ``exact_core._linear_combination``, summed on
+    integers and reduced once; the tables read its coefficients.  Rows
+    start at n = 1, so ``build_uv(0)`` is empty.
     """
     _require_n_max(n_max)
-    if n_max == 0:
-        return UVTables({}, {}, 0)
-    u = {(1, 1): Fraction(0)}
-    v = {(1, 1): Fraction(1)}
-    rows = {1: _integer_row(u, v, 1)}
+    rows_u, rows_v = [Polynomial(), Polynomial()], [Polynomial(), Y]
     for n in range(1, n_max):
-        den, un, vn = rows[n]
-        v[(n + 1, 1)] = Fraction((n + 1) * n * den + (n - 1) * vn[1], n * den)
-        u[(n + 1, 1)] = Fraction(n * un[1] + vn[1], n * den)
-        for q in range(2, row_width(n + 1) + 1):
-            # (v numerator, u numerator, denominator / D_n) of each term
-            terms = []
-            for k in range(1, q):
-                den_m, um, vm = rows[n + 1 - 2 * k]
-                terms.append((vn[k] * vm[q - k], vn[k] * um[q - k],
-                              den_m * (n + 2 - 2 * k)))
-            if q <= row_width(n):
-                c = n + 2 - 2 * q
-                terms.append(((n + 1 - 2 * q) * vn[q], vn[q] + c * un[q], c))
-            common = lcm(*(d for _, _, d in terms))
-            sum_v = sum_u = 0
-            for tv, tu, d in terms:
-                sum_v += tv * (common // d)
-                sum_u += tu * (common // d)
-            v[(n + 1, q)] = Fraction(sum_v, den * common)
-            u[(n + 1, q)] = Fraction(sum_u, den * common)
-        rows[n + 1] = _integer_row(u, v, n + 1)
+        vn = rows_v[n]
+        # W_n over den * lcm(n+2-2q), the numerators scaled to match.
+        widths = [n + 2 - 2 * q for q in range(1, len(vn._re))]
+        common = lcm(*widths)
+        wn = Polynomial._of([0, *(x * (common // c) for x, c in zip(vn._re[1:], widths))],
+                            None, vn._den * common)
+        weights = [(x, 0, wn._den) for x in wn._re]  # w_n^k as (re, im, den)
+        rows_v.append(_linear_combination(
+            [(n + 1, Y), (1, vn), (-1, wn), *_shifted(weights, rows_v, n)]))
+        rows_u.append(_linear_combination(
+            [(1, rows_u[n]), (1, wn), *_shifted(weights, rows_u, n)]))
+    u, v = {}, {}
+    for n in range(1, n_max + 1):
+        for k in range(1, row_width(n) + 1):
+            u[(n, k)] = rows_u[n].coefficient(k)
+            v[(n, k)] = rows_v[n].coefficient(k)
     return UVTables(u, v, n_max)
 
 

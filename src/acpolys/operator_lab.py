@@ -73,6 +73,12 @@ INTERIOR_WINDOW = (0.05, 0.95)
 #: G = 2400.
 ROW_BLOCK = 8 * PANEL
 
+#: ``tanh_sinh`` converges once the level-to-level change is at most
+#: QUADRATURE_TARGET * max(1, |integral|), and gives up after
+#: QUADRATURE_MAX_LEVEL halvings of the step.
+QUADRATURE_TARGET = 1e-12
+QUADRATURE_MAX_LEVEL = 12
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet its target."""
@@ -85,15 +91,15 @@ class QuadratureResult:
     evaluations: int
 
 
-def tanh_sinh(f, a: float, b: float, target: float = 1e-12,
-              max_level: int = 12) -> QuadratureResult:
+def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
     """Double-exponential quadrature of f over (a, b).
 
     The integrand is called as ``f(x, d_lo, d_hi)`` with d_lo = x - a and
     d_hi = b - x computed without cancellation, so ln-singular endpoint
     factors can use the exact distances.  Levels double the node density;
-    convergence requires the level-to-level change to drop below
-    ``target * max(1, |integral|)``.  Raises QuadratureError otherwise.
+    from level 3 on, convergence requires the level-to-level change to drop
+    to ``QUADRATURE_TARGET * max(1, |integral|)`` within
+    ``QUADRATURE_MAX_LEVEL`` levels.  Raises QuadratureError otherwise.
     """
     half = 0.5 * (b - a)
     mid = a + half
@@ -129,16 +135,16 @@ def tanh_sinh(f, a: float, b: float, target: float = 1e-12,
     estimate = h * half * row(h, only_odd=False)
     previous = estimate
     err = math.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, QUADRATURE_MAX_LEVEL + 1):
         h *= 0.5
         estimate = 0.5 * estimate + h * half * row(h, only_odd=True)
         err = abs(estimate - previous)
         previous = estimate
-        if level >= 3 and err <= target * max(1.0, abs(estimate)):
+        if level >= 3 and err <= QUADRATURE_TARGET * max(1.0, abs(estimate)):
             return QuadratureResult(estimate, err, evaluations)
     raise QuadratureError(
-        f"tanh-sinh stalled at level {max_level} with change {err:.3e}"
-        f" (target {target:.1e})"
+        f"tanh-sinh stalled at level {QUADRATURE_MAX_LEVEL} with change {err:.3e}"
+        f" (target {QUADRATURE_TARGET:.1e})"
     )
 
 

@@ -622,6 +622,17 @@ class TestByteStability:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt, digest", [
+        ("json", "509d9aa928e7d18fac7ada64e8534aaf11693319ff3fb49dfb022ab4b48f6501"),
+        ("csv", "682895a91e13ad51a05c58b411a6406b4cd18b85409af763ee0f3d84228f9c99"),
+    ])
+    def test_uv_table_digest(self, capsys, fmt, digest):
+        # SHA-256 of the u/v tables up to N = 120, whose largest entries
+        # have numerators of 150 digits.
+        code, out, err = invoke(capsys, "coeffs", "uv", "--max-n", "120", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
         ("json", "0fd38aca018f0a476cbd5f76bbff26e66f922403602afc41ea0af7fc62458ebb"),
         ("csv", "a40552f41945931db2bd3b22d8f58c56505ddfe5b529dc48406f6f5500731c36"),
     ])

@@ -54,6 +54,16 @@ def horner_compose_affine(p, a, b):
     return Polynomial(acc)
 
 
+def horner_evaluate(p, x):
+    """Reference p(x): Horner steps in Q(i) when x or any coefficient is
+    Gaussian, and in Q otherwise."""
+    lift = any(isinstance(v, GaussianRational) for v in (x, *p.coeffs))
+    acc = GaussianRational(0) if lift else Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 # Shifts b whose numerator beta is a Gaussian unit once its denominator d_b
 # is cleared, and inputs over Q and Q(i) of degrees -1 (zero), 0, 1, 2, 40.
 UNIT_SHIFTS = [1, -1, I, -I, GaussianRational(0, HALF), Fraction(-1, 3)]
@@ -246,6 +256,19 @@ class TestPolynomial:
         assert p(HALF) == Fraction(11, 4)
         assert p(0) == 1
         assert Polynomial([])(7) == 0
+
+    @given(gaussian_polys_st, scalars_st)
+    @settings(max_examples=200)
+    @example(Polynomial(), I)
+    @example(Polynomial(), 3)
+    @example(Polynomial([1, 2]), GaussianRational(3))
+    @example(Polynomial([HALF, I]), 0)
+    def test_evaluation_matches_horner(self, p, x):
+        # The same value and the same type: GaussianRational exactly when
+        # the polynomial or the point is one.
+        got, want = p(x), horner_evaluate(p, x)
+        assert type(got) is type(want)
+        assert got == want
 
     def test_evaluation_at_gaussian(self):
         # X^2 + 1 vanishes at i

@@ -104,8 +104,7 @@ class TestTanhSinh:
 
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureError):
-            tanh_sinh(lambda x, dl, dh: math.sin(100.0 / (x + 1e-3)), 0.0, 1.0,
-                      target=1e-15, max_level=4)
+            tanh_sinh(lambda x, dl, dh: math.sin(100.0 / (x + 1e-3)), 0.0, 1.0)
 
     def test_error_estimate_is_conservative(self):
         r = tanh_sinh(lambda x, dl, dh: 1.0 / (1.0 + x * x), 0.0, 1.0)
