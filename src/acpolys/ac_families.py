@@ -22,9 +22,9 @@ All construction and checking is exact; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .exact_core import (
     I,
@@ -77,8 +77,7 @@ def _index(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ACFamily:
+class ACFamily(NamedTuple):
     """A_0..A_max_n and C_0..C_max_n with the route that produced them."""
 
     a_polys: tuple
@@ -96,8 +95,7 @@ class ACFamily:
         return self.c_polys[_index(n)]
 
 
-@dataclass(frozen=True)
-class CoeffTables:
+class CoeffTables(NamedTuple):
     """Triangles alpha_n^k (from A_n) and lam_n^k (from C_n), 0 <= k <= n+1."""
 
     alpha: dict
@@ -385,17 +383,23 @@ def check_euler_identity(family: ACFamily) -> list:
 
 
 def check_tangent_expansion(family: ACFamily) -> list:
-    """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly."""
+    """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly.
+
+    d_0..d_max_n are read once, as numerators over one denominator (a
+    power of two), so each right-hand side is a row of integer products.
+    """
+    d, _, den = _over_one_denominator(
+        [tangent_half_coeff(j) for j in range(family.max_n + 1)])
     checks = []
     for n in range(family.max_n + 1):
-        rhs_coeffs = [comb(n, k) * tangent_half_coeff(n - k) for k in range(n)]
-        rhs_coeffs.extend([Fraction(0), Fraction(1)])  # X**(n+1); no X**n term
+        # ... + 0 X**n + 1 X**(n+1)
+        rhs = [*(comb(n, k) * d[n - k] for k in range(n)), 0, den]
         checks.append(
             exact_check(
                 f"tangent_expansion/n={n}",
                 f"A_{n} + C_{n} = X^{n + 1} + sum binom({n},k) d_({n}-k) X^k",
                 family.a(n) + family.c(n),
-                Polynomial(rhs_coeffs),
+                Polynomial._of(rhs, None, den),
             )
         )
     return checks
@@ -487,9 +491,10 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     alpha = {}
     lam = {}
     for n in range(family.max_n + 1):
+        a_n, c_n = family.a(n), family.c(n)
         for k in range(n + 2):
-            alpha[(n, k)] = Fraction(family.a(n).coefficient(k))
-            lam[(n, k)] = Fraction(family.c(n).coefficient(k))
+            alpha[(n, k)] = a_n.coefficient(k)
+            lam[(n, k)] = c_n.coefficient(k)
     return CoeffTables(alpha, lam)
 
 

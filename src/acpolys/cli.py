@@ -20,6 +20,13 @@ and sends back only its report.  An exception in the worker is raised in
 the parent as if the suite had run there.  A worker that dies without a
 report (killed by a signal, out of memory) is exit 4, on one line that
 names the signal or exit status.
+
+``python -m acpolys.cli`` and the ``acpolys`` script run ``main``, which
+leaves by ``os._exit`` once ``run`` has written the output and stdout and
+stderr are flushed: interpreter teardown would only free what the process
+is about to drop.  Under a trace or profile hook (coverage, cProfile) it
+exits the normal way, so the hook's exit handlers still run.  ``run``
+itself never exits the process.
 """
 
 from __future__ import annotations
@@ -480,7 +487,8 @@ def run(argv=None) -> int:
 
 def _discard_stdout() -> None:
     """Point stdout's file descriptor at os.devnull, so that what stdout
-    still buffers is flushed there at exit rather than into a second error."""
+    still buffers is flushed there (by ``main``, or at exit) rather than
+    into a second error."""
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):  # an in-process caller's buffer: left as is
@@ -490,5 +498,36 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler (coverage, cProfile) is hooked into this
+    process: it writes its results at interpreter exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    # From Python 3.12, cProfile (and coverage, optionally) hook in through
+    # sys.monitoring rather than setprofile or settrace.
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def main() -> None:
+    """The process entry point: ``run()``, then leave by ``os._exit``.
+
+    Once the output is written and flushed, interpreter teardown (freeing
+    every module and object) buys nothing.  Under a trace or profile hook
+    the process exits the normal way instead, so the hook's exit handlers
+    still run.  A usage error or ``--help`` leaves argparse's way.
+    """
+    code = run()
+    if _watched():
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a failed write of the output is already exit 4
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    main()

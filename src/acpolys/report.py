@@ -11,7 +11,7 @@ rendering a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 PASS = "pass"
@@ -33,8 +33,7 @@ EXIT_NO_CONVERGENCE = 3
 SUITES = ("cform", "aform", "classical", "moments", "eigen")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     id: str
     description: str
     status: str
@@ -60,10 +59,21 @@ def exact_check(check_id: str, description: str, lhs, rhs) -> Check:
     return Check(check_id, description, FAIL, lhs, rhs, "exact mismatch")
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    """The checks of one suite, in order; each report starts with a list
+    of its own unless it is handed one."""
+
+    def __init__(self, suite: str, checks: list | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.suite, self.checks) == (other.suite, other.checks)
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(suite={self.suite!r}, checks={self.checks!r})"
 
     def extend(self, checks) -> "VerificationReport":
         self.checks.extend(checks)

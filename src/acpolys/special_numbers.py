@@ -17,7 +17,10 @@ Euler polynomials read the same B_{n+1}.  The
 series constructions never read that memo.  The memo holds ``Fraction``
 values, but the recurrence that extends it sums integers: the numerators
 of the known beta_k over their one common denominator (the layout of
-``exact_core.Polynomial``), reduced once per new beta_n.
+``exact_core.Polynomial``), reduced once per new beta_n.  Those numerators
+and the last row of Pascal's triangle are kept beside the memo, so
+callers that step n upward pay one new term per step, not a pass over
+the whole prefix.
 
 The sine/cosine/exponential reference series are generated from
 factorials, not hardcoded, so any truncation order is available.
@@ -29,12 +32,21 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import add, mul
 
-from .exact_core import Polynomial, TruncatedSeries, _over_one_denominator
+from .exact_core import Polynomial, TruncatedSeries
 
 # beta_0 .. beta_m for the largest m requested so far in this process.  It
 # is only ever replaced by a longer tuple, never changed in place, so a
 # reader always holds a consistent prefix.
 _BETA = (Fraction(1),)
+
+# The recurrence's state after a prefix, one snapshot replaced with _BETA:
+# (prefix, nums, den, binom) with nums the numerators of the prefix over
+# den, the lcm of its denominators, and binom row len(prefix) of Pascal's
+# triangle.  The recurrence resumes from it while its prefix is _BETA
+# itself, and from _START once _BETA was replaced apart from it (by
+# another thread in between, or by a reset to a fresh memo).
+_START = (_BETA, (1,), 1, (1, 1))
+_RESUME = _START
 
 
 def _require_index(n: int) -> None:
@@ -48,16 +60,18 @@ def bernoulli_numbers(n_max: int) -> tuple:
     Each beta_n is computed once per process; later calls slice the memo.
     The sum runs on integers: row n+1 of Pascal's triangle against the
     numerators of beta_0..beta_{n-1} over ``den``, the lcm of their
-    denominators, so each beta_n is one integer sum reduced once.
+    denominators, so each beta_n is one integer sum reduced once.  A call
+    that extends the memo starts from the state the last extension left
+    (``_RESUME``).
     """
-    global _BETA
+    global _BETA, _RESUME
     _require_index(n_max)
     values = _BETA
     if len(values) <= n_max:
-        extended = list(values)
-        nums, _, den = _over_one_denominator(values)
-        binom = [comb(len(values), k) for k in range(len(values) + 1)]
-        for n in range(len(values), n_max + 1):
+        state = _RESUME
+        prefix, nums, den, binom = state if state[0] is values else _START
+        extended, nums = list(prefix), list(nums)
+        for n in range(len(prefix), n_max + 1):
             binom = [1, *map(add, binom, binom[1:]), 1]  # binom(n+1, k)
             # map stops at the shorter list: the terms k < n.
             beta = Fraction(-sum(map(mul, binom, nums)), (n + 1) * den)
@@ -69,6 +83,7 @@ def bernoulli_numbers(n_max: int) -> tuple:
             nums.append(beta.numerator * (den // beta.denominator))
         values = tuple(extended)
         if len(_BETA) < len(values):
+            _RESUME = (values, tuple(nums), den, binom)
             _BETA = values
     return values[: n_max + 1]
 

@@ -28,7 +28,7 @@ from acpolys.ac_families import (
     structural_checks,
 )
 from acpolys.exact_core import GaussianRational, I, Polynomial
-from acpolys.report import EXIT_OK, PASS
+from acpolys.report import EXIT_OK, PASS, Check, VerificationReport
 
 F = Fraction
 
@@ -223,11 +223,9 @@ class TestCoefficientTables:
             assert t.lam[(n, n)] == 0
 
     def test_corrupted_family_rejected(self, family):
-        import dataclasses
-
         broken_c = list(family.c_polys)
         broken_c[3] = broken_c[3] + Polynomial([1])
-        broken = dataclasses.replace(family, c_polys=tuple(broken_c))
+        broken = family._replace(c_polys=tuple(broken_c))
         with pytest.raises(ValueError, match="tangent expansion"):
             lambda_alpha_tables(broken)
 
@@ -238,6 +236,18 @@ class TestReport:
         assert report.exit_code() == EXIT_OK
         counts = report.counts
         assert counts["total"] == counts["passed"] > 0
+
+    def test_reports_own_their_check_lists(self):
+        first, second = VerificationReport("x"), VerificationReport("x")
+        assert first == second
+        first.checks.append(Check("c", "a check", PASS))
+        assert second.checks == [] and first != second
+
+    def test_families_compare_and_hash_by_value(self):
+        assert build_by_recurrence(5) == build_by_recurrence(5)
+        assert hash(build_by_recurrence(5)) == hash(build_by_recurrence(5))
+        assert build_by_recurrence(5) != build_by_recurrence(4)
+        assert build_by_recurrence(5) != build_by_coefficient_formula(5)
 
     def test_report_shape(self):
         report = identities_report(build_by_recurrence(0))

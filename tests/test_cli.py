@@ -4,11 +4,11 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,7 +249,7 @@ class TestVerifyCommand:
             family = build_by_recurrence(n_max)
             cs = list(family.c_polys)
             cs[3] = cs[3] + Polynomial([1])
-            return replace(family, c_polys=tuple(cs))
+            return family._replace(c_polys=tuple(cs))
 
         monkeypatch.setattr(cli, "build_by_recurrence", corrupted)
         code, out, err = invoke(capsys, "verify", "uv", "--max-n", "5")
@@ -393,6 +393,70 @@ class TestFailedWrites:
             code = run(["numbers", "--kind", "tangent", "--max-n", "5"])
         assert code == cli.EXIT_INTERNAL
         assert stderr.getvalue() == "acpolys: error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def _in_process(capsys, argv):
+    """``invoke``, also for argv that argparse rejects by SystemExit."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestProcessExit:
+    """``python -m acpolys.cli`` prints what ``run`` prints and exits with
+    its code, then leaves by ``os._exit``, except under a profile or trace
+    hook.  Exit 4 for output that cannot be written: ``TestFailedWrites``."""
+
+    def _cli(self, *argv, python_args=()):
+        return subprocess.run([sys.executable, *python_args, "-m", "acpolys.cli", *argv],
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+
+    def test_piped_output_is_the_in_process_output(self, capsys):
+        argv = ("coeffs", "uv", "--max-n", "150", "--format", "csv")
+        result = self._cli(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == invoke(capsys, *argv)
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ("numbers", "--kind", "tangent", "--max-n", "5")),
+        (1, ("verify", "integrals", "--suite", "eigen", "--tolerance", "1e-18",
+             "--format", "csv")),
+        (2, ("poly", "--family", "c", "--n", "3", "--route", "residue_recurrence")),
+        (2, ("poly", "--family", "x", "--n", "3")),
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
+    def test_exit_codes(self, capsys, code, argv):
+        result = self._cli(*argv)
+        assert result.returncode == code
+        assert (result.returncode, result.stdout, result.stderr) == _in_process(capsys, argv)
+
+    @pytest.mark.parametrize("hook, runs", [
+        ("", False),
+        ("sys.settrace(lambda *args: None)", True),
+        ("sys.setprofile(lambda *args: None)", True),
+    ])
+    def test_exit_handlers_run_only_under_a_hook(self, hook, runs):
+        script = (
+            "import atexit, sys\n"
+            "from acpolys import cli\n"
+            "atexit.register(print, 'exit handler')\n"
+            f"{hook}\n"
+            "cli.main()\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, "poly", "--family", "a",
+                                 "--n", "1", "--format", "csv"], env=_subprocess_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "0,0\n1,0\n2,1/2\n" + "exit handler\n" * runs
+
+    def test_a_profiler_still_prints_its_stats(self):
+        result = self._cli("poly", "--family", "c", "--n", "4",
+                           python_args=("-m", "cProfile"))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith('{"coefficients":')
+        assert "function calls" in result.stdout
 
 
 def assert_no_child_process():
@@ -580,6 +644,16 @@ class TestSelftest:
         assert {r["suite"] for r in doc["reports"]} == {
             "identities", "uv", "integrals/all",
         }
+
+    def test_reports_survive_a_pickle_round_trip(self):
+        # The integrals worker sends its report back pickled.
+        args = cli.build_parser().parse_args(["selftest", "--max-n", "3"])
+        family = build_by_recurrence(3)
+        for name in ("identities", "uv", "integrals"):
+            report = cli._suite_report(name, args, family)
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy == report and copy is not report
+            assert copy.to_json_dict() == report.to_json_dict()
 
     def test_zero_max_passes(self, capsys):
         code, out, err = invoke(capsys, "selftest", "--max-n", "0")

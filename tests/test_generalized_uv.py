@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from acpolys.ac_families import build_by_recurrence, lambda_alpha_tables
-from acpolys.generalized_uv import build_uv, check_uv_consistency, row_width
+from acpolys.generalized_uv import UVTables, build_uv, check_uv_consistency, row_width
 from acpolys.report import PASS
 
 F = Fraction
@@ -126,6 +126,17 @@ class TestConsistency:
         t = lambda_alpha_tables(family)
         assert 5 * t.alpha[(4, 1)] == F(7, 3) == HAND_ROWS_U[(4, 2)]
         assert 5 * t.lam[(4, 3)] == F(20, 3) == HAND_ROWS_V[(4, 1)]
+
+    def test_a_wrong_entry_fails_showing_both_sides(self):
+        uv = build_uv(4)
+        u = dict(uv.u)
+        u[(4, 2)] += 1
+        checks = check_uv_consistency(UVTables(u, uv.v, 4), build_by_recurrence(4))
+        assert [c.to_json_dict() for c in checks if c.status != PASS] == [{
+            "id": "uv/u/n=4,k=2", "description": "u_4^2 = (5) alpha_4^1",
+            "status": "fail", "lhs": "10/3", "rhs": "7/3",
+            "error_metric": "exact mismatch",
+        }]
 
     def test_uv_table_longer_than_family_rejected(self):
         uv = build_uv(6)

@@ -1,5 +1,6 @@
 """numpy is loaded only by the floating-point suites, and the CLI runs
-its BLAS on one thread.
+its BLAS on one thread.  Importing the CLI loads neither ``dataclasses``
+nor ``inspect``, which would import ``ast``, ``dis`` and ``tokenize`` too.
 
 Each case runs in a fresh interpreter, because a module imported once
 stays in ``sys.modules`` for the rest of the test process, and numpy reads
@@ -75,6 +76,15 @@ EXACT_REQUESTS = [
     ("verify", "identities", "--max-n", "6"),
     ("verify", "uv", "--max-n", "6"),
 ]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy():
+    result = fresh_python("-c", """
+import sys
+import acpolys.cli
+print(sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules)))
+""")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv", EXACT_REQUESTS, ids=" ".join)
