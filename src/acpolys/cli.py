@@ -476,6 +476,8 @@ def run(argv=None) -> int:
         return EXIT_INTERNAL
     if output:
         try:
+            if sys.stdout is None:  # the process started with fd 1 closed
+                raise OSError("stdout is closed")
             print(output)
             sys.stdout.flush()
         except OSError as exc:  # a full disk, a pipe closed by its reader
@@ -489,6 +491,8 @@ def _discard_stdout() -> None:
     """Point stdout's file descriptor at os.devnull, so that what stdout
     still buffers is flushed there (by ``main``, or at exit) rather than
     into a second error."""
+    if sys.stdout is None:  # nothing to flush
+        return
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):  # an in-process caller's buffer: left as is
@@ -523,7 +527,8 @@ def main() -> None:
         sys.exit(code)
     for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
+            if stream is not None:  # None: the descriptor was closed at start
+                stream.flush()
         except OSError:  # a failed write of the output is already exit 4
             pass
     os._exit(code)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -350,13 +351,15 @@ class TestFailedWrites:
     """Output that cannot be written is exit 4 on one stderr line, with no
     traceback, also none from the interpreter's flush at exit."""
 
-    def _run_into(self, stdout, *argv, unbuffered=False):
+    def _run_into(self, stdout, *argv, unbuffered=False, close_stdout=False):
         env = _subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        result = subprocess.run([sys.executable, "-m", "acpolys.cli", *argv],
-                                stdout=stdout, stderr=subprocess.PIPE,
+        command = [sys.executable, "-m", "acpolys.cli", *argv]
+        if close_stdout:  # the shell execs the CLI with fd 1 closed
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        result = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
                                 env=env, text=True, timeout=120)
         assert result.returncode == cli.EXIT_INTERNAL == 4
         assert result.stderr.startswith("acpolys: error: cannot write output: ")
@@ -382,6 +385,12 @@ class TestFailedWrites:
         finally:
             os.close(write_fd)
         assert "Broken pipe" in err
+
+    @pytest.mark.skipif(not shutil.which("sh"), reason="no POSIX shell")
+    def test_a_closed_stdout(self):
+        # Started with fd 1 closed, the interpreter sets sys.stdout to None.
+        err = self._run_into(None, "poly", "--family", "a", "--n", "1", close_stdout=True)
+        assert err == "acpolys: error: cannot write output: stdout is closed\n"
 
     def test_an_in_process_stdout_without_a_descriptor(self):
         class Refusing(io.StringIO):

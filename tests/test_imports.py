@@ -101,6 +101,24 @@ def test_integrals_load_numpy():
     assert numpy_loaded("verify", "integrals", "--suite", "classical") is True
 
 
+def test_grids_do_not_load_numpy_polynomial():
+    # The Gauss panel rule is built by Newton's method, not by leggauss.
+    result = fresh_python("-c", """
+import contextlib, io, sys
+import numpy
+print("numpy.polynomial" in sys.modules)
+from acpolys import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["verify", "integrals", "--suite", "eigen"])
+print(code, "numpy.polynomial" in sys.modules)
+""")
+    assert result.returncode == 0, result.stderr
+    with_numpy, after_eigen = result.stdout.splitlines()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.polynomial with numpy itself")
+    assert after_eigen == "0 False"
+
+
 def test_integrals_report_resolves_lazily():
     result = fresh_python("-c", """
 import sys
