@@ -246,10 +246,11 @@ def _report_rows(report: VerificationReport) -> list:
 def _operator_lab():
     """``operator_lab``, imported on first use: it loads numpy, which no
     exact request needs.  numpy's bundled OpenBLAS starts a worker thread at
-    import that busy-waits for about 0.1 s of CPU, while the one BLAS
-    product per grid (G x G by G x 4) takes milliseconds on one core: one
-    thread cuts the CPU of a `verify integrals` request from about 0.43 to
-    0.28 s (2-CPU x86 host) at unchanged wall time and output.  In
+    import that busy-waits for about 0.1 s of CPU, while the BLAS products
+    of a pass over a grid (one ROW_BLOCK x G block at a time, by G x 2 or
+    G x 4) take milliseconds on one core: one thread cuts the CPU of a
+    `verify integrals` request from about 0.43 to 0.28 s (2-CPU x86 host)
+    at unchanged wall time and output.  In
     ``selftest`` this runs only in the forked integrals worker, so the
     OPENBLAS_NUM_THREADS default is set there and the parent never loads
     numpy.  An OPENBLAS_NUM_THREADS already set still wins, and library
@@ -304,8 +305,7 @@ def _beside(here, there) -> tuple:
     import warnings
 
     read_fd, write_fd = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    _flush_stdio()
     with warnings.catch_warnings():
         # Python 3.12+ warns when a process with threads (an embedding
         # test runner's numpy, say) forks.  Raised as an error it would
@@ -469,11 +469,9 @@ def run(argv=None) -> int:
     try:
         code, output = _DISPATCH[args.command](args)
     except ValueError as exc:
-        print(f"acpolys: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _complain(f"acpolys: error: {exc}", EXIT_USAGE)
     except Exception as exc:  # a bug: keep exit 1 meaning "a check failed"
-        print(f"acpolys: internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _complain(f"acpolys: internal error: {exc!r}", EXIT_INTERNAL)
     if output:
         try:
             if sys.stdout is None:  # the process started with fd 1 closed
@@ -481,9 +479,19 @@ def run(argv=None) -> int:
             print(output)
             sys.stdout.flush()
         except OSError as exc:  # a full disk, a pipe closed by its reader
-            print(f"acpolys: error: cannot write output: {exc}", file=sys.stderr)
+            code = _complain(f"acpolys: error: cannot write output: {exc}", EXIT_INTERNAL)
             _discard_stdout()
-            return EXIT_INTERNAL
+    return code
+
+
+def _complain(line: str, code: int) -> int:
+    """Write ``line`` to stderr and return ``code``.  With stderr closed the
+    line is dropped and the code stands: it is all a caller can still read."""
+    try:
+        if sys.stderr is not None:  # None: the process started with fd 2 closed
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
     return code
 
 
@@ -500,6 +508,18 @@ def _discard_stdout() -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _flush_stdio() -> None:
+    """Flush stdout and stderr, skipping a stream whose descriptor was closed
+    at start (None) and one that cannot be written: a failed write of the
+    output is already exit 4, and a closed stderr leaves the code as it is."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            pass
 
 
 def _watched() -> bool:
@@ -525,12 +545,7 @@ def main() -> None:
     code = run()
     if _watched():
         sys.exit(code)
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:  # None: the descriptor was closed at start
-                stream.flush()
-        except OSError:  # a failed write of the output is already exit 4
-            pass
+    _flush_stdio()
     os._exit(code)
 
 

@@ -588,12 +588,13 @@ class TruncatedSeries:
     """Power series in t with Polynomial (in x) coefficients, truncated.
 
     A ``TruncatedSeries`` of order N stores the coefficients of
-    t**0 .. t**N and represents an expansion exact modulo t**(N+1).
-    The order is fixed at construction; combining series of different
-    orders is an error rather than a silent re-truncation.
+    t**0 .. t**N and represents an expansion exact modulo t**(N+1), so
+    the order is their count less one.  It is fixed at construction;
+    combining series of different orders is an error rather than a silent
+    re-truncation.
     """
 
-    __slots__ = ("_coeffs", "_order")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Sequence, order: int):
         if order < 0:
@@ -610,11 +611,10 @@ class TruncatedSeries:
             )
         polys.extend(Polynomial() for _ in range(order + 1 - len(polys)))
         self._coeffs = tuple(polys)
-        self._order = order
 
     @property
     def order(self) -> int:
-        return self._order
+        return len(self._coeffs) - 1
 
     @property
     def coeffs(self) -> tuple:
@@ -622,8 +622,8 @@ class TruncatedSeries:
 
     def coefficient(self, n: int) -> Polynomial:
         """The polynomial coefficient of t**n."""
-        if not 0 <= n <= self._order:
-            raise IndexError(f"t-power {n} outside truncation order {self._order}")
+        if not 0 <= n <= self.order:
+            raise IndexError(f"t-power {n} outside truncation order {self.order}")
         return self._coeffs[n]
 
     def valuation(self) -> "int | None":
@@ -635,14 +635,14 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Explicitly drop to a lower truncation order."""
-        if order > self._order:
-            raise ValueError(f"cannot extend order {self._order} to {order}")
+        if order > self.order:
+            raise ValueError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries(self._coeffs[: order + 1], order)
 
     def _check_order(self, other: "TruncatedSeries"):
-        if self._order != other._order:
+        if self.order != other.order:
             raise ValueError(
-                f"mixed truncation orders: {self._order} vs {other._order}"
+                f"mixed truncation orders: {self.order} vs {other.order}"
             )
 
     def __add__(self, other):
@@ -650,7 +650,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         return TruncatedSeries(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], self._order
+            [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
         )
 
     def __sub__(self, other):
@@ -658,11 +658,11 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         return TruncatedSeries(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], self._order
+            [a - b for a, b in zip(self._coeffs, other._coeffs)], self.order
         )
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs], self._order)
+        return TruncatedSeries([-c for c in self._coeffs], self.order)
 
     def __mul__(self, other):
         """Series product, each coefficient one row sum reduced once; or
@@ -671,11 +671,11 @@ class TruncatedSeries:
             self._check_order(other)
             a, b = self._coeffs, other._coeffs
             out = [_linear_combination((a[j], b[n - j]) for j in range(n + 1))
-                   for n in range(self._order + 1)]
-            return TruncatedSeries(out, self._order)
+                   for n in range(self.order + 1)]
+            return TruncatedSeries(out, self.order)
         if not isinstance(other, (Polynomial, int, Fraction, GaussianRational)):
             return NotImplemented
-        return TruncatedSeries([c * other for c in self._coeffs], self._order)
+        return TruncatedSeries([c * other for c in self._coeffs], self.order)
 
     __rmul__ = __mul__
 
@@ -704,7 +704,7 @@ class TruncatedSeries:
                 f"denominator valuation {vu} exceeds numerator valuation {vs};"
                 " the quotient is not a power series"
             )
-        new_order = self._order - vu
+        new_order = self.order - vu
         if new_order < 0:
             raise ValueError("valuation cancellation exhausts the truncation order")
         num = self._coeffs[vu:]
@@ -728,14 +728,15 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
+        # Equal coefficient tuples are equally long: the same order.
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self._order, self._coeffs))
+        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         parts = ", ".join(str(c) for c in self._coeffs)
-        return f"TruncatedSeries([{parts}], order={self._order})"
+        return f"TruncatedSeries([{parts}], order={self.order})"
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ reads past ``INTEGRALS_MAX_N``, stated here beside the points that decide it.
 
 Endpoint singularities of ln-type are handled by evaluating integrands
 with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
-and, on grids, by carrying an exact complement array 1-x alongside the
-nodes.  Removable singularities are bridged by a two-term Taylor rule
-inside a small guard window in quadrature, and on grids by the derivative
-of each panel's barycentric interpolant, folded into the Nystrom matrix.
+and, on grids, by reading 1-x as the mirrored node, which a grid mirrored
+about x = 1/2 holds exactly.  Removable singularities are bridged by a
+two-term Taylor rule inside a small guard window in quadrature, and on
+grids by the derivative of each panel's barycentric interpolant, folded
+into the Nystrom matrix.
 
 Every grid is built from one 16-point Gauss-Legendre rule, computed once
 by Newton's method on the Legendre recurrence.  On a grid, T exists only
@@ -32,7 +33,7 @@ before building the next, so no G x G array is ever held.  The grid
 checks work on plain arrays of node values (the integral is
 ``grid.weights @ values``), and stack the functions they transform so each
 grid costs one pass.  Quadrature reads each tanh-sinh level's nodes and
-weights from a table built once per process.
+weights from a table built once per process, keyed by the level.
 """
 
 from __future__ import annotations
@@ -96,17 +97,17 @@ class QuadratureResult(NamedTuple):
 
 
 @functools.cache
-def _tanh_sinh_nodes(h: float, only_odd: bool) -> tuple:
-    """The (sigma, dw) pairs of one ``tanh_sinh`` level of step h, for
-    k = 0, 1, 2, ... or, with ``only_odd``, k = 1, 3, 5, ...: the node at
+def _tanh_sinh_nodes(level: int) -> tuple:
+    """The (sigma, dw) pairs of ``tanh_sinh`` level ``level``, whose step is
+    h = 2**-level: the nodes u = k h for k = 0, 1, 2, ... at level 0, and
+    for the odd k = 1, 3, 5, ... that each later level adds.  The node at
     u = k h lies a distance width * sigma inside each end of the interval
     and has weight dw, until the nodes reach the ends (y > 350) or the
-    weights underflow.  They depend on h alone, so each level is computed
-    once per process; every level halves h from 1, so there are at most
-    QUADRATURE_MAX_LEVEL + 1 of them."""
+    weights underflow.  They depend on the level alone, so each of the
+    QUADRATURE_MAX_LEVEL + 1 levels is computed once per process."""
+    h = 0.5**level
+    k, step = (0, 1) if level == 0 else (1, 2)
     nodes = []
-    k = 1 if only_odd else 0
-    step = 2 if only_odd else 1
     while True:
         u = k * h
         y = 0.5 * PI * math.sinh(u)
@@ -139,11 +140,12 @@ def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
     width = b - a
     evaluations = 0
 
-    def row(h: float, only_odd: bool) -> float:
+    def row(level: int) -> float:
+        """The weighted integrand sum over the nodes level ``level`` adds."""
         nonlocal evaluations
-        nodes = _tanh_sinh_nodes(h, only_odd)
+        nodes = _tanh_sinh_nodes(level)
         total = 0.0
-        if not only_odd:
+        if level == 0:
             total += nodes[0][1] * f(mid, half, half)
             evaluations += 1
             nodes = nodes[1:]
@@ -153,13 +155,11 @@ def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
         evaluations += 2 * len(nodes)
         return total
 
-    h = 1.0
-    estimate = h * half * row(h, only_odd=False)
+    estimate = half * row(0)
     previous = estimate
     err = math.inf
     for level in range(1, QUADRATURE_MAX_LEVEL + 1):
-        h *= 0.5
-        estimate = 0.5 * estimate + h * half * row(h, only_odd=True)
+        estimate = 0.5 * estimate + 0.5**level * half * row(level)
         err = abs(estimate - previous)
         previous = estimate
         if level >= 3 and err <= QUADRATURE_TARGET * max(1.0, abs(estimate)):
@@ -177,16 +177,14 @@ def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
 class Grid(NamedTuple):
     """A positive-weight quadrature grid in (0,1) made of Gauss-Legendre panels.
 
-    Panels are runs of ``PANEL`` consecutive nodes.  ``complements`` carries
-    1 - nodes computed exactly at grid construction, so functions of 1-x
-    keep full accuracy near x = 1.  ``bary`` holds each node's barycentric
-    interpolation weight within its panel.
+    Panels are runs of ``PANEL`` consecutive nodes, each an affine image of
+    ``_panel_rule()``, whose barycentric weights serve every panel.  The
+    grid is mirrored about x = 1/2, so ``nodes[::-1]`` is 1 - nodes to the
+    bit: functions of 1-x keep full accuracy near x = 1.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    complements: np.ndarray
-    bary: np.ndarray
 
 
 def _legendre(y: np.ndarray):
@@ -229,22 +227,19 @@ def _mirrored_grid(bounds) -> Grid:
     """PANEL-point Gauss panels on the increasing (lo, hi) ``bounds``, which
     cover (0, 1/2), mirrored onto (1/2, 1).
 
-    Complements are exact by construction (the mirror of node s has
-    complement exactly s), which a plain float subtraction 1 - x cannot
-    deliver near 1.  A mirrored panel's barycentric weights are the reversed
+    The mirror of node s is the float 1 - s, so the reversed nodes are each
+    node's complement 1 - x: 1 - s for a left node s, and s itself for its
+    mirror, exact where a plain float subtraction 1 - x is not, near 1.  A mirrored panel's barycentric weights are the reversed
     ones: equal to the panel rule's up to one sign per panel, which the
     ratios in nystrom_apply cancel.
     """
-    y, w, bary = _panel_rule()
+    y, w, _ = _panel_rule()
     lo, hi = np.asarray(bounds).T
     center = 0.5 * (lo + hi)
     halfwidth = 0.5 * (hi - lo)
     s = (center[:, None] + halfwidth[:, None] * y).ravel()
     ws = (halfwidth[:, None] * w).ravel()
-    return Grid(np.concatenate([s, 1.0 - s[::-1]]),
-                np.concatenate([ws, ws[::-1]]),
-                np.concatenate([1.0 - s, s[::-1]]),
-                np.tile(bary, 2 * len(bounds)))
+    return Grid(np.concatenate([s, 1.0 - s[::-1]]), np.concatenate([ws, ws[::-1]]))
 
 
 def gauss_legendre_grid(size: int = 200) -> Grid:
@@ -268,8 +263,10 @@ def graded_gauss_grid() -> Grid:
 
 
 def phi0(grid: Grid) -> np.ndarray:
-    """phi_0(x) = ln(x / (1-x)) at the grid nodes, using the exact complements."""
-    return np.log(grid.nodes) - np.log(grid.complements)
+    """phi_0(x) = ln(x / (1-x)) at the grid nodes, reading each 1 - x as the
+    mirrored node, which the grid holds exactly."""
+    log_x = np.log(grid.nodes)
+    return log_x - log_x[::-1]
 
 
 def nystrom_apply(grid: Grid, values: np.ndarray, rows: slice | None = None) -> np.ndarray:
@@ -283,14 +280,14 @@ def nystrom_apply(grid: Grid, values: np.ndarray, rows: slice | None = None) -> 
     at t = x is the removable limit f'(x_i), the derivative of the
     barycentric interpolant of f on the panel of x_i (Berrut & Trefethen,
     SIAM Review 2004); that rule is linear in f, so within a panel it moves
-    into the matrix as M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i).
-    Each diagonal entry is minus its row sum, because T(1) = 0.
+    into the matrix as M_ij = (w_j - (w_i/bary_i) bary_j) / (x_j - x_i),
+    with bary the panel rule's barycentric weights, the same for every
+    panel.  Each diagonal entry is minus its row sum, because T(1) = 0.
     """
-    x, w, bary = grid.nodes, grid.weights, grid.bary
+    x, w, bary = grid.nodes, grid.weights, _panel_rule()[2]
     start, stop, step = (rows or slice(None)).indices(len(x))
     if step != 1 or start % PANEL or stop % PANEL:
         raise ValueError(f"rows {start}:{stop}:{step} are not whole panels of {PANEL}")
-    scale = w / bary
     out = np.empty((stop - start,) + values.shape[1:])
     buffer = np.empty((min(ROW_BLOCK, stop - start), len(x)))
     for lo in range(start, stop, ROW_BLOCK):
@@ -302,8 +299,8 @@ def nystrom_apply(grid: Grid, values: np.ndarray, rows: slice | None = None) -> 
         # block[:, lo:hi], own[k, :, k, :] for the k-th panel of the block.
         k = np.arange((hi - lo) // PANEL)
         own = block[:, lo:hi].reshape(len(k), PANEL, len(k), PANEL)
-        wp, sp, bp = (a[lo:hi].reshape(-1, PANEL) for a in (w, scale, bary))
-        own_entries = (wp[:, None, :] - sp[:, :, None] * bp[:, None, :]) / own[k, :, k, :]
+        wp = w[lo:hi].reshape(-1, PANEL)
+        own_entries = (wp[:, None, :] - (wp / bary)[:, :, None] * bary) / own[k, :, k, :]
         np.divide(w, block, out=block)
         own[k, :, k, :] = own_entries
         block[diag] = -block.sum(axis=1)

@@ -14,13 +14,13 @@ them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
 ``tangent_half_coeff`` take only ``n`` and read beta from it.  Each
 B_n(X) is also built once per process, so the closed-form route and the
 Euler polynomials read the same B_{n+1}.  The
-series constructions never read that memo.  The memo holds ``Fraction``
-values, but the recurrence that extends it sums integers: the numerators
-of the known beta_k over their one common denominator (the layout of
-``exact_core.Polynomial``), reduced once per new beta_n.  Those numerators
-and the last row of Pascal's triangle are kept beside the memo, so
-callers that step n upward pay one new term per step, not a pass over
-the whole prefix.
+series constructions never read that memo.  The memo hands out
+``Fraction`` values, but the recurrence that extends it sums integers:
+the numerators of the known beta_k over their one common denominator (the
+layout of ``exact_core.Polynomial``), reduced once per new beta_n.  The
+memo is one snapshot of the betas, those numerators, that denominator and
+the last row of Pascal's triangle, so callers that step n upward pay one
+new term per step, not a pass over the whole prefix.
 
 The sine/cosine/exponential reference series are generated from
 factorials, not hardcoded, so any truncation order is available.
@@ -34,19 +34,13 @@ from operator import add, mul
 
 from .exact_core import Polynomial, TruncatedSeries
 
-# beta_0 .. beta_m for the largest m requested so far in this process.  It
-# is only ever replaced by a longer tuple, never changed in place, so a
-# reader always holds a consistent prefix.
-_BETA = (Fraction(1),)
-
-# The recurrence's state after a prefix, one snapshot replaced with _BETA:
-# (prefix, nums, den, binom) with nums the numerators of the prefix over
-# den, the lcm of its denominators, and binom row len(prefix) of Pascal's
-# triangle.  The recurrence resumes from it while its prefix is _BETA
-# itself, and from _START once _BETA was replaced apart from it (by
-# another thread in between, or by a reset to a fresh memo).
-_START = (_BETA, (1,), 1, (1, 1))
-_RESUME = _START
+# The recurrence's state after beta_0 .. beta_m for the largest m requested
+# so far in this process: (betas, nums, den, binom) with nums the numerators
+# of the betas over den, the lcm of their denominators, and binom row m + 1
+# of Pascal's triangle.  The snapshot is only ever replaced whole, by a
+# longer one, never changed in place, so a reader always holds a consistent
+# state to slice or to resume from.
+_MEMO = ((Fraction(1),), (1,), 1, (1, 1))
 
 
 def _require_index(n: int) -> None:
@@ -61,17 +55,15 @@ def bernoulli_numbers(n_max: int) -> tuple:
     The sum runs on integers: row n+1 of Pascal's triangle against the
     numerators of beta_0..beta_{n-1} over ``den``, the lcm of their
     denominators, so each beta_n is one integer sum reduced once.  A call
-    that extends the memo starts from the state the last extension left
-    (``_RESUME``).
+    that extends the memo resumes from the snapshot it read (``_MEMO``)
+    and publishes the longer one it ends with.
     """
-    global _BETA, _RESUME
+    global _MEMO
     _require_index(n_max)
-    values = _BETA
-    if len(values) <= n_max:
-        state = _RESUME
-        prefix, nums, den, binom = state if state[0] is values else _START
-        extended, nums = list(prefix), list(nums)
-        for n in range(len(prefix), n_max + 1):
+    betas, nums, den, binom = _MEMO
+    if len(betas) <= n_max:
+        extended, nums = list(betas), list(nums)
+        for n in range(len(betas), n_max + 1):
             binom = [1, *map(add, binom, binom[1:]), 1]  # binom(n+1, k)
             # map stops at the shorter list: the terms k < n.
             beta = Fraction(-sum(map(mul, binom, nums)), (n + 1) * den)
@@ -81,11 +73,10 @@ def bernoulli_numbers(n_max: int) -> tuple:
                 den *= scale
                 nums = [num * scale for num in nums]
             nums.append(beta.numerator * (den // beta.denominator))
-        values = tuple(extended)
-        if len(_BETA) < len(values):
-            _RESUME = (values, tuple(nums), den, binom)
-            _BETA = values
-    return values[: n_max + 1]
+        betas = tuple(extended)
+        if len(_MEMO[0]) < len(betas):
+            _MEMO = (betas, tuple(nums), den, tuple(binom))
+    return betas[: n_max + 1]
 
 
 # B_n(X) by n, each built once per process.  A plain dict rather than

@@ -404,6 +404,74 @@ class TestFailedWrites:
         assert stderr.getvalue() == "acpolys: error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+class _ClosedStream(io.StringIO):
+    """A stream whose every write fails, as on a closed descriptor."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+class TestClosedStderr:
+    """With stderr closed, the line ``run`` would write there is dropped and
+    its exit code stands."""
+
+    def _run_closed(self, monkeypatch, argv, stdout=None):
+        monkeypatch.setattr(sys, "stderr", _ClosedStream())
+        with redirect_stdout(stdout or io.StringIO()):
+            return run(list(argv))
+
+    def test_a_usage_error(self, monkeypatch):
+        code = self._run_closed(monkeypatch, ("poly", "--family", "c", "--n", "3",
+                                              "--route", "residue_recurrence"))
+        assert code == cli.EXIT_USAGE
+
+    def test_an_internal_error(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._DISPATCH, "numbers", broken)
+        code = self._run_closed(monkeypatch, ("numbers", "--kind", "bernoulli"))
+        assert code == cli.EXIT_INTERNAL
+
+    def test_a_failed_write(self, monkeypatch):
+        code = self._run_closed(monkeypatch, ("numbers", "--kind", "tangent", "--max-n", "5"),
+                                stdout=_ClosedStream())
+        assert code == cli.EXIT_INTERNAL
+
+    @staticmethod
+    def _cli_without_fd_2(stdout, *argv):
+        # The interpreter, started with fd 2 closed, sets sys.stderr to None.
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "acpolys.cli",
+                   *argv]
+        return subprocess.run(command, stdout=stdout, env=_subprocess_env(), text=True,
+                              timeout=120)
+
+    @pytest.mark.skipif(not shutil.which("sh"), reason="no POSIX shell")
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_disk_without_fd_2(self):
+        with open("/dev/full", "w") as full:
+            result = self._cli_without_fd_2(full, "coeffs", "uv", "--max-n", "150",
+                                            "--format", "csv")
+        assert result.returncode == cli.EXIT_INTERNAL
+
+    @pytest.mark.skipif(not shutil.which("sh"), reason="no POSIX shell")
+    @pytest.mark.parametrize("code, stdout, argv", [
+        (2, "", ("poly", "--family", "c", "--n", "3", "--route", "residue_recurrence")),
+        (0, "0,1/4\n1,0\n2,1\n3,0\n4,3/4\n",
+         ("poly", "--family", "c", "--n", "3", "--format", "csv")),
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+    def test_no_error_line_reaches_stdout(self, code, stdout, argv):
+        result = self._cli_without_fd_2(subprocess.PIPE, *argv)
+        assert (result.returncode, result.stdout) == (code, stdout)
+
+    @pytest.mark.skipif(not shutil.which("sh"), reason="no POSIX shell")
+    def test_selftest_without_fd_2(self, capsys):
+        # selftest flushes stdio before it forks its integrals worker.
+        argv = ("selftest", "--max-n", "1", "--format", "csv")
+        result = self._cli_without_fd_2(subprocess.PIPE, *argv)
+        assert (result.returncode, result.stdout) == invoke(capsys, *argv)[:2]
+
+
 def _in_process(capsys, argv):
     """``invoke``, also for argv that argparse rejects by SystemExit."""
     try:

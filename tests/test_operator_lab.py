@@ -43,11 +43,17 @@ PI = math.pi
 FAMILY = build_by_recurrence(3)
 
 
+def tiled_bary(grid):
+    """Each node's barycentric weight within its panel: the panel rule's,
+    tiled once per panel."""
+    return np.tile(operator_lab._panel_rule()[2], len(grid.nodes) // operator_lab.PANEL)
+
+
 def reference_nystrom_matrix(grid):
     """The whole G x G Nystrom matrix M of T, so that T(f)(x_i) ~ sum_j M_ij
     f(x_j), filled in place one panel of rows at a time: the matrix that
     nystrom_apply builds ROW_BLOCK rows at a time."""
-    x, w, bary = grid.nodes, grid.weights, grid.bary
+    x, w, bary = grid.nodes, grid.weights, tiled_bary(grid)
     m = x[None, :] - x[:, None]
     np.fill_diagonal(m, np.inf)
     np.reciprocal(m, out=m)
@@ -66,15 +72,15 @@ def reference_apply_T(grid, v):
     """T(f), for the node values v of f, with one kernel (f_j - f_i)/(x_j - x_i)
     per apply and the barycentric diagonal read from its panel blocks: the
     kernel-per-apply Nystrom rule that nystrom_apply folds into the matrix."""
-    x = grid.nodes
+    x, bary = grid.nodes, tiled_bary(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = (v[None, :] - v[:, None]) / (x[None, :] - x[:, None])
     idx = np.arange(len(x))
     kernel[idx, idx] = 0.0
-    bary = grid.bary.reshape(-1, operator_lab.PANEL)
-    panels, p = bary.shape
-    row_sums = np.einsum("rirj,rj->ri", kernel.reshape(panels, p, panels, p), bary)
-    kernel[idx, idx] = -row_sums.ravel() / grid.bary
+    panels, p = len(x) // operator_lab.PANEL, operator_lab.PANEL
+    row_sums = np.einsum("rirj,rj->ri", kernel.reshape(panels, p, panels, p),
+                         bary.reshape(panels, p))
+    kernel[idx, idx] = -row_sums.ravel() / bary
     return kernel @ grid.weights
 
 
@@ -193,19 +199,21 @@ class TestTanhSinh:
 class TestGrids:
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_grid_invariants(self, grid_builder):
-        nodes, weights, complements, bary = grid_builder()
+        nodes, weights = grid_builder()
         assert np.all(np.diff(nodes) > 0), "nodes strictly increasing"
         assert nodes[0] > 0 and nodes[-1] < 1
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) < 1e-12
-        assert len(complements) == len(bary) == len(nodes)
+        assert len(weights) == len(nodes)
         assert len(nodes) % operator_lab.PANEL == 0
 
     @pytest.mark.parametrize("grid_builder", [gauss_legendre_grid, graded_gauss_grid])
     def test_complements_match_nodes(self, grid_builder):
-        nodes, _, complements, _ = grid_builder()
-        # mirror symmetry: complement array is the reversed node array
-        assert np.array_equal(complements, nodes[::-1])
+        nodes, _ = grid_builder()
+        # mirror symmetry, which phi0 relies on: the reversed left half is
+        # the float 1 - x of every left-half node x, bit for bit
+        half = len(nodes) // 2
+        assert np.array_equal(nodes[::-1][:half], 1.0 - nodes[:half])
 
     @pytest.mark.parametrize("size", [2, 17, 200, 800, 2400])
     def test_gauss_grid_is_equal_panels(self, size):

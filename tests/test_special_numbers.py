@@ -8,6 +8,7 @@ n = 40 through a completely independent mechanism.
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -101,8 +102,6 @@ class TestBernoulliNumbers:
 
     def test_defining_sum_vanishes(self):
         # sum_{k=0}^{n} C(n+1, k) beta_k = 0 for n >= 1
-        from math import comb
-
         table = bernoulli_numbers(30)
         for n in range(1, 30):
             assert sum(comb(n + 1, k) * table[k] for k in range(n + 1)) == 0
@@ -116,7 +115,7 @@ class TestBernoulliNumbers:
 class TestBernoulliMemo:
     @pytest.fixture
     def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(special_numbers, "_BETA", (F(1),))
+        monkeypatch.setattr(special_numbers, "_MEMO", ((F(1),), (1,), 1, (1, 1)))
 
     def test_values_are_reused(self):
         short, long = bernoulli_numbers(20), bernoulli_numbers(40)
@@ -135,6 +134,18 @@ class TestBernoulliMemo:
             values = bernoulli_numbers(n_max)
             assert list(values) == series[: n_max + 1]
         assert all(type(b) is F for b in values)
+
+    def test_only_a_longer_request_replaces_the_snapshot(self, fresh_memo):
+        bernoulli_numbers(30)
+        memo = special_numbers._MEMO
+        for n_max in (0, 12, 30):
+            bernoulli_numbers(n_max)
+            assert special_numbers._MEMO is memo
+        bernoulli_numbers(45)
+        betas, nums, den, binom = special_numbers._MEMO
+        assert len(betas) == 46 and betas[:31] == memo[0]
+        assert [F(num, den) for num in nums] == list(betas)
+        assert list(binom) == [comb(46, k) for k in range(47)]
 
     def test_concurrent_callers_agree(self, fresh_memo):
         serial = bernoulli_numbers_series(60)
