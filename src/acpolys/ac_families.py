@@ -119,7 +119,7 @@ def build_by_recurrence(n_max: int) -> ACFamily:
     a_list = [X]
     c_list = [Polynomial()]
     for n in range(n_max):
-        lam, den = c_list[n]._re, c_list[n]._den
+        lam, den = c_list[n].integers()
         scaled = [(k, (n + 1) * c) for k, c in enumerate(lam[:n + 1]) if c]
         head, divisor = (n + 1) * den, (n + 2) * den
         a_list.append(_linear_combination(
@@ -181,7 +181,7 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
     c_list = []
     for n in range(n_max + 1):
         a_re = [0, *(comb(n + 1, k) * cs[n + 1 - k] for k in range(1, n + 2))]
-        a_list.append(Polynomial._of(a_re, None, cs_den * (n + 1)))
+        a_list.append(Polynomial.from_integers(a_re, cs_den * (n + 1)))
         d_n = tangent_half_coeff(n)
         den = lcm(e_den, d_n.denominator, n + 1)
         scale = den // e_den
@@ -190,7 +190,7 @@ def build_by_coefficient_formula(n_max: int) -> ACFamily:
             *(comb(n, k) * e[n - k + 1] * scale for k in range(1, n + 1)),
             n * (den // (n + 1)),
         ]
-        c_list.append(Polynomial._of(c_re, None, den))
+        c_list.append(Polynomial.from_integers(c_re, den))
     return ACFamily(tuple(a_list), tuple(c_list), ROUTE_COEFFICIENT)
 
 
@@ -399,7 +399,7 @@ def check_tangent_expansion(family: ACFamily) -> list:
                 f"tangent_expansion/n={n}",
                 f"A_{n} + C_{n} = X^{n + 1} + sum binom({n},k) d_({n}-k) X^k",
                 family.a(n) + family.c(n),
-                Polynomial._of(rhs, None, den),
+                Polynomial.from_integers(rhs, den),
             )
         )
     return checks

@@ -124,16 +124,16 @@ def _latex_terms(values) -> str:
 
 
 def latex_polynomial(p: Polynomial) -> str:
-    """Canonical LaTeX of a polynomial over Q: its stored numerators over its
+    """Canonical LaTeX of a polynomial over Q: its integer numerators over its
     one denominator (the lcm of its coefficients' denominators) while that
     stays small, per-term fractions otherwise."""
-    p = p.rational_coefficients()
-    if p.is_zero:
+    numerators, den = p.integers()
+    if not numerators:
         return "0"
-    if p._den > _LCM_CAP:
+    if den > _LCM_CAP:
         return _latex_terms(p.coeffs)
-    body = _latex_terms(p._re)
-    return body if p._den == 1 else rf"\frac{{{body}}}{{{p._den}}}"
+    body = _latex_terms(numerators)
+    return body if den == 1 else rf"\frac{{{body}}}{{{den}}}"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ printed.  Each value has one encoding: the imaginary vector is stored
 only when it is nonzero, so every coefficient of a polynomial is a
 GaussianRational exactly when some coefficient has a nonzero imaginary
 part, and a Fraction otherwise, however the polynomial was built.
+The layout belongs to this module alone: other modules read and build
+polynomials over Q as integers through ``Polynomial.from_integers``,
+``integers`` and ``shifted``, or as scalars through the coefficients.
 :class:`TruncatedSeries` is a vector of polynomials in x
 indexed by the power of t, exact modulo t**(order+1).
 
@@ -51,8 +54,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is Fraction else _exact_rational(re)
+        self.im = im if type(im) is Fraction else _exact_rational(im)
 
     def norm(self) -> Fraction:
         """The field norm re**2 + im**2 (a nonnegative rational)."""
@@ -159,6 +162,13 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _exact_rational(value) -> Fraction:
+    """An int or Fraction as a Fraction; a float or Decimal is not exact."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 #: The imaginary unit i and the constant 2i.
@@ -339,13 +349,39 @@ class Polynomial:
         return p
 
     @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
-        """The polynomial coeff * X**power."""
+    def from_integers(cls, numerators: Sequence[int], den: int) -> "Polynomial":
+        """sum_k numerators[k]/den * X**k over Q, for integers numerators
+        (lowest degree first) and den > 0, reduced once."""
+        return cls._of(numerators, None, den)
+
+    def integers(self) -> tuple:
+        """``(numerators, den)`` of a polynomial over Q: the tuple of integer
+        numerators, lowest degree first and without trailing zeros, over the
+        one positive denominator.  Raises ValueError if a coefficient is
+        not real."""
+        if self._im is not None:
+            raise ValueError(f"nonzero imaginary part in {self!r}")
+        return self._re, self._den
+
+    def shifted(self, power: int) -> "Polynomial":
+        """X**power * self: the numerators after power zeros, already
+        reduced."""
         if power < 0:
             raise ValueError("negative power")
+        if not power or not self._re:
+            return self
+        zeros = (0,) * power
+        p = object.__new__(Polynomial)
+        p._re = zeros + self._re
+        p._im = None if self._im is None else zeros + self._im
+        p._den = self._den
+        return p
+
+    @classmethod
+    def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
+        """The polynomial coeff * X**power."""
         re, im, den = _gaussian_integer_over(coeff)
-        zeros = [0] * power
-        return cls._of([*zeros, re], [*zeros, im] if im else None, den)
+        return cls._of((re,), (im,) if im else None, den).shifted(power)
 
     def _scalar(self, k: int) -> Scalar:
         re = Fraction(self._re[k], self._den)
@@ -470,8 +506,7 @@ class Polynomial:
     def rational_coefficients(self) -> "Polynomial":
         """This polynomial, asserted to be over Q: raises ValueError if any
         coefficient has a nonzero imaginary part."""
-        if self._im is not None:
-            raise ValueError(f"nonzero imaginary part in {self!r}")
+        self.integers()
         return self
 
     def __str__(self) -> str:

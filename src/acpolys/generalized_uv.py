@@ -41,14 +41,6 @@ def row_width(n: int) -> int:
     return (n + 1) // 2
 
 
-def _shifted(weights: list, rows: list, n: int) -> list:
-    """The terms (w_n^k, Y**k R_{n+1-2k}), k >= 1, of row n+1 for the rows R
-    of U or V; Y**k R is R's numerators after k zeros."""
-    return [(weights[k], Polynomial._of((0,) * k + rows[n + 1 - 2 * k]._re, None,
-                                        rows[n + 1 - 2 * k]._den))
-            for k in range(1, len(weights))]
-
-
 def build_uv(n_max: int) -> UVTables:
     """Fill the tables by the recursion in n, one polynomial row at a time.
 
@@ -66,8 +58,9 @@ def build_uv(n_max: int) -> UVTables:
     (n+1-2q)/(n+2-2q) v_n^q = v_n^q - w_n^q (or u_n^q + w_n^q).  Each
     Y**k V_{n+1-2k} has degree floor((n+2)/2), the width of row n+1, so
     nothing is truncated; for odd n the term k = (n+1)/2 meets V_0 = 0.
-    Each new row is one ``exact_core._linear_combination``, summed on
-    integers and reduced once; the tables read its coefficients.  Rows
+    Each new row is one ``exact_core._linear_combination`` of integer
+    scalars over d, the one denominator of W_n = sum_k w[k]/d Y**k, summed
+    on integers and reduced once; the tables read its coefficients.  Rows
     start at n = 1, so ``build_uv(0)`` is empty.
     """
     _require_n_max(n_max)
@@ -75,15 +68,18 @@ def build_uv(n_max: int) -> UVTables:
     for n in range(1, n_max):
         vn = rows_v[n]
         # W_n over den * lcm(n+2-2q), the numerators scaled to match.
-        widths = [n + 2 - 2 * q for q in range(1, len(vn._re))]
+        v_nums, den = vn.integers()
+        widths = [n + 2 - 2 * q for q in range(1, len(v_nums))]
         common = lcm(*widths)
-        wn = Polynomial._of([0, *(x * (common // c) for x, c in zip(vn._re[1:], widths))],
-                            None, vn._den * common)
-        weights = [(x, 0, wn._den) for x in wn._re]  # w_n^k as (re, im, den)
+        wn = Polynomial.from_integers(
+            [0, *(x * (common // c) for x, c in zip(v_nums[1:], widths))], den * common)
+        w, d = wn.integers()
         rows_v.append(_linear_combination(
-            [(n + 1, Y), (1, vn), (-1, wn), *_shifted(weights, rows_v, n)]))
+            [(d * (n + 1), Y), (d, vn), (-d, wn),
+             *((w[k], rows_v[n + 1 - 2 * k].shifted(k)) for k in range(1, len(w)))], d))
         rows_u.append(_linear_combination(
-            [(1, rows_u[n]), (1, wn), *_shifted(weights, rows_u, n)]))
+            [(d, rows_u[n]), (d, wn),
+             *((w[k], rows_u[n + 1 - 2 * k].shifted(k)) for k in range(1, len(w)))], d))
     u, v = {}, {}
     for n in range(1, n_max + 1):
         for k in range(1, row_width(n) + 1):
@@ -100,11 +96,14 @@ def _scaled_check(check_id: str, description: str, value: Fraction,
     denominator times the coefficient's numerator.  A pass keeps ``value``
     as both sides, which render alike; only a mismatch builds the
     coefficient."""
-    re = poly._re
-    num = re[power] if power < len(re) else 0
-    if poly._im is None and \
-            value.numerator * poly._den == (n + 1) * num * value.denominator:
-        return Check(check_id, description, PASS, value, value, "0")
+    try:
+        numerators, den = poly.integers()
+    except ValueError:  # poly over Q(i): compare the built coefficient
+        pass
+    else:
+        num = numerators[power] if power < len(numerators) else 0
+        if value.numerator * den == (n + 1) * num * value.denominator:
+            return Check(check_id, description, PASS, value, value, "0")
     return exact_check(check_id, description, value, (n + 1) * poly.coefficient(power))
 
 

@@ -15,7 +15,8 @@ polynomials through a single evaluate-to-float bridge and checks:
 It builds no family: the exact A_n / C_n come from the family a report is
 handed (the CLI's one recurrence family per run), and a check that reads a
 polynomial past that family's max_n is left out of the report.  No check
-reads past ``INTEGRALS_MAX_N``, stated here beside the points that decide it.
+reads past ``INTEGRALS_MAX_N``, the largest n of the points the suites
+evaluate at, derived here from those points.
 
 Endpoint singularities of ln-type are handled by evaluating integrands
 with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
@@ -475,10 +476,14 @@ def transform_moment_lhs(n: int, a: float) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 # Check suites.
 
-#: The largest n of any A_n, C_n the integral suites read: the last (n, z)
-#: points of ``c_form_checks`` and ``a_form_checks``.  The moment checks
-#: stop at n = 2.  A family built past it changes no report.
-INTEGRALS_MAX_N = 3
+#: The (n, z) points of the cform and aform checks, the (n, a) of tmoment.
+_C_FORM_POINTS = ((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7))
+_A_FORM_POINTS = ((0, -math.log(2)), (1, -math.log(2)), (2, math.log(2) - math.log(3)), (3, -1.0))
+_TMOMENT_POINTS = ((0, 1.0), (1, 1.0), (2, 2.0))
+
+#: The largest n of any A_n, C_n the integral suites read (``moment_check``
+#: reads C_1 and C_2).  A family built past it changes no report.
+INTEGRALS_MAX_N = max(n for n, _ in _C_FORM_POINTS + _A_FORM_POINTS + _TMOMENT_POINTS)
 
 
 def _relative_error(value: float, target: float) -> float:
@@ -521,7 +526,7 @@ def c_form_checks(family: ACFamily, tol: float) -> list:
     """Quadrature vs pi**(n+1) C_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
-    for n, z in ((0, 0.5), (1, 0.0), (2, 1.0), (3, -0.7)):
+    for n, z in _C_FORM_POINTS:
         if n > family.max_n:
             continue
         checks += _quadrature_checks(
@@ -537,8 +542,7 @@ def a_form_checks(family: ACFamily, tol: float) -> list:
     """Quadrature vs -pi**(n+1) A_n(z/pi) at four (n, z) points with
     n <= family.max_n."""
     checks = []
-    for n, z in ((0, -math.log(2)), (1, -math.log(2)),
-                 (2, math.log(2) - math.log(3)), (3, -1.0)):
+    for n, z in _A_FORM_POINTS:
         if n > family.max_n:
             continue
         checks += _quadrature_checks(
@@ -699,7 +703,7 @@ def integrals_report(family: ACFamily, suite: str = "all",
         t_phi0, t_f = nystrom_apply(graded, np.stack([phi0(graded), f], axis=1)).T
     if suite in ("moments", "all"):
         report.extend(moment_check(family, graded, t_phi0, tol=grid_tol))
-        for nn, aa in ((0, 1.0), (1, 1.0), (2, 2.0)):
+        for nn, aa in _TMOMENT_POINTS:
             if nn <= family.max_n:
                 report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
     if suite in ("eigen", "all"):

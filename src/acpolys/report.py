@@ -28,8 +28,8 @@ EXIT_NO_CONVERGENCE = 3
 #: The integral suites of ``verify integrals`` (``operator_lab``).  They
 #: are named here, in a module that does not load numpy, so that the CLI's
 #: argument parser can offer them without loading it.  The largest n they
-#: read, ``INTEGRALS_MAX_N``, is stated in ``operator_lab`` beside the
-#: points that decide it.
+#: read, ``INTEGRALS_MAX_N``, is derived in ``operator_lab`` from the points
+#: they evaluate at.
 SUITES = ("cform", "aform", "classical", "moments", "eigen")
 
 

@@ -1,12 +1,16 @@
 """Unit and property tests for the exact scalar/polynomial/series tower."""
 
+import ast
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acpolys
 from acpolys.ac_families import build_by_recurrence
 from acpolys.report import FAIL, PASS, exact_check
 from acpolys.exact_core import (
@@ -150,6 +154,19 @@ class TestGaussianRational:
         z = GaussianRational(1, HALF)
         assert z.re == 1 and z.im == HALF
         assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+
+    @pytest.mark.parametrize("part", [0.1, Decimal("0.1"), "1/2", None])
+    def test_constructor_rejects_inexact_parts(self, part):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            GaussianRational(part)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            GaussianRational(1, part)
+
+    @pytest.mark.parametrize("re, im", [(3, -2), (HALF, Fraction(-4, 6)), (0, HALF)])
+    def test_constructor_accepts_int_and_fraction_parts(self, re, im):
+        z = GaussianRational(re, im)
+        assert (z.re, z.im) == (Fraction(re), Fraction(im))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
 
     def test_i_squares_to_minus_one(self):
         assert I * I == Fraction(-1)
@@ -303,6 +320,33 @@ class TestPolynomial:
         assert back == Polynomial([1, 2])
         with pytest.raises(ValueError):
             Polynomial([I]).rational_coefficients()
+
+    def test_integer_contract_round_trips(self):
+        p = Polynomial.from_integers([4, -6, 0, 0], 12)
+        assert p == Polynomial([Fraction(1, 3), Fraction(-1, 2)])
+        assert p.integers() == ((2, -3), 6)
+        assert Polynomial.from_integers([0, 0], 5).integers() == ((), 1)
+        assert Polynomial([Fraction(1, 6), Fraction(-1, 4)]).integers() == ((2, -3), 12)
+        assert Polynomial([GaussianRational(3, 0)]).integers() == ((3,), 1)
+
+    def test_integers_rejects_an_imaginary_part_like_rational_coefficients(self):
+        p = Polynomial([1, I])
+        with pytest.raises(ValueError) as rational:
+            p.rational_coefficients()
+        with pytest.raises(ValueError) as integers:
+            p.integers()
+        assert str(integers.value) == str(rational.value)
+
+    @pytest.mark.parametrize("p", [Polynomial([HALF, -3]), Polynomial([1, HALF + I]),
+                                   Polynomial([I]), Polynomial()])
+    def test_shifted_multiplies_by_a_power_of_x(self, p):
+        for power in range(4):
+            got = p.shifted(power)
+            assert got == Polynomial.monomial(power) * p
+            assert got.coeffs == (() if p.is_zero else (0,) * power + p.coeffs)
+            assert_canonical(got)
+        with pytest.raises(ValueError):
+            p.shifted(-1)
 
     def test_x_constant(self):
         assert X == Polynomial([0, 1])
@@ -659,3 +703,24 @@ class TestSerialization:
     @settings(max_examples=60)
     def test_gaussian_poly_round_trip(self, p):
         assert poly_from_json(poly_to_json(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# The storage layout is private to exact_core
+
+
+def test_no_other_module_reads_the_polynomial_layout():
+    """Outside exact_core a polynomial is read and built through
+    ``from_integers``, ``integers`` and ``shifted`` (or coefficients), never
+    through its stored vectors or ``_of``."""
+    found = []
+    for path in sorted(Path(acpolys.__file__).parent.glob("*.py")):
+        if path.name == "exact_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_re", "_im", "_den"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "_of":
+                found.append(f"{path.name}:{node.lineno} ._of(")
+    assert found == []

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from acpolys.ac_families import build_by_recurrence, lambda_alpha_tables
+from acpolys.ac_families import ACFamily, build_by_recurrence, lambda_alpha_tables
+from acpolys.exact_core import I, Polynomial
 from acpolys.generalized_uv import UVTables, build_uv, check_uv_consistency, row_width
 from acpolys.report import PASS
 
@@ -135,6 +136,21 @@ class TestConsistency:
         assert [c.to_json_dict() for c in checks if c.status != PASS] == [{
             "id": "uv/u/n=4,k=2", "description": "u_4^2 = (5) alpha_4^1",
             "status": "fail", "lhs": "10/3", "rhs": "7/3",
+            "error_metric": "exact mismatch",
+        }]
+
+    def test_an_imaginary_family_coefficient_fails_one_check(self):
+        # i*X^3 added to C_4 makes C_4 a polynomial over Q(i): its checks
+        # take the exact fallback, and only the X^3 coefficient differs.
+        family = build_by_recurrence(6)
+        c_polys = list(family.c_polys)
+        c_polys[4] = c_polys[4] + Polynomial.monomial(3, I)
+        checks = check_uv_consistency(
+            build_uv(6), ACFamily(family.a_polys, tuple(c_polys), family.route))
+        assert len(checks) == 36
+        assert [c.to_json_dict() for c in checks if c.status != PASS] == [{
+            "id": "uv/v/n=4,k=1", "description": "v_4^1 = (5) lam_4^3",
+            "status": "fail", "lhs": "20/3", "rhs": "20/3+5*i",
             "error_metric": "exact mismatch",
         }]
 
