@@ -113,21 +113,23 @@ def build_by_recurrence(n_max: int) -> ACFamily:
     Each lambda-sum is read as integers, lam_n^k = c_k/D with c_k the
     numerators of C_n over its one denominator D, so each new row is one
     integer sum over (n+2)*D reduced once (``_linear_combination``), with
-    no Fraction per lambda.
+    no Fraction per lambda; X*A_n and X**n (X**2 + 1) are shifts, not
+    products.
     """
     _require_n_max(n_max)
     a_list = [X]
     c_list = [Polynomial()]
+    x2_plus_1 = Polynomial([1, 0, 1])
     for n in range(n_max):
         lam, den = c_list[n].integers()
         scaled = [(k, (n + 1) * c) for k, c in enumerate(lam[:n + 1]) if c]
         head, divisor = (n + 1) * den, (n + 2) * den
         a_list.append(_linear_combination(
-            [(head, X * a_list[n]), *((c, a_list[k]) for k, c in scaled)],
+            [(head, a_list[n].shifted(1)), *((c, a_list[k]) for k, c in scaled)],
             divisor))
-        tail = Polynomial.monomial(n + 2) + Polynomial.monomial(n)
         c_list.append(_linear_combination(
-            [(head, tail), *((c, c_list[k]) for k, c in scaled)], divisor))
+            [(head, x2_plus_1.shifted(n)), *((c, c_list[k]) for k, c in scaled)],
+            divisor))
     return ACFamily(tuple(a_list), tuple(c_list), ROUTE_RECURRENCE)
 
 
@@ -137,6 +139,10 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     A_n = (2i)**(n+1)/(n+1) * [B_{n+1}(X/(2i) + 1/2) - B_{n+1}(1/2)] and
     C_n = (2i)**(n+1)/(n+1) * [-B_{n+1}(X/(2i)) + B_{n+1}(1/2)] + X**n (X - i).
 
+    Each is one row (``_linear_combination``), reduced once: the scaled
+    composed Bernoulli polynomial, the constant B_{n+1}(1/2) times the
+    scale, and for C_n the tail X**n (X - i).
+
     Raises ValueError if any coefficient comes out with a nonzero
     imaginary part (which would indicate an implementation bug; the
     construction is real for every n).
@@ -144,16 +150,20 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     _require_n_max(n_max)
     half = Fraction(1, 2)
     inv_2i = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
+    one = Polynomial([1])
+    x_minus_i = Polynomial([-I, 1])
     a_list = []
     c_list = []
     for n in range(n_max + 1):
         b = bernoulli_poly(n + 1)
-        b_at_half = Polynomial([b(half)])
         factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
-        a_gauss = (b.compose_affine(inv_2i, half) - b_at_half) * factor
+        constant = b(half) * factor
+        a_gauss = _linear_combination(
+            [(factor, b.compose_affine(inv_2i, half)), (-constant, one)])
         a_list.append(a_gauss.rational_coefficients())
-        tail = Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)
-        c_gauss = (b_at_half - b.compose_affine(inv_2i, 0)) * factor + tail
+        c_gauss = _linear_combination(
+            [(constant, one), (-factor, b.compose_affine(inv_2i, 0)),
+             (1, x_minus_i.shifted(n))])
         c_list.append(c_gauss.rational_coefficients())
     return ACFamily(tuple(a_list), tuple(c_list), ROUTE_CLOSED_FORM)
 
@@ -305,6 +315,16 @@ def route_equivalence_checks(baseline: ACFamily) -> list:
     return checks
 
 
+def _shifts_by_i(p: Polynomial) -> tuple:
+    """``(p(X+i), p(X-i))``.  The conjugate of p(X+i) is conj(p)(X-i), so
+    for p over Q, which is its own conjugate, p(X-i) is the conjugate of
+    p(X+i) and one Taylor shift gives both; any other p is shifted twice."""
+    plus = p.compose_affine(1, I)
+    if p.conjugate() == p:
+        return plus, plus.conjugate()
+    return plus, p.compose_affine(1, -I)
+
+
 def check_difference_identities(family: ACFamily) -> list:
     """The four exact shift identities over Q(i), for every n in the family.
 
@@ -312,23 +332,26 @@ def check_difference_identities(family: ACFamily) -> list:
     A_n(X+i) + C_n(X) = (X+i) X**n
     A_n(X+i) - A_n(X-i) = 2i X**n
     C_n(X+i) - C_n(X-i) = X [(X+i)**n - (X-i)**n]
+
+    For a polynomial p over Q, p(X-i) is the complex conjugate of p(X+i),
+    and (X-i)**n that of (X+i)**n, so each real A_n and C_n is shifted by i
+    once and conjugated.  The symmetry holds only over Q: a polynomial with
+    a nonzero imaginary part (a corrupted family) is shifted both ways.
     """
     checks = []
     x_plus_i = Polynomial([I, 1])
-    x_minus_i = Polynomial([-I, 1])
+    x_minus_i = x_plus_i.conjugate()
     pow_plus = Polynomial([1])  # (X+i)**n
-    pow_minus = Polynomial([1])  # (X-i)**n
     for n in range(family.max_n + 1):
         a_n, c_n = family.a(n), family.c(n)
-        a_shift_minus = a_n.compose_affine(1, -I)
-        a_shift_plus = a_n.compose_affine(1, I)
+        a_shift_plus, a_shift_minus = _shifts_by_i(a_n)
+        c_shift_plus, c_shift_minus = _shifts_by_i(c_n)
         checks.append(
             exact_check(
                 f"shift_minus_sum/n={n}",
                 f"A_{n}(X-i) + C_{n}(X) = (X-i) X^{n}",
                 a_shift_minus + c_n,
-                Polynomial.monomial(n + 1)
-                + Polynomial.monomial(n, -I),
+                x_minus_i.shifted(n),
             )
         )
         checks.append(
@@ -336,8 +359,7 @@ def check_difference_identities(family: ACFamily) -> list:
                 f"shift_plus_sum/n={n}",
                 f"A_{n}(X+i) + C_{n}(X) = (X+i) X^{n}",
                 a_shift_plus + c_n,
-                Polynomial.monomial(n + 1)
-                + Polynomial.monomial(n, I),
+                x_plus_i.shifted(n),
             )
         )
         checks.append(
@@ -352,25 +374,23 @@ def check_difference_identities(family: ACFamily) -> list:
             exact_check(
                 f"c_central_difference/n={n}",
                 f"C_{n}(X+i) - C_{n}(X-i) = X[(X+i)^{n} - (X-i)^{n}]",
-                c_n.compose_affine(1, I) - c_n.compose_affine(1, -I),
-                (pow_plus - pow_minus) * X,
+                c_shift_plus - c_shift_minus,
+                (pow_plus - pow_plus.conjugate()).shifted(1),
             )
         )
-        pow_plus = pow_plus * x_plus_i
-        pow_minus = pow_minus * x_minus_i
+        pow_plus = _linear_combination(((1, pow_plus.shifted(1)), (I, pow_plus)))
     return checks
 
 
 def check_euler_identity(family: ACFamily) -> list:
-    """E_n(X) = X**n - X**(n+1) + (-i)**(n+1) [A_n(iX) + C_n(iX)], exactly."""
+    """E_n(X) = X**n - X**(n+1) + (-i)**(n+1) [A_n(iX) + C_n(iX)], exactly;
+    each right-hand side is one row."""
     checks = []
+    one_minus_x = Polynomial([1, -1])
     for n in range(family.max_n + 1):
         inner = (family.a(n) + family.c(n)).compose_affine(I, 0)
-        rhs = (
-            Polynomial.monomial(n)
-            - Polynomial.monomial(n + 1)
-            + inner * ((-I) ** (n + 1))
-        )
+        rhs = _linear_combination(
+            ((1, one_minus_x.shifted(n)), ((-I) ** (n + 1), inner)))
         checks.append(
             exact_check(
                 f"euler_link/n={n}",
@@ -451,12 +471,17 @@ def _parity_check(p: Polynomial, n: int, letter: str, has_constant: bool) -> Che
 
     For the A family the constant term is additionally always zero; the
     index n (parity mismatch) is zero for both families.  Every
-    parity-allowed index must be genuinely nonzero.
+    parity-allowed index must be genuinely nonzero.  The coefficients are
+    read as integer numerators, or as scalars for a polynomial over Q(i).
     """
+    try:
+        coeffs = p.integers()[0]
+    except ValueError:
+        coeffs = p.coeffs
     bad = []
     for k in range(n + 2):
         allowed = (k % 2 == (n + 1) % 2) and not (k == 0 and not has_constant)
-        present = bool(p.coefficient(k))
+        present = k < len(coeffs) and bool(coeffs[k])
         if present != allowed:
             bad.append(k)
     if bad:

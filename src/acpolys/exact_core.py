@@ -24,8 +24,9 @@ A sum of scaled polynomials, sum_k s_k * p_k, is reduced once as a whole
 (``_linear_combination``): each factor becomes Gaussian-integer numerators
 once, the term vectors are added as integers over the lcm of the term
 denominators, and one gcd reduction ends the row.  ``+`` and ``-`` are its
-two-term case, ``*`` and unary ``-`` its one-term case; the recurrence and
-residue routes of ``ac_families``, the u/v triangles of ``generalized_uv``
+two-term case, ``*`` and unary ``-`` its one-term case; the recurrence,
+residue and closed-form routes and the Euler check of ``ac_families``,
+``special_numbers.euler_poly``, the u/v triangles of ``generalized_uv``
 and the series product and quotient sum each of their rows with it.
 
 No floating point enters this module.  All values are immutable after
@@ -65,7 +66,7 @@ class GaussianRational:
     def _coerce(value) -> "GaussianRational | None":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and type(value) is not bool:
             return GaussianRational(value)
         return None
 
@@ -165,8 +166,9 @@ class GaussianRational:
 
 
 def _exact_rational(value) -> Fraction:
-    """An int or Fraction as a Fraction; a float or Decimal is not exact."""
-    if isinstance(value, (int, Fraction)):
+    """An int or Fraction as a Fraction; a float, Decimal or bool is not
+    exact (``Fraction(True)`` would be 1)."""
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
@@ -177,10 +179,11 @@ TWO_I = GaussianRational(0, 2)
 
 
 def _gaussian_integer_over(value: Scalar) -> tuple:
-    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0."""
+    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0; a
+    bool, like a float, is not an exact scalar."""
     if isinstance(value, GaussianRational):
         x, y = value.re, value.im
-    elif isinstance(value, (int, Fraction)):
+    elif isinstance(value, (int, Fraction)) and type(value) is not bool:
         x, y = value, 0
     else:
         raise TypeError(f"not an exact scalar: {value!r}")
@@ -375,6 +378,16 @@ class Polynomial:
         p._re = zeros + self._re
         p._im = None if self._im is None else zeros + self._im
         p._den = self._den
+        return p
+
+    def conjugate(self) -> "Polynomial":
+        """The polynomial with every coefficient complex-conjugated; a
+        polynomial over Q is its own conjugate.  Negating the imaginary
+        numerators keeps the encoding canonical, so nothing is reduced."""
+        if self._im is None:
+            return self
+        p = object.__new__(Polynomial)
+        p._re, p._im, p._den = self._re, tuple(-y for y in self._im), self._den
         return p
 
     @classmethod

@@ -20,7 +20,8 @@ the numerators of the known beta_k over their one common denominator (the
 layout of ``exact_core.Polynomial``), reduced once per new beta_n.  The
 memo is one snapshot of the betas, those numerators, that denominator and
 the last row of Pascal's triangle, so callers that step n upward pay one
-new term per step, not a pass over the whole prefix.
+new term per step, not a pass over the whole prefix.  ``bernoulli_poly``
+builds B_n(X) from those numerators, with no Fraction per coefficient.
 
 The sine/cosine/exponential reference series are generated from
 factorials, not hardcoded, so any truncation order is available.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import add, mul
 
-from .exact_core import Polynomial, TruncatedSeries
+from .exact_core import Polynomial, TruncatedSeries, _linear_combination
 
 # The recurrence's state after beta_0 .. beta_m for the largest m requested
 # so far in this process: (betas, nums, den, binom) with nums the numerators
@@ -86,21 +87,27 @@ _B_POLY = {}
 
 
 def bernoulli_poly(n: int) -> Polynomial:
-    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k, built once per process."""
+    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k, built once per process
+    from the memo's integer numerators of the betas, reduced once."""
     p = _B_POLY.get(n)
     if p is None:
-        beta = bernoulli_numbers(n)
-        p = _B_POLY[n] = Polynomial([comb(n, k) * beta[n - k] for k in range(n + 1)])
+        bernoulli_numbers(n)  # extends the memo to beta_n
+        _, nums, den, _ = _MEMO
+        p = _B_POLY[n] = Polynomial.from_integers(
+            [comb(n, k) * nums[n - k] for k in range(n + 1)], den)
     return p
 
 
 def euler_poly(n: int) -> Polynomial:
-    """E_n(X) = 2**(n+1)/(n+1) * [B_{n+1}(X/2 + 1/2) - B_{n+1}(X/2)]."""
+    """E_n(X) = 2**(n+1)/(n+1) * [B_{n+1}(X/2 + 1/2) - B_{n+1}(X/2)], the
+    scaled difference summed as one row."""
     _require_index(n)
     b = bernoulli_poly(n + 1)
     half = Fraction(1, 2)
-    diff = b.compose_affine(half, half) - b.compose_affine(half, 0)
-    return diff * Fraction(2 ** (n + 1), n + 1)
+    scale = 2 ** (n + 1)
+    return _linear_combination(
+        ((scale, b.compose_affine(half, half)), (-scale, b.compose_affine(half, 0))),
+        n + 1)
 
 
 def cosecant_number(n: int) -> Fraction:

@@ -10,6 +10,7 @@ import pytest
 
 from acpolys.ac_families import (
     FAMILY_ROUTES,
+    ACFamily,
     REFERENCE_A,
     REFERENCE_C,
     build_a_by_residue_recurrence,
@@ -149,6 +150,65 @@ class TestExactIdentities:
         lhs = a2 + GOLDEN_C[2]
         rhs = Polynomial([0, 0, -I, 1])
         assert lhs == rhs
+
+    def test_shift_identities_on_a_family_over_q_i(self):
+        # i*X^3 added to A_4 and i*X^2 to C_5: neither is its own
+        # conjugate, so each must be shifted by -i, not conjugated.
+        base = build_by_recurrence(8)
+        a_polys, c_polys = list(base.a_polys), list(base.c_polys)
+        a_polys[4] = a_polys[4] + Polynomial.monomial(3, I)
+        c_polys[5] = c_polys[5] + Polynomial.monomial(2, I)
+        family = ACFamily(tuple(a_polys), tuple(c_polys), base.route)
+        got = [(c.id, c.status, str(c.lhs), str(c.rhs))
+               for c in check_difference_identities(family)]
+        assert got == [
+            ("shift_minus_sum/n=0", "pass", "X - i", "X - i"),
+            ("shift_plus_sum/n=0", "pass", "X + i", "X + i"),
+            ("a_central_difference/n=0", "pass", "2*i", "2*i"),
+            ("c_central_difference/n=0", "pass", "0", "0"),
+            ("shift_minus_sum/n=1", "pass", "X^2 - i*X", "X^2 - i*X"),
+            ("shift_plus_sum/n=1", "pass", "X^2 + i*X", "X^2 + i*X"),
+            ("a_central_difference/n=1", "pass", "2*i*X", "2*i*X"),
+            ("c_central_difference/n=1", "pass", "2*i*X", "2*i*X"),
+            ("shift_minus_sum/n=2", "pass", "X^3 - i*X^2", "X^3 - i*X^2"),
+            ("shift_plus_sum/n=2", "pass", "X^3 + i*X^2", "X^3 + i*X^2"),
+            ("a_central_difference/n=2", "pass", "2*i*X^2", "2*i*X^2"),
+            ("c_central_difference/n=2", "pass", "4*i*X^2", "4*i*X^2"),
+            ("shift_minus_sum/n=3", "pass", "X^4 - i*X^3", "X^4 - i*X^3"),
+            ("shift_plus_sum/n=3", "pass", "X^4 + i*X^3", "X^4 + i*X^3"),
+            ("a_central_difference/n=3", "pass", "2*i*X^3", "2*i*X^3"),
+            ("c_central_difference/n=3", "pass", "6*i*X^3 - 2*i*X", "6*i*X^3 - 2*i*X"),
+            ("shift_minus_sum/n=4", "fail",
+             "X^5 - i*X^4 + i*X^3 + 3*X^2 - 3*i*X - 1", "X^5 - i*X^4"),
+            ("shift_plus_sum/n=4", "fail",
+             "X^5 + i*X^4 + i*X^3 - 3*X^2 - 3*i*X + 1", "X^5 + i*X^4"),
+            ("a_central_difference/n=4", "fail", "2*i*X^4 - 6*X^2 + 2", "2*i*X^4"),
+            ("c_central_difference/n=4", "pass", "8*i*X^4 - 8*i*X^2", "8*i*X^4 - 8*i*X^2"),
+            ("shift_minus_sum/n=5", "fail", "X^6 - i*X^5 + i*X^2", "X^6 - i*X^5"),
+            ("shift_plus_sum/n=5", "fail", "X^6 + i*X^5 + i*X^2", "X^6 + i*X^5"),
+            ("a_central_difference/n=5", "pass", "2*i*X^5", "2*i*X^5"),
+            ("c_central_difference/n=5", "fail",
+             "10*i*X^5 - 20*i*X^3 + (-4+2*i)*X",
+             "10*i*X^5 - 20*i*X^3 + 2*i*X"),
+            ("shift_minus_sum/n=6", "pass", "X^7 - i*X^6", "X^7 - i*X^6"),
+            ("shift_plus_sum/n=6", "pass", "X^7 + i*X^6", "X^7 + i*X^6"),
+            ("a_central_difference/n=6", "pass", "2*i*X^6", "2*i*X^6"),
+            ("c_central_difference/n=6", "pass",
+             "12*i*X^6 - 40*i*X^4 + 12*i*X^2",
+             "12*i*X^6 - 40*i*X^4 + 12*i*X^2"),
+            ("shift_minus_sum/n=7", "pass", "X^8 - i*X^7", "X^8 - i*X^7"),
+            ("shift_plus_sum/n=7", "pass", "X^8 + i*X^7", "X^8 + i*X^7"),
+            ("a_central_difference/n=7", "pass", "2*i*X^7", "2*i*X^7"),
+            ("c_central_difference/n=7", "pass",
+             "14*i*X^7 - 70*i*X^5 + 42*i*X^3 - 2*i*X",
+             "14*i*X^7 - 70*i*X^5 + 42*i*X^3 - 2*i*X"),
+            ("shift_minus_sum/n=8", "pass", "X^9 - i*X^8", "X^9 - i*X^8"),
+            ("shift_plus_sum/n=8", "pass", "X^9 + i*X^8", "X^9 + i*X^8"),
+            ("a_central_difference/n=8", "pass", "2*i*X^8", "2*i*X^8"),
+            ("c_central_difference/n=8", "pass",
+             "16*i*X^8 - 112*i*X^6 + 112*i*X^4 - 16*i*X^2",
+             "16*i*X^8 - 112*i*X^6 + 112*i*X^4 - 16*i*X^2"),
+        ]
 
     def test_euler_identity(self, family):
         checks = check_euler_identity(family)

@@ -162,6 +162,20 @@ class TestGaussianRational:
         with pytest.raises(TypeError, match="not an exact scalar"):
             GaussianRational(1, part)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_not_exact_scalars(self, flag):
+        # Fraction(True) is 1; like scalar_from_json, every entry point
+        # rejects a bool rather than read it as 0 or 1.
+        for build in (lambda: GaussianRational(flag), lambda: GaussianRational(1, flag),
+                      lambda: Polynomial([flag]), lambda: Polynomial([HALF, flag]),
+                      lambda: X * flag, lambda: flag * X,
+                      lambda: Polynomial.monomial(2, flag)):
+            with pytest.raises(TypeError, match=f"^not an exact scalar: {flag}$"):
+                build()
+        assert GaussianRational(1) != flag
+        with pytest.raises(TypeError):
+            I + flag
+
     @pytest.mark.parametrize("re, im", [(3, -2), (HALF, Fraction(-4, 6)), (0, HALF)])
     def test_constructor_accepts_int_and_fraction_parts(self, re, im):
         z = GaussianRational(re, im)
@@ -347,6 +361,22 @@ class TestPolynomial:
             assert_canonical(got)
         with pytest.raises(ValueError):
             p.shifted(-1)
+
+    @given(gaussian_polys_st)
+    @settings(max_examples=60)
+    def test_conjugate_conjugates_every_coefficient(self, p):
+        got = p.conjugate()
+        assert got.coeffs == tuple(conj(c) if isinstance(c, GaussianRational) else c
+                                   for c in p.coeffs)
+        assert_canonical(got)
+        assert got.conjugate() == p
+        assert (got == p) == (not is_gaussian(p))
+
+    @given(polys_st)
+    @settings(max_examples=40)
+    def test_conjugate_of_a_shift_by_i_is_the_shift_by_minus_i(self, p):
+        # conj(p(X+i)) is conj(p)(X-i), which is p(X-i) for p over Q.
+        assert p.compose_affine(1, I).conjugate() == p.compose_affine(1, -I)
 
     def test_x_constant(self):
         assert X == Polynomial([0, 1])

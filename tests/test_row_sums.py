@@ -9,6 +9,14 @@ as the reference for those rows, the way ``build_uv_fractions`` in
 ``build_by_coefficient_formula`` builds each row as integers over one
 denominator; ``coefficient_formula_per_coefficient`` keeps its
 per-coefficient ``Fraction`` products.
+
+The shift identities shift each real polynomial by i once and conjugate;
+``difference_identities_four_shifts`` keeps the two ``compose_affine``
+calls per polynomial.  The closed-form route, the Euler polynomials and
+the Bernoulli polynomials build each row as one sum;
+``closed_form_by_operators``, ``euler_poly_by_operators`` and
+``bernoulli_poly_from_fractions`` keep the ``-``, ``*`` and ``+`` chains
+and the per-coefficient ``Fraction`` products they replaced.
 """
 
 import re
@@ -21,10 +29,14 @@ from hypothesis import strategies as st
 
 from acpolys import ac_families
 from acpolys.ac_families import (
+    ACFamily,
+    ROUTE_CLOSED_FORM,
     build_a_by_residue_recurrence,
+    build_by_closed_form,
     build_by_coefficient_formula,
     build_by_generating_function,
     build_by_recurrence,
+    check_difference_identities,
 )
 from acpolys.exact_core import (
     I,
@@ -34,12 +46,15 @@ from acpolys.exact_core import (
     TruncatedSeries,
     X,
 )
+from acpolys.report import exact_check
 from acpolys.special_numbers import (
     bernoulli_numbers,
     bernoulli_numbers_series,
+    bernoulli_poly,
     cos_series,
     cosecant_number,
     cosecant_numbers_series,
+    euler_poly,
     exp_series,
     exp_xt_series,
     sin_series,
@@ -155,6 +170,68 @@ def coefficient_formula_per_coefficient(n_max):
     return a_list, c_list
 
 
+def difference_identities_four_shifts(family):
+    """check_difference_identities with A_n and C_n each shifted by +i and
+    by -i, and (X-i)**n built alongside (X+i)**n."""
+    checks = []
+    x_plus_i = Polynomial([I, 1])
+    x_minus_i = Polynomial([-I, 1])
+    pow_plus = Polynomial([1])
+    pow_minus = Polynomial([1])
+    for n in range(family.max_n + 1):
+        a_n, c_n = family.a(n), family.c(n)
+        a_shift_minus = a_n.compose_affine(1, -I)
+        a_shift_plus = a_n.compose_affine(1, I)
+        checks.append(exact_check(
+            f"shift_minus_sum/n={n}", f"A_{n}(X-i) + C_{n}(X) = (X-i) X^{n}",
+            a_shift_minus + c_n, Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)))
+        checks.append(exact_check(
+            f"shift_plus_sum/n={n}", f"A_{n}(X+i) + C_{n}(X) = (X+i) X^{n}",
+            a_shift_plus + c_n, Polynomial.monomial(n + 1) + Polynomial.monomial(n, I)))
+        checks.append(exact_check(
+            f"a_central_difference/n={n}", f"A_{n}(X+i) - A_{n}(X-i) = 2i X^{n}",
+            a_shift_plus - a_shift_minus, Polynomial.monomial(n, TWO_I)))
+        checks.append(exact_check(
+            f"c_central_difference/n={n}",
+            f"C_{n}(X+i) - C_{n}(X-i) = X[(X+i)^{n} - (X-i)^{n}]",
+            c_n.compose_affine(1, I) - c_n.compose_affine(1, -I),
+            (pow_plus - pow_minus) * X))
+        pow_plus = pow_plus * x_plus_i
+        pow_minus = pow_minus * x_minus_i
+    return checks
+
+
+def closed_form_by_operators(n_max):
+    """build_by_closed_form with each row a chain of ``-``, ``*`` and ``+``."""
+    half = Fraction(1, 2)
+    inv_2i = GaussianRational(0, Fraction(-1, 2))
+    a_list, c_list = [], []
+    for n in range(n_max + 1):
+        b = bernoulli_poly(n + 1)
+        b_at_half = Polynomial([b(half)])
+        factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
+        a_gauss = (b.compose_affine(inv_2i, half) - b_at_half) * factor
+        a_list.append(a_gauss.rational_coefficients())
+        tail = Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)
+        c_gauss = (b_at_half - b.compose_affine(inv_2i, 0)) * factor + tail
+        c_list.append(c_gauss.rational_coefficients())
+    return ACFamily(tuple(a_list), tuple(c_list), ROUTE_CLOSED_FORM)
+
+
+def euler_poly_by_operators(n):
+    """E_n as two compose_affine calls, a ``-`` and a ``*``."""
+    b = bernoulli_poly(n + 1)
+    half = Fraction(1, 2)
+    diff = b.compose_affine(half, half) - b.compose_affine(half, 0)
+    return diff * Fraction(2 ** (n + 1), n + 1)
+
+
+def bernoulli_poly_from_fractions(n):
+    """B_n with one Fraction product per coefficient."""
+    beta = bernoulli_numbers(n)
+    return Polynomial([comb(n, k) * beta[n - k] for k in range(n + 1)])
+
+
 def scaled_constants(quotient, n_max):
     return [factorial(n) * Fraction(quotient.coefficient(n).coefficient(0))
             for n in range(n_max + 1)]
@@ -208,6 +285,40 @@ def test_coefficient_formula_rows_equal_per_coefficient_products():
         assert family.a_polys == tuple(a_ref[:n_max + 1]), n_max
         assert family.c_polys == tuple(c_ref[:n_max + 1]), n_max
     assert all(type(c) is Fraction for p in family.c_polys for c in p.coeffs)
+
+
+def test_difference_identities_equal_four_shift_checks():
+    reference = difference_identities_four_shifts(build_by_recurrence(CHECKED_MAX_SMALL))
+    for n_max in range(CHECKED_MAX_SMALL + 1):
+        got = check_difference_identities(build_by_recurrence(n_max))
+        assert got == reference[:4 * (n_max + 1)], n_max
+
+
+def test_difference_identities_equal_four_shift_checks_over_q_i():
+    # A family that is not real: conjugation must not stand in for -i.
+    base = build_by_recurrence(10)
+    a_polys, c_polys = list(base.a_polys), list(base.c_polys)
+    for n in (2, 5, 9):
+        a_polys[n] = a_polys[n] + Polynomial.monomial(n - 1, GaussianRational(1, 2))
+        c_polys[n] = c_polys[n] * I
+    family = ACFamily(tuple(a_polys), tuple(c_polys), base.route)
+    assert check_difference_identities(family) == difference_identities_four_shifts(family)
+
+
+def test_closed_form_rows_equal_operator_chains():
+    reference = closed_form_by_operators(CHECKED_MAX_SMALL)
+    for n_max in range(CHECKED_MAX_SMALL + 1):
+        family = build_by_closed_form(n_max)
+        assert family.a_polys == reference.a_polys[:n_max + 1], n_max
+        assert family.c_polys == reference.c_polys[:n_max + 1], n_max
+    assert family == reference
+
+
+def test_euler_and_bernoulli_polys_equal_operator_chains():
+    for n in range(CHECKED_MAX_SMALL + 1):
+        assert euler_poly(n) == euler_poly_by_operators(n), n
+        assert bernoulli_poly(n) == bernoulli_poly_from_fractions(n), n
+        assert all(type(c) is Fraction for c in bernoulli_poly(n).coeffs)
 
 
 def test_special_number_quotients_equal_per_term_loop():
