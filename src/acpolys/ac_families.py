@@ -31,6 +31,7 @@ from .exact_core import (
     TWO_I,
     GaussianRational,
     Polynomial,
+    Triangle,
     TruncatedSeries,
     X,
     _gaussian_integer_over,
@@ -96,10 +97,11 @@ class ACFamily(NamedTuple):
 
 
 class CoeffTables(NamedTuple):
-    """Triangles alpha_n^k (from A_n) and lam_n^k (from C_n), 0 <= k <= n+1."""
+    """Triangles alpha_n^k (from A_n) and lam_n^k (from C_n), 0 <= k <= n+1:
+    read-only (n, k) views over the family's polynomials (``Triangle``)."""
 
-    alpha: dict
-    lam: dict
+    alpha: Triangle
+    lam: Triangle
 
 
 def build_by_recurrence(n_max: int) -> ACFamily:
@@ -232,14 +234,15 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     seeded with A_0 = X.  Each row is one integer sum over the divisor n+2
     reduced once (``_linear_combination``): its scalars are the integers
     binom(n+2, k) times the Gaussian-integer numerators of (2i)**(n+1-k),
-    computed once per call.  Raises ValueError on any nonzero imaginary
-    residue (the recurrence provably stays real).
+    computed once per call.  (X+i)**(n+3) is the two-term row
+    X (X+i)**(n+2) + i (X+i)**(n+2), a shift and a scaling, not a product.
+    Raises ValueError on any nonzero imaginary residue (the recurrence
+    provably stays real).
     """
     _require_n_max(n_max)
     a_gauss = [X]
     one = Polynomial([1])
-    x_plus_i = Polynomial([I, 1])
-    power = x_plus_i * x_plus_i  # (X+i)**(n+2) for the current step
+    power = Polynomial([-1, TWO_I, 1])  # (X+i)**(n+2), from (X+i)**2
     # (2i)**m as (re, im, den), integers with (2i)**m == (re + im*i)/den.
     two_i_powers = [_gaussian_integer_over(TWO_I ** m) for m in range(n_max + 1)]
     for n in range(n_max):
@@ -249,7 +252,7 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
             re, im, den = two_i_powers[n + 1 - k]
             terms.append(((c * re, c * im, den), a_gauss[k]))
         a_gauss.append(_linear_combination(terms, n + 2))
-        power = power * x_plus_i
+        power = _linear_combination(((1, power.shifted(1)), (I, power)))
     return [p.rational_coefficients() for p in a_gauss]
 
 
@@ -503,8 +506,14 @@ def _parity_check(p: Polynomial, n: int, letter: str, has_constant: bool) -> Che
     )
 
 
+def _triangle_columns(n: int) -> range:
+    """The powers k of row n of the alpha and lambda triangles."""
+    return range(n + 2)
+
+
 def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
-    """Read the alpha (from A_n) and lambda (from C_n) triangles off the family.
+    """The alpha (from A_n) and lambda (from C_n) triangles of the family,
+    as views over its polynomials: each entry is read, and built, on lookup.
 
     Also re-verifies the tangent expansion of A_n + C_n exactly for each n
     and raises ValueError if it fails, so a corrupted family cannot yield
@@ -513,14 +522,9 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     failures = [c for c in check_tangent_expansion(family) if c.status != PASS]
     if failures:
         raise ValueError(f"tangent expansion failed: {failures[0].id}")
-    alpha = {}
-    lam = {}
-    for n in range(family.max_n + 1):
-        a_n, c_n = family.a(n), family.c(n)
-        for k in range(n + 2):
-            alpha[(n, k)] = a_n.coefficient(k)
-            lam[(n, k)] = c_n.coefficient(k)
-    return CoeffTables(alpha, lam)
+    ns = range(family.max_n + 1)
+    return CoeffTables(Triangle(family.a_polys, ns, _triangle_columns),
+                       Triangle(family.c_polys, ns, _triangle_columns))
 
 
 def _ref(*coeffs) -> Polynomial:

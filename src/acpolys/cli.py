@@ -14,6 +14,12 @@ only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
 error (an unexpected exception) or output that could not be written, each
 reported on one stderr line.
 
+Each subcommand returns its exit code and its output as chunks, strings
+whose concatenation is the whole stdout, and ``run`` writes and flushes
+them one at a time: ``coeffs`` yields one triangle row n per chunk, so no
+table is held as text.  What can fail (a family, its tangent guard,
+``build_uv``) runs before the first chunk, so exit 2 leaves stdout empty.
+
 ``selftest`` runs its integral suites in one forked worker process while
 the exact suites run in the parent; the worker inherits the run's family
 and sends back only its report.  An exception in the worker is raised in
@@ -50,7 +56,7 @@ from .ac_families import (
     lambda_alpha_tables,
 )
 from .exact_core import Polynomial, format_rational, poly_to_json
-from .generalized_uv import build_uv, check_uv_consistency, row_width
+from .generalized_uv import build_uv, check_uv_consistency
 from .report import (
     EXIT_CHECK_FAILED,
     EXIT_NO_CONVERGENCE,
@@ -81,9 +87,7 @@ def canonical_json(obj) -> str:
 
 def emit_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -137,7 +141,7 @@ def latex_polynomial(p: Polynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.  Each returns (exit_code, output_text).
+# Subcommand implementations.  Each returns (exit_code, chunks).
 
 
 def _cmd_poly(args) -> tuple:
@@ -156,11 +160,11 @@ def _cmd_poly(args) -> tuple:
             "route": args.route,
             "coefficients": poly_to_json(p),
         }
-        return EXIT_OK, canonical_json(doc)
+        return EXIT_OK, _printed(canonical_json(doc))
     if args.format == "csv":
         rows = [(k, format_rational(c)) for k, c in enumerate(p.coeffs)]
-        return EXIT_OK, emit_csv(rows)
-    return EXIT_OK, latex_polynomial(p)
+        return EXIT_OK, _printed(emit_csv(rows))
+    return EXIT_OK, _printed(latex_polynomial(p))
 
 
 _NUMBER_KINDS = {"cosecant": cosecant_number, "tangent": tangent_half_coeff}
@@ -178,65 +182,52 @@ def _cmd_numbers(args) -> tuple:
             "max_n": args.max_n,
             "values": [format_rational(v) for v in values],
         }
-        return EXIT_OK, canonical_json(doc)
+        return EXIT_OK, _printed(canonical_json(doc))
     rows = [(n, format_rational(v)) for n, v in enumerate(values)]
-    return EXIT_OK, emit_csv(rows)
+    return EXIT_OK, _printed(emit_csv(rows))
 
 
 def _cmd_coeffs(args) -> tuple:
+    """One chunk per triangle row n, rendered from the tables' views.  The
+    family, its tangent guard and ``build_uv`` run here, before ``run``
+    writes the first chunk."""
+    max_n = args.max_n
+    if args.table == "uv":  # first: the first row n and the first column k
+        uv = build_uv(max_n)
+        left, right, first = uv.u, uv.v, 1
+    else:
+        tables = lambda_alpha_tables(build_by_recurrence(max_n))
+        left, right, first = tables.alpha, tables.lam, 0
+    rows = ((n, left.formatted_row(n), right.formatted_row(n))
+            for n in range(first, max_n + 1))
+    if args.format == "csv":  # integers and "p/q" strings: nothing to quote
+        return EXIT_OK, ("".join(f"{n},{k},{x},{y}\n"
+                                 for k, (x, y) in enumerate(zip(xs, ys), first))
+                         for n, xs, ys in rows)
     if args.table == "uv":
-        uv = build_uv(args.max_n)
-        entries = [
-            (n, k, uv.u[(n, k)], uv.v[(n, k)])
-            for n in range(1, args.max_n + 1)
-            for k in range(1, row_width(n) + 1)
-        ]
-        if args.format == "json":
-            doc = {
-                "table": "uv",
-                "max_n": args.max_n,
-                "rows": [
-                    {"n": n, "k": k, "u": format_rational(u), "v": format_rational(v)}
-                    for n, k, u, v in entries
-                ],
-            }
-            return EXIT_OK, canonical_json(doc)
-        rows = [
-            (n, k, format_rational(u), format_rational(v))
-            for n, k, u, v in entries
-        ]
-        return EXIT_OK, emit_csv(rows)
+        rows = (canonical_json([{"n": n, "k": k, "u": x, "v": y}
+                                for k, (x, y) in enumerate(zip(xs, ys), first)])[1:-1]
+                for n, xs, ys in rows)
+    else:
+        rows = (canonical_json({"n": n, "alpha": xs, "lambda": ys}) for n, xs, ys in rows)
+    return EXIT_OK, _json_chunks({"table": args.table, "max_n": max_n}, rows)
 
-    tables = lambda_alpha_tables(build_by_recurrence(args.max_n))
-    if args.format == "json":
-        doc = {
-            "table": "alpha-lambda",
-            "max_n": args.max_n,
-            "rows": [
-                {
-                    "n": n,
-                    "alpha": [
-                        format_rational(tables.alpha[(n, k)]) for k in range(n + 2)
-                    ],
-                    "lambda": [
-                        format_rational(tables.lam[(n, k)]) for k in range(n + 2)
-                    ],
-                }
-                for n in range(args.max_n + 1)
-            ],
-        }
-        return EXIT_OK, canonical_json(doc)
-    rows = [
-        (
-            n,
-            k,
-            format_rational(tables.alpha[(n, k)]),
-            format_rational(tables.lam[(n, k)]),
-        )
-        for n in range(args.max_n + 1)
-        for k in range(n + 2)
-    ]
-    return EXIT_OK, emit_csv(rows)
+
+def _json_chunks(doc: dict, rows):
+    """``canonical_json`` of ``doc`` with its "rows" list, as ``print``
+    writes it, in chunks: the text before the list, each row's canonical
+    JSON (``rows`` yields them), then the text after."""
+    head, tail = canonical_json({**doc, "rows": []}).split("[]")
+    yield head + "["
+    for i, row in enumerate(rows):
+        yield "," + row if i else row
+    yield "]" + tail + "\n"
+
+
+def _printed(text: str) -> tuple:
+    """``text`` as chunks, with the newline ``print`` adds; none for an empty
+    text, which writes nothing."""
+    return (text + "\n",) if text else ()
 
 
 def _report_rows(report: VerificationReport) -> list:
@@ -280,8 +271,8 @@ def _cmd_verify(args) -> tuple:
         max_n = min(max_n, _operator_lab().INTEGRALS_MAX_N)  # they read no more
     report = _suite_report(args.suite_name, args, build_by_recurrence(max_n))
     if args.format == "json":
-        return report.exit_code(), canonical_json(report.to_json_dict())
-    return report.exit_code(), emit_csv(_report_rows(report))
+        return report.exit_code(), _printed(canonical_json(report.to_json_dict()))
+    return report.exit_code(), _printed(emit_csv(_report_rows(report)))
 
 
 def _beside(here, there) -> tuple:
@@ -366,8 +357,8 @@ def _cmd_selftest(args) -> tuple:
             "reports": [r.to_json_dict() for r in reports],
             "summary": joined.counts,
         }
-        return code, canonical_json(doc)
-    return code, emit_csv(row for r in reports for row in _report_rows(r))
+        return code, _printed(canonical_json(doc))
+    return code, _printed(emit_csv(row for r in reports for row in _report_rows(r)))
 
 
 def _checked(convert, accept, expected: str):
@@ -463,24 +454,26 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    """Parse argv, execute, print the result; returns the exit code."""
+    """Parse argv, execute, write the command's chunks to stdout, each one
+    flushed; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, output = _DISPATCH[args.command](args)
+        code, chunks = _DISPATCH[args.command](args)
+        for chunk in chunks:
+            try:
+                if sys.stdout is None:  # the process started with fd 1 closed
+                    raise OSError("stdout is closed")
+                sys.stdout.write(chunk)
+                sys.stdout.flush()
+            except OSError as exc:  # a full disk, a pipe closed by its reader
+                code = _complain(f"acpolys: error: cannot write output: {exc}", EXIT_INTERNAL)
+                _discard_stdout()
+                return code
     except ValueError as exc:
         return _complain(f"acpolys: error: {exc}", EXIT_USAGE)
     except Exception as exc:  # a bug: keep exit 1 meaning "a check failed"
         return _complain(f"acpolys: internal error: {exc!r}", EXIT_INTERNAL)
-    if output:
-        try:
-            if sys.stdout is None:  # the process started with fd 1 closed
-                raise OSError("stdout is closed")
-            print(output)
-            sys.stdout.flush()
-        except OSError as exc:  # a full disk, a pipe closed by its reader
-            code = _complain(f"acpolys: error: cannot write output: {exc}", EXIT_INTERNAL)
-            _discard_stdout()
     return code
 
 

@@ -4,30 +4,22 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always stored
 reduced with a positive denominator) or :class:`GaussianRational`, a pair
 of Fractions representing ``re + im*i``, i.e. an element of the field Q(i).
 
-:class:`Polynomial` is a dense polynomial over Q or Q(i) stored as
-integers: the numerators of its coefficients, lowest degree first, over one
-positive common denominator, with the highest stored coefficient nonzero
-and the whole reduced by its gcd (FLINT's ``fmpq_poly`` layout).  Its
-arithmetic is integer vector arithmetic, reduced once per operation, and
-Fraction/GaussianRational coefficients are built only when read or
-printed.  Each value has one encoding: the imaginary vector is stored
-only when it is nonzero, so every coefficient of a polynomial is a
-GaussianRational exactly when some coefficient has a nonzero imaginary
-part, and a Fraction otherwise, however the polynomial was built.
-The layout belongs to this module alone: other modules read and build
-polynomials over Q as integers through ``Polynomial.from_integers``,
-``integers`` and ``shifted``, or as scalars through the coefficients.
-:class:`TruncatedSeries` is a vector of polynomials in x
-indexed by the power of t, exact modulo t**(order+1).
+:class:`Polynomial` is a dense polynomial over Q or Q(i) stored as integer
+numerators over one common denominator (FLINT's ``fmpq_poly`` layout; see
+the class).  Its arithmetic is integer vector arithmetic, and scalars are
+built only when a coefficient is read or printed.  The layout belongs to
+this module alone: other modules read and build polynomials over Q as
+integers through ``Polynomial.from_integers``, ``integers`` and
+``shifted``, or as scalars through the coefficients.  :class:`Triangle` is
+a read-only (n, k) table over rows of polynomials, and
+:class:`TruncatedSeries` a vector of polynomials in x indexed by the power
+of t, exact modulo t**(order+1).
 
-A sum of scaled polynomials, sum_k s_k * p_k, is reduced once as a whole
-(``_linear_combination``): each factor becomes Gaussian-integer numerators
-once, the term vectors are added as integers over the lcm of the term
-denominators, and one gcd reduction ends the row.  ``+`` and ``-`` are its
-two-term case, ``*`` and unary ``-`` its one-term case; the recurrence,
-residue and closed-form routes and the Euler check of ``ac_families``,
-``special_numbers.euler_poly``, the u/v triangles of ``generalized_uv``
-and the series product and quotient sum each of their rows with it.
+A sum of scaled polynomials, sum_k s_k * p_k, is one integer row reduced
+once (``_linear_combination``); ``+``, ``-``, ``*`` and unary ``-`` are its
+cases, and the routes and checks of ``ac_families``, ``special_numbers``
+and ``generalized_uv`` and the series product and quotient sum each of
+their rows with it.
 
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
@@ -36,10 +28,11 @@ share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -402,9 +395,6 @@ class Polynomial:
             return re
         return GaussianRational(re, Fraction(self._im[k], self._den))
 
-    def _zero_scalar(self) -> Scalar:
-        return Fraction(0) if self._im is None else GaussianRational(0)
-
     @property
     def coeffs(self) -> tuple:
         return tuple(self._scalar(k) for k in range(len(self._re)))
@@ -421,11 +411,11 @@ class Polynomial:
         """The coefficient of X**power (zero beyond the degree)."""
         if 0 <= power < len(self._re):
             return self._scalar(power)
-        return self._zero_scalar()
+        return Fraction(0) if self._im is None else GaussianRational(0)
 
     def leading(self) -> Scalar:
         """The highest nonzero coefficient; zero for the zero polynomial."""
-        return self._scalar(-1) if self._re else self._zero_scalar()
+        return self.coefficient(self.degree)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -523,43 +513,32 @@ class Polynomial:
         return self
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
         pieces = []
+        coeffs = self.coeffs
         for power in range(len(coeffs) - 1, -1, -1):
             c = coeffs[power]
             if not c:
                 continue
-            # Pull a minus sign out of coefficients with a definite sign
-            # (rationals, and Gaussian values on either axis) so the
-            # rendering reads "- q*X^k" rather than "+ -q*X^k".
-            if isinstance(c, GaussianRational):
-                if c.im == 0:
-                    negative = c.re < 0
-                elif c.re == 0:
-                    negative = c.im < 0
-                else:
-                    negative = False
-            else:
-                negative = c < 0
+            # Pull a minus sign out of a coefficient with a definite sign (a
+            # rational, or a Gaussian value on either axis), so the rendering
+            # reads "- q*X^k" rather than "+ -q*X^k".
+            re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+            negative = re < 0 if not im else not re and im < 0
             mag = -c if negative else c
             if power == 0:
-                body = f"{mag}"
+                body = str(mag)
             else:
                 var = "X" if power == 1 else f"X^{power}"
-                mag_str = str(mag)
                 if mag == 1:
                     body = var
-                elif isinstance(mag, GaussianRational) and mag.re != 0 and mag.im != 0:
-                    body = f"({mag_str})*{var}"
                 else:
-                    body = f"{mag_str}*{var}"
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(pieces)
+                    body = f"({mag})*{var}" if re and im else f"{mag}*{var}"
+            if pieces:
+                body = ("- " if negative else "+ ") + body
+            elif negative:
+                body = "-" + body
+            pieces.append(body)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -632,6 +611,45 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
 X = Polynomial([0, 1])
 
 
+class Triangle(Mapping):
+    """A read-only view (n, k) -> the coefficient of X**k in ``rows[n]``,
+    for n in the range ``ns`` and k in the range ``columns(n)``.  It holds
+    no scalar: a lookup builds the coefficient (a Fraction for a row over
+    Q), a key outside the triangle is a KeyError, keys iterate n-major and
+    k ascending, and the view compares equal to the dict of its items."""
+
+    __slots__ = ("_rows", "_ns", "_columns")
+
+    def __init__(self, rows: Sequence[Polynomial], ns: range, columns):
+        self._rows, self._ns, self._columns = rows, ns, columns
+
+    def __getitem__(self, key) -> Scalar:
+        try:
+            n, k = key
+            if n in self._ns and k in self._columns(n):
+                return self._rows[n].coefficient(k)
+        except (TypeError, ValueError):  # not a pair of integers
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((n, k) for n in self._ns for k in self._columns(n))
+
+    def __len__(self) -> int:
+        return sum(len(self._columns(n)) for n in self._ns)
+
+    def formatted_row(self, n: int) -> list:
+        """``format_rational`` of each entry of row n over Q, in column
+        order, from the row's integers: one gcd per entry, no Fraction."""
+        numerators, den = self._rows[n].integers()
+        out = []
+        for k in self._columns(n):
+            x = numerators[k] if k < len(numerators) else 0
+            g = gcd(x, den)
+            out.append(f"{x // g}" if g == den else f"{x // g}/{den // g}")
+        return out
+
+
 class TruncatedSeries:
     """Power series in t with Polynomial (in x) coefficients, truncated.
 
@@ -647,16 +665,9 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        polys = []
-        for c in coeffs:
-            if isinstance(c, Polynomial):
-                polys.append(c)
-            else:
-                polys.append(Polynomial([c]))
+        polys = [c if isinstance(c, Polynomial) else Polynomial([c]) for c in coeffs]
         if len(polys) > order + 1:
-            raise ValueError(
-                f"{len(polys)} coefficients exceed truncation order {order}"
-            )
+            raise ValueError(f"{len(polys)} coefficients exceed truncation order {order}")
         polys.extend(Polynomial() for _ in range(order + 1 - len(polys)))
         self._coeffs = tuple(polys)
 
@@ -689,28 +700,20 @@ class TruncatedSeries:
 
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
-            raise ValueError(
-                f"mixed truncation orders: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"mixed truncation orders: {self.order} vs {other.order}")
+
+    def _termwise(self, other, op):
+        """``op`` of the two series' coefficients, t-power by t-power."""
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_order(other)
+        return TruncatedSeries(list(map(op, self._coeffs, other._coeffs)), self.order)
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
+        return self._termwise(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs], self.order)
+        return self._termwise(other, sub)
 
     def __mul__(self, other):
         """Series product, each coefficient one row sum reduced once; or
@@ -778,9 +781,6 @@ class TruncatedSeries:
             return NotImplemented
         # Equal coefficient tuples are equally long: the same order.
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         parts = ", ".join(str(c) for c in self._coeffs)

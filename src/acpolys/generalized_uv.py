@@ -10,7 +10,8 @@ defines exact rational tables u, v on the index domain
 as two polynomials U_n = sum_k u_n^k Y**k and V_n = sum_k v_n^k Y**k in a
 variable Y, and each new row is one ``exact_core._linear_combination`` of
 earlier rows (see ``build_uv``): summed on integers over one denominator
-and reduced once.  The tables hold the rows' coefficients as ``Fraction``.
+and reduced once.  The tables are read-only (n, k) views over those rows
+(``exact_core.Triangle``), each entry a ``Fraction`` built on lookup.
 When c**2 = 1 the expansion collapses onto the A/C families, giving the
 cross-check u_n^k = (n+1) alpha_n^{n+1-2k} and v_n^k = (n+1) lam_n^{n+1-2k}
 (with the conventions u_n^0 = 1, v_n^0 = n matching alpha_n^{n+1} = 1/(n+1)
@@ -19,26 +20,33 @@ and lam_n^{n+1} = n/(n+1)).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .ac_families import ACFamily, _require_n_max
-from .exact_core import Polynomial, X as Y, _linear_combination
+from .exact_core import Polynomial, Triangle, X as Y, _linear_combination
 from .report import PASS, Check, exact_check
 
 
 class UVTables(NamedTuple):
-    """u and v keyed by (n, k), 1 <= k <= floor((n+1)/2), for 1 <= n <= max_n."""
+    """u and v keyed by (n, k), 1 <= k <= floor((n+1)/2), for 1 <= n <= max_n:
+    any mappings, ``build_uv``'s views over its rows or plain dicts."""
 
-    u: dict
-    v: dict
+    u: Mapping
+    v: Mapping
     max_n: int
 
 
 def row_width(n: int) -> int:
     """The number of stored entries in row n: floor((n+1)/2)."""
     return (n + 1) // 2
+
+
+def _uv_columns(n: int) -> range:
+    """The indices k of row n: 1 <= k <= floor((n+1)/2)."""
+    return range(1, row_width(n) + 1)
 
 
 def build_uv(n_max: int) -> UVTables:
@@ -60,8 +68,9 @@ def build_uv(n_max: int) -> UVTables:
     nothing is truncated; for odd n the term k = (n+1)/2 meets V_0 = 0.
     Each new row is one ``exact_core._linear_combination`` of integer
     scalars over d, the one denominator of W_n = sum_k w[k]/d Y**k, summed
-    on integers and reduced once; the tables read its coefficients.  Rows
-    start at n = 1, so ``build_uv(0)`` is empty.
+    on integers and reduced once.  The returned u and v are read-only
+    views (``Triangle``) over U_1..U_{n_max} and V_1..V_{n_max}; rows start
+    at n = 1, so ``build_uv(0)`` is empty.
     """
     _require_n_max(n_max)
     rows_u, rows_v = [Polynomial(), Polynomial()], [Polynomial(), Y]
@@ -80,12 +89,9 @@ def build_uv(n_max: int) -> UVTables:
         rows_u.append(_linear_combination(
             [(d, rows_u[n]), (d, wn),
              *((w[k], rows_u[n + 1 - 2 * k].shifted(k)) for k in range(1, len(w)))], d))
-    u, v = {}, {}
-    for n in range(1, n_max + 1):
-        for k in range(1, row_width(n) + 1):
-            u[(n, k)] = rows_u[n].coefficient(k)
-            v[(n, k)] = rows_v[n].coefficient(k)
-    return UVTables(u, v, n_max)
+    ns = range(1, n_max + 1)
+    return UVTables(Triangle(rows_u, ns, _uv_columns),
+                    Triangle(rows_v, ns, _uv_columns), n_max)
 
 
 def _scaled_check(check_id: str, description: str, value: Fraction,

@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 from acpolys import cli, operator_lab
 from acpolys.ac_families import build_by_recurrence
-from acpolys.cli import ALL_ROUTES, VERIFY_SUITES, canonical_json, latex_polynomial, run
+from acpolys.cli import (
+    ALL_ROUTES, VERIFY_SUITES, canonical_json, emit_csv, latex_polynomial, run)
 from acpolys.operator_lab import SUITES
-from acpolys.exact_core import Polynomial, poly_from_json, poly_to_json
+from acpolys.exact_core import Polynomial, format_rational, poly_from_json, poly_to_json
+from acpolys.generalized_uv import build_uv, row_width
 
 F = Fraction
 
@@ -156,6 +159,149 @@ class TestCoeffsCommand:
         row1 = doc["rows"][1]
         assert row1["alpha"] == ["0", "0", "1/2"]
         assert row1["lambda"] == ["1/2", "0", "1/2"]
+
+
+def coeffs_reference(table: str, max_n: int, fmt: str) -> str:
+    """The stdout of ``coeffs``, rendered as a dict of Fractions per table and
+    one document printed whole: the reference for the per-row chunks."""
+    if table == "uv":
+        uv = build_uv(max_n)
+        u, v = dict(uv.u), dict(uv.v)
+        entries = [(n, k, u[(n, k)], v[(n, k)])
+                   for n in range(1, max_n + 1) for k in range(1, row_width(n) + 1)]
+        if fmt == "json":
+            text = canonical_json({"table": "uv", "max_n": max_n, "rows": [
+                {"n": n, "k": k, "u": format_rational(x), "v": format_rational(y)}
+                for n, k, x, y in entries]})
+        else:
+            text = emit_csv((n, k, format_rational(x), format_rational(y))
+                            for n, k, x, y in entries)
+    else:
+        family = build_by_recurrence(max_n)
+        alpha = {(n, k): family.a(n).coefficient(k)
+                 for n in range(max_n + 1) for k in range(n + 2)}
+        lam = {(n, k): family.c(n).coefficient(k)
+               for n in range(max_n + 1) for k in range(n + 2)}
+        if fmt == "json":
+            text = canonical_json({"table": "alpha-lambda", "max_n": max_n, "rows": [
+                {"n": n,
+                 "alpha": [format_rational(alpha[(n, k)]) for k in range(n + 2)],
+                 "lambda": [format_rational(lam[(n, k)]) for k in range(n + 2)]}
+                for n in range(max_n + 1)]})
+        else:
+            text = emit_csv((n, k, format_rational(alpha[(n, k)]), format_rational(lam[(n, k)]))
+                            for n in range(max_n + 1) for k in range(n + 2))
+    return text + "\n" if text else ""
+
+
+def first_difference(out: str, expected: str) -> str:
+    """Where ``out`` first departs from ``expected``, with some context."""
+    at = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+              min(len(out), len(expected)))
+    return (f"byte {at} of {len(out)} (expected {len(expected)}): "
+            f"{out[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+
+
+class _Recording(io.StringIO):
+    """stdout that keeps each write, to count them."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class _Discarding(io.TextIOBase):
+    """stdout that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestCoeffsChunks:
+    """``coeffs`` writes its tables one triangle row at a time, rendered from
+    the tables' views, byte for byte as the whole-document rendering."""
+
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 61, 120])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", ["alpha-lambda", "uv"])
+    def test_rows_render_as_the_dict_tables_did(self, capsys, table, fmt, max_n):
+        code, out, err = invoke(capsys, "coeffs", table, "--max-n", str(max_n), "--format", fmt)
+        assert (code, err) == (0, "")
+        expected = coeffs_reference(table, max_n, fmt)
+        same = out == expected  # a diff of two long texts would take minutes
+        assert same, first_difference(out, expected)
+
+    @pytest.mark.parametrize("table, fmt, writes", [
+        ("alpha-lambda", "csv", 6),   # rows n = 0..5
+        ("alpha-lambda", "json", 8),  # the same, between the text before and after them
+        ("uv", "csv", 5),             # rows n = 1..5
+        ("uv", "json", 7),
+    ])
+    def test_one_write_per_row(self, table, fmt, writes):
+        stdout = _Recording()
+        with redirect_stdout(stdout):
+            code = run(["coeffs", table, "--max-n", "5", "--format", fmt])
+        assert code == 0
+        assert len(stdout.writes) == writes
+
+    def test_an_empty_table_prints_no_bytes(self, capsys):
+        assert invoke(capsys, "coeffs", "uv", "--max-n", "0", "--format", "csv") == (0, "", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "acpolys.cli", "coeffs", "uv", "--max-n", "0", "--format", "csv"],
+            env=_subprocess_env(), capture_output=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_tangent_guard_exits_two_with_nothing_written(
+            self, capsys, monkeypatch, fmt):
+        # The guard runs before the first chunk: C_3 + 1 breaks the tangent
+        # expansion at n = 3, and no row reaches stdout.
+        def corrupted(n_max):
+            family = build_by_recurrence(n_max)
+            cs = list(family.c_polys)
+            cs[3] = cs[3] + Polynomial([1])
+            return family._replace(c_polys=tuple(cs))
+
+        monkeypatch.setattr(cli, "build_by_recurrence", corrupted)
+        assert invoke(capsys, "coeffs", "alpha-lambda", "--max-n", "5", "--format", fmt) == (
+            cli.EXIT_USAGE, "", "acpolys: error: tangent expansion failed: tangent_expansion/n=3\n")
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (ValueError("bad row"), 2, "acpolys: error: bad row"),
+        (RuntimeError("boom"), 4, "acpolys: internal error: RuntimeError('boom')"),
+        # An OSError of the producer is a bug, not an output that cannot be written.
+        (OSError(5, "Input/output error"), 4,
+         "acpolys: internal error: OSError(5, 'Input/output error')"),
+    ])
+    @pytest.mark.parametrize("before", ["", "first row\n"])
+    def test_an_exception_while_chunks_are_produced(
+            self, capsys, monkeypatch, exc, code, line, before):
+        def chunks():
+            if before:
+                yield before
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "numbers", lambda args: (0, chunks()))
+        assert invoke(capsys, "numbers", "--kind", "bernoulli") == (code, before, line + "\n")
+
+    @pytest.mark.parametrize("table", ["alpha-lambda", "uv"])
+    def test_a_table_is_never_held_whole(self, table):
+        # With stdout discarded, the traced peak is the family and one row
+        # at a time: under 2 MB at N = 120, where the tables printed as one
+        # document peaked at about 6 MB.
+        tracemalloc.start()
+        try:
+            with redirect_stdout(_Discarding()):
+                code = run(["coeffs", table, "--max-n", "120", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
 
 class TestVerifyCommand:

@@ -21,6 +21,7 @@ from acpolys.exact_core import (
     Polynomial,
     TruncatedSeries,
     TWO_I,
+    Triangle,
     X,
     format_rational,
     poly_from_json,
@@ -733,6 +734,76 @@ class TestSerialization:
     @settings(max_examples=60)
     def test_gaussian_poly_round_trip(self, p):
         assert poly_from_json(poly_to_json(p)) == p
+
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "0"),
+        ([Fraction(-1, 2)], "-1/2"),
+        ([0, -1], "-X"),
+        ([1, 0, -3, Fraction(2, 5)], "2/5*X^3 - 3*X^2 + 1"),
+        ([-I, 2, I], "i*X^2 + 2*X - i"),
+        ([GaussianRational(1, 1), GaussianRational(-1, -2), GaussianRational(0, -3), 1],
+         "X^3 - 3*i*X^2 + (-1-2*i)*X + 1+i"),
+        ([-2, GaussianRational(1, -1)], "(1-i)*X - 2"),
+        ([0, 0, GaussianRational(0, Fraction(-1, 3))], "-1/3*i*X^2"),
+    ])
+    def test_polynomial_strings(self, coeffs, text):
+        # A minus sign is pulled out of a coefficient on either axis, and a
+        # coefficient off both axes is parenthesized.
+        assert str(Polynomial(coeffs)) == text
+
+
+# ---------------------------------------------------------------------------
+# Triangle: a read-only (n, k) view over rows of polynomials
+
+
+class TestTriangle:
+    ROWS = (Polynomial([Fraction(1, 2), 0, Fraction(-4, 6)]), Polynomial(),
+            Polynomial([3, Fraction(5, 7)]), Polynomial([0, 1]))
+
+    def triangle(self):
+        """Rows 1..3 of ROWS, row n over the powers 0..n."""
+        return Triangle(self.ROWS, range(1, 4), lambda n: range(n + 1))
+
+    def as_dict(self):
+        return {(n, k): self.ROWS[n].coefficient(k) for n in range(1, 4) for k in range(n + 1)}
+
+    def test_reads_the_coefficients_in_row_order(self):
+        t = self.triangle()
+        assert list(t) == list(self.as_dict()) == [
+            (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
+        assert len(t) == 9
+        assert t[(2, 1)] == Fraction(5, 7) and t[(3, 3)] == 0
+        assert all(type(x) is Fraction for x in t.values())
+
+    def test_compares_equal_to_the_dict_of_its_items(self):
+        t = self.triangle()
+        assert t == self.as_dict() and self.as_dict() == t and dict(t) == self.as_dict()
+        changed = {**self.as_dict(), (1, 0): Fraction(1)}
+        assert t != changed and changed != t
+        assert Triangle(self.ROWS, range(1, 1), lambda n: range(n + 1)) == {}
+
+    @pytest.mark.parametrize("key", [(0, 0), (4, 0), (1, 2), (2, -1), (-1, 0), "x", (1,),
+                                     (1, 0, 0), None])
+    def test_a_key_outside_the_triangle_is_a_key_error(self, key):
+        t = self.triangle()
+        with pytest.raises(KeyError):
+            t[key]
+        assert key not in t and t.get(key) is None
+
+    def test_is_read_only(self):
+        t = self.triangle()
+        with pytest.raises(TypeError):
+            t[(1, 0)] = Fraction(1)
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=6).map(Polynomial),
+           st.integers(0, 8))
+    @settings(max_examples=100)
+    def test_formatted_row_is_format_rational_of_the_row(self, p, width):
+        t = Triangle((p,), range(1), lambda n: range(width))
+        assert t.formatted_row(0) == [format_rational(t[(0, k)]) for k in range(width)]
 
 
 # ---------------------------------------------------------------------------
