@@ -10,35 +10,30 @@ agreeing and prints the first few members.
 """
 
 from acpolys import (
-    FAMILY_ROUTES,
-    build_a_by_residue_recurrence,
-    build_route,
+    ALL_ROUTES,
+    build_by_recurrence,
     route_equivalence_checks,
+    route_rows,
 )
 
 N = 6
 
-families = {route: build_route(route, N) for route in FAMILY_ROUTES}
-residue_a = build_a_by_residue_recurrence(N)
+baseline = build_by_recurrence(N)
 
-print(f"A_n and C_n for n <= {N}, built by {len(FAMILY_ROUTES)} + 1 routes\n")
+print(f"A_n and C_n for n <= {N}, built by {len(ALL_ROUTES)} routes\n")
 
-baseline = families["recurrence"]
 for n in range(N + 1):
     print(f"  A_{n} = {baseline.a(n)}")
 print()
 for n in range(N + 1):
     print(f"  C_{n} = {baseline.c(n)}")
 
-print("\nAgreement across routes:")
-for route, fam in families.items():
-    same = all(
-        fam.a(n) == baseline.a(n) and fam.c(n) == baseline.c(n)
-        for n in range(N + 1)
-    )
-    print(f"  {route:24s} {'agrees exactly' if same else 'DISAGREES'}")
-same = all(residue_a[n] == baseline.a(n) for n in range(N + 1))
-print(f"  {'residue_recurrence':24s} {'agrees exactly (A only)' if same else 'DISAGREES'}")
+print(f"\nAgreement with the {ALL_ROUTES[0]} route:")
+for route in ALL_ROUTES[1:]:
+    a_rows, c_rows = route_rows(route, N)
+    same = a_rows == baseline.a_polys and c_rows in ((), baseline.c_polys)
+    verdict = "agrees exactly" + ("" if c_rows else " (A only)")
+    print(f"  {route:24s} {verdict if same else 'DISAGREES'}")
 
 checks = route_equivalence_checks(baseline)
 print(f"\n{len(checks)} exact equality checks, "

@@ -15,6 +15,7 @@ of ``integrals_report``.
 """
 
 from .ac_families import (
+    ALL_ROUTES,
     FAMILY_ROUTES,
     build_a_by_residue_recurrence,
     build_by_closed_form,
@@ -28,6 +29,7 @@ from .ac_families import (
     identities_report,
     lambda_alpha_tables,
     route_equivalence_checks,
+    route_rows,
 )
 from .exact_core import GaussianRational, I, Polynomial, poly_from_json
 from .generalized_uv import build_uv, check_uv_consistency, row_width
@@ -55,6 +57,7 @@ def __getattr__(name):
 
 
 __all__ = [
+    "ALL_ROUTES",
     "FAMILY_ROUTES",
     "GaussianRational",
     "I",
@@ -80,6 +83,7 @@ __all__ = [
     "lambda_alpha_tables",
     "poly_from_json",
     "route_equivalence_checks",
+    "route_rows",
     "row_width",
     "tangent_half_coeff",
     "tangent_half_coeffs_series",

@@ -9,13 +9,17 @@ arguments X +/- i, and to the tangent-half coefficients:
 * ``build_by_recurrence``: the coupled induction, reading each lambda
   coefficient off the previously built C_n.
 * ``build_by_closed_form``: Bernoulli polynomials composed with affine
-  Gaussian arguments, each result asserted real.
+  Gaussian arguments, each result checked by route equivalence.
 * ``build_by_coefficient_formula``: per-coefficient closed formulas in
   cosecant numbers (for A) and scaled Bernoulli numbers (for C).
 * ``build_by_generating_function``: exact bivariate series expansion of
   (e^(tx) - 1)/sin t and x e^(tx) + (1 - e^(tx) cos t)/sin t.
 * ``build_a_by_residue_recurrence``: a binomial recurrence over Q(i)
   producing the A family alone.
+
+``ALL_ROUTES`` lists them and ``route_rows`` builds any of them: a new
+route is one builder plus one entry in ``ALL_ROUTES`` (through
+``FAMILY_ROUTES`` and ``build_route`` when it builds both families).
 
 All construction and checking is exact; no floating point.
 """
@@ -63,6 +67,8 @@ FAMILY_ROUTES = (
     ROUTE_COEFFICIENT,
     ROUTE_GENERATING_FUNCTION,
 )
+#: Every route: the recurrence, which the others are checked against, first.
+ALL_ROUTES = FAMILY_ROUTES + (ROUTE_RESIDUE,)
 
 
 def _require_n_max(n_max: int) -> None:
@@ -136,7 +142,8 @@ def build_by_recurrence(n_max: int) -> ACFamily:
 
 
 def build_by_closed_form(n_max: int) -> ACFamily:
-    """Bernoulli closed forms over Q(i), each result asserted real.
+    """Bernoulli closed forms over Q(i), each result checked by route
+    equivalence (the construction is real for every n).
 
     A_n = (2i)**(n+1)/(n+1) * [B_{n+1}(X/(2i) + 1/2) - B_{n+1}(1/2)] and
     C_n = (2i)**(n+1)/(n+1) * [-B_{n+1}(X/(2i)) + B_{n+1}(1/2)] + X**n (X - i).
@@ -144,10 +151,6 @@ def build_by_closed_form(n_max: int) -> ACFamily:
     Each is one row (``_linear_combination``), reduced once: the scaled
     composed Bernoulli polynomial, the constant B_{n+1}(1/2) times the
     scale, and for C_n the tail X**n (X - i).
-
-    Raises ValueError if any coefficient comes out with a nonzero
-    imaginary part (which would indicate an implementation bug; the
-    construction is real for every n).
     """
     _require_n_max(n_max)
     half = Fraction(1, 2)
@@ -160,13 +163,11 @@ def build_by_closed_form(n_max: int) -> ACFamily:
         b = bernoulli_poly(n + 1)
         factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
         constant = b(half) * factor
-        a_gauss = _linear_combination(
-            [(factor, b.compose_affine(inv_2i, half)), (-constant, one)])
-        a_list.append(a_gauss.rational_coefficients())
-        c_gauss = _linear_combination(
+        a_list.append(_linear_combination(
+            [(factor, b.compose_affine(inv_2i, half)), (-constant, one)]))
+        c_list.append(_linear_combination(
             [(constant, one), (-factor, b.compose_affine(inv_2i, 0)),
-             (1, x_minus_i.shifted(n))])
-        c_list.append(c_gauss.rational_coefficients())
+             (1, x_minus_i.shifted(n))]))
     return ACFamily(tuple(a_list), tuple(c_list), ROUTE_CLOSED_FORM)
 
 
@@ -236,8 +237,7 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     binom(n+2, k) times the Gaussian-integer numerators of (2i)**(n+1-k),
     computed once per call.  (X+i)**(n+3) is the two-term row
     X (X+i)**(n+2) + i (X+i)**(n+2), a shift and a scaling, not a product.
-    Raises ValueError on any nonzero imaginary residue (the recurrence
-    provably stays real).
+    The recurrence stays real; each result is checked by route equivalence.
     """
     _require_n_max(n_max)
     a_gauss = [X]
@@ -253,7 +253,7 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
             terms.append(((c * re, c * im, den), a_gauss[k]))
         a_gauss.append(_linear_combination(terms, n + 2))
         power = _linear_combination(((1, power.shifted(1)), (I, power)))
-    return [p.rational_coefficients() for p in a_gauss]
+    return a_gauss
 
 
 def build_route(route: str, n_max: int) -> ACFamily:
@@ -269,16 +269,25 @@ def build_route(route: str, n_max: int) -> ACFamily:
     return builders[route](n_max)
 
 
+def route_rows(route: str, n_max: int) -> tuple:
+    """``(A_0..A_n_max, C_0..C_n_max)`` by any route of ``ALL_ROUTES``, no
+    C rows for the residue route.  Builders are looked up when called."""
+    if route == ROUTE_RESIDUE:
+        return tuple(build_a_by_residue_recurrence(n_max)), ()
+    family = build_route(route, n_max)
+    return family.a_polys, family.c_polys
+
+
 # ---------------------------------------------------------------------------
 # Exact identity checks.  All return lists of Check; nothing raises on a
 # mathematical failure, so a bug surfaces as a failed report line.
 
 
 def route_equivalence_checks(baseline: ACFamily) -> list:
-    """All five routes agree exactly: pairwise identical A_n (five ways)
-    and identical C_n (four ways), compared against ``baseline``, which
-    must be the recurrence family.  The other four routes are built here
-    to the same n_max."""
+    """Every other route of ``ALL_ROUTES``, built here to the same n_max,
+    gives exactly the A_n and C_n (A_n alone for the residue route) of
+    ``baseline``, which must be the recurrence family.  This is the only
+    check of a route's output: a row that is not over Q fails here."""
     if baseline.route != ROUTE_RECURRENCE:
         raise ValueError(
             f"route equivalence compares against the {ROUTE_RECURRENCE} "
@@ -286,35 +295,15 @@ def route_equivalence_checks(baseline: ACFamily) -> list:
         )
     n_max = baseline.max_n
     checks = []
-    for route in (ROUTE_CLOSED_FORM, ROUTE_COEFFICIENT, ROUTE_GENERATING_FUNCTION):
-        other = build_route(route, n_max)
+    for route in ALL_ROUTES[1:]:
+        a_rows, c_rows = route_rows(route, n_max)
+        pairs = (("A", a_rows, baseline.a_polys), ("C", c_rows, baseline.c_polys))
         for n in range(n_max + 1):
-            checks.append(
-                exact_check(
-                    f"route/{route}/a/n={n}",
-                    f"A_{n} via {route} equals recurrence",
-                    other.a(n),
-                    baseline.a(n),
-                )
-            )
-            checks.append(
-                exact_check(
-                    f"route/{route}/c/n={n}",
-                    f"C_{n} via {route} equals recurrence",
-                    other.c(n),
-                    baseline.c(n),
-                )
-            )
-    residue = build_a_by_residue_recurrence(n_max)
-    for n in range(n_max + 1):
-        checks.append(
-            exact_check(
-                f"route/{ROUTE_RESIDUE}/a/n={n}",
-                f"A_{n} via {ROUTE_RESIDUE} equals recurrence",
-                residue[n],
-                baseline.a(n),
-            )
-        )
+            for letter, rows, base in pairs:
+                if rows:
+                    checks.append(exact_check(
+                        f"route/{route}/{letter.lower()}/n={n}",
+                        f"{letter}_{n} via {route} equals recurrence", rows[n], base[n]))
     return checks
 
 
@@ -405,11 +394,13 @@ def check_euler_identity(family: ACFamily) -> list:
     return checks
 
 
-def check_tangent_expansion(family: ACFamily) -> list:
+def check_tangent_expansion(family: ACFamily, first_failure: bool = False) -> list:
     """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly.
 
     d_0..d_max_n are read once, as numerators over one denominator (a
     power of two), so each right-hand side is a row of integer products.
+    With ``first_failure``, only the first failing check is kept (none if
+    all pass), and the checks stop there.
     """
     d, _, den = _over_one_denominator(
         [tangent_half_coeff(j) for j in range(family.max_n + 1)])
@@ -417,14 +408,16 @@ def check_tangent_expansion(family: ACFamily) -> list:
     for n in range(family.max_n + 1):
         # ... + 0 X**n + 1 X**(n+1)
         rhs = [*(comb(n, k) * d[n - k] for k in range(n)), 0, den]
-        checks.append(
-            exact_check(
-                f"tangent_expansion/n={n}",
-                f"A_{n} + C_{n} = X^{n + 1} + sum binom({n},k) d_({n}-k) X^k",
-                family.a(n) + family.c(n),
-                Polynomial.from_integers(rhs, den),
-            )
+        check = exact_check(
+            f"tangent_expansion/n={n}",
+            f"A_{n} + C_{n} = X^{n + 1} + sum binom({n},k) d_({n}-k) X^k",
+            family.a(n) + family.c(n),
+            Polynomial.from_integers(rhs, den),
         )
+        if not first_failure:
+            checks.append(check)
+        elif check.status != PASS:
+            return [check]
     return checks
 
 
@@ -516,10 +509,10 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     as views over its polynomials: each entry is read, and built, on lookup.
 
     Also re-verifies the tangent expansion of A_n + C_n exactly for each n
-    and raises ValueError if it fails, so a corrupted family cannot yield
-    quietly wrong tables.
+    and raises ValueError at the first n where it fails, so a corrupted
+    family cannot yield quietly wrong tables.
     """
-    failures = [c for c in check_tangent_expansion(family) if c.status != PASS]
+    failures = check_tangent_expansion(family, first_failure=True)
     if failures:
         raise ValueError(f"tangent expansion failed: {failures[0].id}")
     ns = range(family.max_n + 1)

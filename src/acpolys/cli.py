@@ -46,14 +46,13 @@ import os
 import sys
 
 from .ac_families import (
+    ALL_ROUTES,
     FAMILY_ROUTES,
     ROUTE_RECURRENCE,
-    ROUTE_RESIDUE,
-    build_a_by_residue_recurrence,
     build_by_recurrence,
-    build_route,
     identities_report,
     lambda_alpha_tables,
+    route_rows,
 )
 from .exact_core import Polynomial, format_rational, poly_to_json
 from .generalized_uv import build_uv, check_uv_consistency
@@ -70,7 +69,6 @@ from .special_numbers import (
     tangent_half_coeff,
 )
 
-ALL_ROUTES = FAMILY_ROUTES + (ROUTE_RESIDUE,)
 VERIFY_SUITES = ("identities", "uv", "integrals")
 
 #: The exit codes: a report's EXIT_OK, EXIT_CHECK_FAILED and
@@ -146,13 +144,13 @@ def latex_polynomial(p: Polynomial) -> str:
 
 def _cmd_poly(args) -> tuple:
     n = args.n
-    if args.route == ROUTE_RESIDUE:
-        if args.family == "c":
-            raise ValueError("the residue route builds only the A family")
-        p = build_a_by_residue_recurrence(n)[n]
-    else:
-        family = build_route(args.route, n)
-        p = family.a(n) if args.family == "a" else family.c(n)
+    if args.family == "c" and args.route not in FAMILY_ROUTES:
+        raise ValueError("the residue route builds only the A family")
+    a_rows, c_rows = route_rows(args.route, n)
+    p = (a_rows if args.family == "a" else c_rows)[n]
+    if p.conjugate() != p:  # a bug, not a usage error
+        raise RuntimeError(f"route {args.route} built a non-real "
+                           f"{args.family.upper()}_{n} of degree {p.degree}")
     if args.format == "json":
         doc = {
             "family": args.family,

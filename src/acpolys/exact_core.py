@@ -353,10 +353,12 @@ class Polynomial:
     def integers(self) -> tuple:
         """``(numerators, den)`` of a polynomial over Q: the tuple of integer
         numerators, lowest degree first and without trailing zeros, over the
-        one positive denominator.  Raises ValueError if a coefficient is
-        not real."""
+        one positive denominator.  Raises ValueError, naming the degree and
+        the first power with a nonzero imaginary part, if there is one."""
         if self._im is not None:
-            raise ValueError(f"nonzero imaginary part in {self!r}")
+            k = next(k for k, y in enumerate(self._im) if y)
+            raise ValueError(f"nonzero imaginary part at X^{k} of a polynomial of degree "
+                             f"{self.degree}")
         return self._re, self._den
 
     def shifted(self, power: int) -> "Polynomial":
@@ -505,12 +507,6 @@ class Polynomial:
         v = norm * d_a
         re, im = _twist(re, im, w_re, w_im, v)
         return Polynomial._of(re, im, self._den * (d_b * v) ** n)
-
-    def rational_coefficients(self) -> "Polynomial":
-        """This polynomial, asserted to be over Q: raises ValueError if any
-        coefficient has a nonzero imaginary part."""
-        self.integers()
-        return self
 
     def __str__(self) -> str:
         pieces = []

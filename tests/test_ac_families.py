@@ -4,11 +4,14 @@ The golden tables below are frozen in this file independently of the
 package's reference constants, so a change to either copy trips the suite.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from acpolys import ac_families, cli
 from acpolys.ac_families import (
+    ALL_ROUTES,
     FAMILY_ROUTES,
     ACFamily,
     REFERENCE_A,
@@ -26,6 +29,7 @@ from acpolys.ac_families import (
     identities_report,
     lambda_alpha_tables,
     route_equivalence_checks,
+    route_rows,
     structural_checks,
 )
 from acpolys.exact_core import GaussianRational, I, Polynomial
@@ -132,6 +136,52 @@ class TestRouteEquivalence:
             assert fam.a(3) == GOLDEN_A[3]
         with pytest.raises(ValueError):
             build_route("newton", 3)
+
+    def test_one_route_table(self):
+        assert ALL_ROUTES == (*FAMILY_ROUTES, "residue_recurrence")
+        assert ALL_ROUTES[0] == "recurrence"
+        assert cli.ALL_ROUTES is ALL_ROUTES
+
+    @pytest.mark.parametrize("route", ALL_ROUTES)
+    def test_route_rows_for_every_route(self, route):
+        a_rows, c_rows = route_rows(route, 8)
+        assert a_rows == tuple(GOLDEN_A)
+        if route == "residue_recurrence":  # it builds only A
+            assert c_rows == ()
+        else:
+            assert len(c_rows) == 9 and c_rows[:len(GOLDEN_C)] == tuple(GOLDEN_C)
+
+    def test_route_check_ids_in_order(self):
+        ids = [c.id for c in route_equivalence_checks(build_by_recurrence(1))]
+        assert ids == [
+            *(f"route/{route}/{letter}/n={n}"
+              for route in ("closed_form", "coefficient_formula", "generating_function")
+              for n in (0, 1) for letter in "ac"),
+            "route/residue_recurrence/a/n=0", "route/residue_recurrence/a/n=1",
+        ]
+
+    def test_a_non_real_route_row_fails_only_its_check(self, monkeypatch):
+        # Nothing raises: the row over Q(i) is one failed check in the report.
+        built = build_by_closed_form(6)
+        a_polys = list(built.a_polys)
+        a_polys[3] = a_polys[3] + Polynomial.monomial(2, I)
+        monkeypatch.setattr(ac_families, "build_by_closed_form",
+                            lambda n_max: built._replace(a_polys=tuple(a_polys)))
+        checks = route_equivalence_checks(build_by_recurrence(6))
+        assert [c.id for c in checks if c.status != PASS] == ["route/closed_form/a/n=3"]
+
+    def test_every_builder_is_looked_up_when_called(self, monkeypatch):
+        # A tracer rebinds module attributes: each route must run through them.
+        names = ("build_by_closed_form", "build_by_coefficient_formula",
+                 "build_by_generating_function", "build_a_by_residue_recurrence")
+        calls = []
+        for name in names:
+            builder = getattr(ac_families, name)
+            monkeypatch.setattr(ac_families, name,
+                                lambda n_max, name=name, builder=builder:
+                                calls.append(name) or builder(n_max))
+        route_equivalence_checks(build_by_recurrence(2))
+        assert calls == list(names)
 
     def test_baseline_must_be_recurrence(self):
         with pytest.raises(ValueError, match="recurrence"):
@@ -281,6 +331,29 @@ class TestCoefficientTables:
         t = lambda_alpha_tables(family)
         for n in range(N_MAX + 1):
             assert t.lam[(n, n)] == 0
+
+    def test_tangent_guard_stops_at_the_first_failure(self, family):
+        assert check_tangent_expansion(family, first_failure=True) == []
+        broken_c = list(family.c_polys)
+        for n in (3, 5):
+            broken_c[n] = broken_c[n] + Polynomial([1])
+        broken = family._replace(c_polys=tuple(broken_c))
+        failures = check_tangent_expansion(broken, first_failure=True)
+        assert [c.id for c in failures] == ["tangent_expansion/n=3"]
+        assert failures[0] == check_tangent_expansion(broken)[3]
+
+    def test_tangent_guard_holds_one_check_at_a_time(self):
+        # Holding all 121 checks, each with A_n + C_n and its right-hand
+        # side, would peak near 0.55 MB.
+        family = build_by_recurrence(120)
+        lambda_alpha_tables(family)  # the tangent numbers, computed once
+        tracemalloc.start()
+        try:
+            lambda_alpha_tables(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_corrupted_family_rejected(self, family):
         broken_c = list(family.c_polys)

@@ -7,14 +7,23 @@ leading term).  It runs through the identities suite, the uv check against
 the test pins the exact set of check-id prefixes (the text before the
 first "/") that fail.  A simplification that stops a suite from catching
 one of these mutants fails here, even when every other test still passes.
+
+The kernel mutants break one integer kernel of ``exact_core`` instead, in
+a fresh process: a wrong kernel must show as failed checks (exit 1), never
+as a usage error, and ``poly`` must not print a non-real polynomial.
 """
 
 import functools
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import acpolys
 from acpolys.ac_families import (
     REFERENCE_A, REFERENCE_C, ACFamily, build_by_recurrence, identities_report,
 )
@@ -100,3 +109,86 @@ def test_mutant_fails_exactly_its_suites(letter, n, leading):
     unnamed = {i for i, m in zip(ids, named) if m is None}
     assert unnamed == ({"moment/lambda_beta"} if (letter, n, leading) == ("c", 2, False)
                        else set())
+
+
+#: Each kernel mutant is source run after ``import acpolys.cli``, with
+#: ``exact_core`` and ``accumulate`` in scope, and before ``cli.run``.
+KERNEL_MUTANTS = {
+    # Skips its last prefix-sum pass when the vector is longer than 30.
+    "shift_by_one": """
+def _shift_by_one(t):
+    if not any(t):
+        return list(t)
+    r = list(reversed(t))
+    for end in range(len(r), 2 if len(r) > 30 else 1, -1):
+        r[:end] = accumulate(r[:end])
+    r.reverse()
+    return r
+exact_core._shift_by_one = _shift_by_one
+""",
+    # Adds 1 to real coefficient 35.
+    "twist": """
+_twist = exact_core._twist
+def twist(*args):
+    re, im = _twist(*args)
+    return (re if len(re) <= 35 else [*re[:35], re[35] + 1, *re[36:]]), im
+exact_core._twist = twist
+""",
+    # Drops the last term of a row of more than 30 terms, in every module
+    # that imports the row kernel.
+    "linear_combination": """
+_row = exact_core._linear_combination
+def linear_combination(terms, divisor=1):
+    terms = list(terms)
+    return _row(terms[:-1] if len(terms) > 30 else terms, divisor)
+for module in list(sys.modules.values()):
+    if getattr(module, "_linear_combination", None) is _row:
+        module._linear_combination = linear_combination
+""",
+}
+
+#: The shift by i goes through both mutated kernels.
+SHIFTED = {"a_central_difference", "c_central_difference", "euler_link",
+           "route/closed_form", "shift_minus_sum", "shift_plus_sum"}
+
+#: Failing prefixes of ``verify identities --max-n 48`` under each mutant:
+#: the text before the first "/", or "route/<route>" for a route check.
+KERNEL_FAILURES = {
+    "shift_by_one": SHIFTED,
+    "twist": SHIFTED | {"a_vanishes_at_0", "c_vanishes_at_i"},
+    "linear_combination": {"route/generating_function", "route/residue_recurrence"},
+}
+
+
+def with_kernel_mutant(mutant, *argv):
+    script = ("import sys\nfrom itertools import accumulate\nimport acpolys.cli\n"
+              "from acpolys import exact_core\n" + KERNEL_MUTANTS[mutant]
+              + "sys.exit(acpolys.cli.run(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(acpolys.__file__).parents[1]), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def kernel_prefix(check_id):
+    parts = check_id.split("/")
+    return "/".join(parts[:2]) if parts[0] == "route" else parts[0]
+
+
+@pytest.mark.parametrize("mutant", KERNEL_FAILURES)
+def test_kernel_mutant_fails_checks_and_is_no_usage_error(mutant):
+    result = with_kernel_mutant(mutant, "verify", "identities", "--max-n", "48",
+                                "--format", "csv")
+    assert (result.returncode, result.stderr) == (1, "")
+    rows = [line.split(",") for line in result.stdout.splitlines()]
+    assert {kernel_prefix(row[1]) for row in rows if row[2] != "pass"} == KERNEL_FAILURES[mutant]
+
+
+@pytest.mark.parametrize("mutant", ["shift_by_one", "twist"])
+def test_kernel_mutant_stops_poly_on_one_short_line(mutant):
+    result = with_kernel_mutant(mutant, "poly", "--family", "a", "--n", "40",
+                                "--route", "closed_form")
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 200
+    assert "route closed_form built a non-real A_40 of degree 41" in result.stderr

@@ -327,14 +327,13 @@ class TestPolynomial:
         # p(2X) scales coefficients by powers of 2
         assert Polynomial([1, 1, 1]).compose_affine(2, 0) == Polynomial([1, 2, 4])
 
-    def test_rational_coefficients_asserts_realness(self):
+    def test_integers_asserts_realness(self):
         p = Polynomial([GaussianRational(1), GaussianRational(2)])
         assert all(isinstance(c, Fraction) for c in p.coeffs)
-        back = p.rational_coefficients()
-        assert back is p
-        assert back == Polynomial([1, 2])
-        with pytest.raises(ValueError):
-            Polynomial([I]).rational_coefficients()
+        assert p.integers() == ((1, 2), 1)
+        assert Polynomial.from_integers(*p.integers()) == p == Polynomial([1, 2])
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            Polynomial([I]).integers()
 
     def test_integer_contract_round_trips(self):
         p = Polynomial.from_integers([4, -6, 0, 0], 12)
@@ -344,13 +343,18 @@ class TestPolynomial:
         assert Polynomial([Fraction(1, 6), Fraction(-1, 4)]).integers() == ((2, -3), 12)
         assert Polynomial([GaussianRational(3, 0)]).integers() == ((3,), 1)
 
-    def test_integers_rejects_an_imaginary_part_like_rational_coefficients(self):
-        p = Polynomial([1, I])
-        with pytest.raises(ValueError) as rational:
-            p.rational_coefficients()
-        with pytest.raises(ValueError) as integers:
+    def test_integers_names_the_first_imaginary_power(self):
+        with pytest.raises(ValueError) as caught:
+            Polynomial([1, HALF, 3 + I, I]).integers()
+        assert str(caught.value) == "nonzero imaginary part at X^2 of a polynomial of degree 3"
+
+    def test_integers_error_stays_short_for_a_long_polynomial(self):
+        # Not the repr: one line of the CLI names the fault, whatever the degree.
+        p = Polynomial([Fraction(k + 1, 10**30 + k) for k in range(200)] + [I])
+        with pytest.raises(ValueError, match="nonzero imaginary part") as caught:
             p.integers()
-        assert str(integers.value) == str(rational.value)
+        assert p.degree == 200
+        assert len(str(caught.value)) < 120
 
     @pytest.mark.parametrize("p", [Polynomial([HALF, -3]), Polynomial([1, HALF + I]),
                                    Polynomial([I]), Polynomial()])
@@ -475,7 +479,7 @@ class TestPolynomial:
             Polynomial(p.coeffs), (q - q) * p,
         ]
         if not has_imaginary_part(p.coeffs):
-            results.append(p.rational_coefficients())
+            results.append(Polynomial.from_integers(*p.integers()))
         for r in results:
             assert_canonical(r)
 

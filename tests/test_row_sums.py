@@ -37,7 +37,9 @@ from acpolys.ac_families import (
     build_by_generating_function,
     build_by_recurrence,
     check_difference_identities,
+    route_equivalence_checks,
 )
+from acpolys.cli import run
 from acpolys.exact_core import (
     I,
     TWO_I,
@@ -62,6 +64,13 @@ from acpolys.special_numbers import (
     tangent_half_coeff,
     tangent_half_coeffs_series,
 )
+
+
+def real(p):
+    """``p``, asserted to be over Q: ``integers()`` raises ValueError if not."""
+    p.integers()
+    return p
+
 
 #: Every N <= CHECKED_MAX_SMALL is compared, and N = CHECKED_MAX_LARGE.
 CHECKED_MAX_SMALL = 64
@@ -100,7 +109,7 @@ def residue_per_term(n_max):
             acc = acc - a_gauss[k] * coeff
         a_gauss.append(acc * Fraction(1, n + 2))
         power = power * x_plus_i
-    return [p.rational_coefficients() for p in a_gauss]
+    return [real(p) for p in a_gauss]
 
 
 def series_mul_per_term(a, b):
@@ -211,10 +220,10 @@ def closed_form_by_operators(n_max):
         b_at_half = Polynomial([b(half)])
         factor = TWO_I ** (n + 1) * Fraction(1, n + 1)
         a_gauss = (b.compose_affine(inv_2i, half) - b_at_half) * factor
-        a_list.append(a_gauss.rational_coefficients())
+        a_list.append(real(a_gauss))
         tail = Polynomial.monomial(n + 1) + Polynomial.monomial(n, -I)
         c_gauss = (b_at_half - b.compose_affine(inv_2i, 0)) * factor + tail
-        c_list.append(c_gauss.rational_coefficients())
+        c_list.append(real(c_gauss))
     return ACFamily(tuple(a_list), tuple(c_list), ROUTE_CLOSED_FORM)
 
 
@@ -364,11 +373,17 @@ def test_series_product_and_quotient_equal_per_term_loop(a, b, shift, lead):
 # The correctness guards still fire.
 
 
-def test_residue_route_rejects_an_imaginary_residue(monkeypatch):
-    # With 3i in place of 2i the recurrence no longer stays real.
+def test_an_imaginary_residue_fails_its_route_checks(monkeypatch, capsys):
+    # With 3i in place of 2i the recurrence no longer stays real from n = 2
+    # on: those rows fail route equivalence, and ``poly`` prints none of them.
+    baseline = build_by_recurrence(6)
     monkeypatch.setattr(ac_families, "TWO_I", GaussianRational(0, 3))
-    with pytest.raises(ValueError, match="nonzero imaginary part"):
-        build_a_by_residue_recurrence(4)
+    failing = {c.id for c in route_equivalence_checks(baseline)
+               if c.status != "pass" and c.id.startswith("route/residue_recurrence/")}
+    assert failing == {f"route/residue_recurrence/a/n={n}" for n in range(2, 7)}
+    assert run(["poly", "--family", "a", "--n", "4", "--route", "residue_recurrence"]) == 4
+    assert capsys.readouterr() == ("", "acpolys: internal error: RuntimeError('route "
+                                   "residue_recurrence built a non-real A_4 of degree 5')\n")
 
 
 @pytest.mark.parametrize("dividend, divisor, error, message", [
