@@ -509,12 +509,13 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     as views over its polynomials: each entry is read, and built, on lookup.
 
     Also re-verifies the tangent expansion of A_n + C_n exactly for each n
-    and raises ValueError at the first n where it fails, so a corrupted
-    family cannot yield quietly wrong tables.
+    and raises RuntimeError at the first n where it fails, so a corrupted
+    family cannot yield quietly wrong tables: a broken computation, not a
+    usage error.
     """
     failures = check_tangent_expansion(family, first_failure=True)
     if failures:
-        raise ValueError(f"tangent expansion failed: {failures[0].id}")
+        raise RuntimeError(f"tangent expansion failed: {failures[0].id}")
     ns = range(family.max_n + 1)
     return CoeffTables(Triangle(family.a_polys, ns, _triangle_columns),
                        Triangle(family.c_polys, ns, _triangle_columns))

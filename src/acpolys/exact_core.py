@@ -15,11 +15,12 @@ a read-only (n, k) table over rows of polynomials, and
 :class:`TruncatedSeries` a vector of polynomials in x indexed by the power
 of t, exact modulo t**(order+1).
 
-A sum of scaled polynomials, sum_k s_k * p_k, is one integer row reduced
-once (``_linear_combination``); ``+``, ``-``, ``*`` and unary ``-`` are its
-cases, and the routes and checks of ``ac_families``, ``special_numbers``
-and ``generalized_uv`` and the series product and quotient sum each of
-their rows with it.
+A sum of scaled polynomials, sum_k s_k * p_k, is one row of scalars times
+shifted integer vectors, reduced once (``_linear_combination``): a
+polynomial factor adds one shifted term per nonzero coefficient.  ``+``,
+``-``, ``*`` and unary ``-`` are its cases, and the routes and checks of
+``ac_families``, ``special_numbers`` and ``generalized_uv`` and the series
+product and quotient sum each of their rows with it.
 
 No floating point enters this module.  All values are immutable after
 construction and every operation is a pure function, so values are safe to
@@ -48,8 +49,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = re if type(re) is Fraction else _exact_rational(re)
-        self.im = im if type(im) is Fraction else _exact_rational(im)
+        self.re = re if type(re) is Fraction else Fraction(_exact_rational(re))
+        self.im = im if type(im) is Fraction else Fraction(_exact_rational(im))
 
     def norm(self) -> Fraction:
         """The field norm re**2 + im**2 (a nonnegative rational)."""
@@ -59,9 +60,7 @@ class GaussianRational:
     def _coerce(value) -> "GaussianRational | None":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)) and type(value) is not bool:
-            return GaussianRational(value)
-        return None
+        return GaussianRational(value) if _is_exact_rational(value) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -158,11 +157,16 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _exact_rational(value) -> Fraction:
-    """An int or Fraction as a Fraction; a float, Decimal or bool is not
-    exact (``Fraction(True)`` would be 1)."""
-    if isinstance(value, (int, Fraction)) and type(value) is not bool:
-        return Fraction(value)
+def _is_exact_rational(value) -> bool:
+    """Whether value is an int or a Fraction; a float, Decimal or bool is
+    not exact (``Fraction(True)`` would be 1)."""
+    return isinstance(value, (int, Fraction)) and type(value) is not bool
+
+
+def _exact_rational(value) -> Rat:
+    """value itself, if it is an exact rational; else TypeError."""
+    if _is_exact_rational(value):
+        return value
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -172,14 +176,12 @@ TWO_I = GaussianRational(0, 2)
 
 
 def _gaussian_integer_over(value: Scalar) -> tuple:
-    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0; a
-    bool, like a float, is not an exact scalar."""
+    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0, for
+    an exact scalar ``value``."""
     if isinstance(value, GaussianRational):
         x, y = value.re, value.im
-    elif isinstance(value, (int, Fraction)) and type(value) is not bool:
-        x, y = value, 0
     else:
-        raise TypeError(f"not an exact scalar: {value!r}")
+        x, y = _exact_rational(value), 0
     d = lcm(x.denominator, y.denominator)
     return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
@@ -193,50 +195,19 @@ def _over_one_denominator(values: Iterable[Scalar]) -> tuple:
             [y * (den // d) for _, y, d in parts], den)
 
 
-def _accumulate(acc, v: Sequence[int], m: int, width: int) -> list:
-    """acc + m*v, for len(v) <= width: acc is None for zeros (a new list of
-    length width is returned) or a list of length width, updated in place."""
+def _accumulate(acc, v: Sequence[int], m: int, width: int, shift: int) -> list:
+    """acc + m * X**shift * v, for shift + len(v) <= width: acc is None for
+    zeros (a new list of length width is returned) or a list of length
+    width, updated in place."""
+    end = shift + len(v)
     if acc is None:
-        acc = [m * x for x in v] if m != 1 else list(v)
-        acc.extend([0] * (width - len(v)))
+        acc = [0] * width
+        acc[shift:end] = [m * x for x in v] if m != 1 else v
     elif m == 1:
-        acc[:len(v)] = map(add, acc, v)
+        acc[shift:end] = map(add, acc[shift:end], v)
     else:
-        acc[:len(v)] = [x + m * y for x, y in zip(acc, v)]
+        acc[shift:end] = [x + m * y for x, y in zip(acc[shift:end], v)]
     return acc
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
-    """The integer convolution of a and b (the product of two polynomials'
-    numerator vectors); zero entries of the shorter vector are skipped."""
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    width = len(b)
-    out = [0] * (len(a) + width - 1)
-    for j, x in enumerate(a):
-        if x:
-            out[j:j + width] = [o + x * y for o, y in zip(out[j:j + width], b)]
-    return out
-
-
-def _gaussian_convolve(ar: Sequence[int], ai, br: Sequence[int], bi) -> tuple:
-    """The product of the Gaussian-integer vectors ar + ai*i and br + bi*i
-    (ai, bi None for zeros), as (re, im) lists, im None when ai and bi are
-    both None."""
-    re = _convolve(ar, br)
-    im = None
-    if ai is not None and bi is not None:
-        _accumulate(re, _convolve(ai, bi), -1, len(re))
-    if bi is not None:
-        im = _convolve(ar, bi)
-    if ai is not None:
-        if im is None:
-            im = _convolve(ai, br)
-        else:
-            _accumulate(im, _convolve(ai, br), 1, len(im))
-    return re, im
 
 
 def _twist(re: Sequence[int], im, w_re: int, w_im: int, v: int) -> tuple:
@@ -388,8 +359,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
         """The polynomial coeff * X**power."""
-        re, im, den = _gaussian_integer_over(coeff)
-        return cls._of((re,), (im,) if im else None, den).shifted(power)
+        return cls((coeff,)).shifted(power)
 
     def _scalar(self, k: int) -> Scalar:
         re = Fraction(self._re[k], self._den)
@@ -547,19 +517,19 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
     GaussianRational), a triple (re, im, den) of integers standing for
     (re + im*i)/den with den > 0 (the form ``_gaussian_integer_over``
     returns), or a Polynomial; p_k a Polynomial; ``divisor`` is a positive
-    integer.  Each factor is converted once to Gaussian-integer
-    numerators (a polynomial factor of degree 0 counts as a scalar; two
-    longer ones are convolved), the term vectors are summed as integers
-    over the lcm of the term denominators, and ``Polynomial._of`` reduces
-    the sum once.  A row of n terms so costs one gcd reduction instead of
-    one per term; ``+`` and ``-`` are its two-term case, ``*`` (by a
-    scalar or a polynomial) and unary ``-`` its one-term case.
+    integer.  A scalar factor is converted once to Gaussian-integer
+    numerators, and a polynomial factor s = sum_j s_j X**j adds one term
+    s_j * X**j * p_k per nonzero s_j: the numerators of p_k shifted by j.
+    The term vectors are summed as integers over the lcm of the term
+    denominators, and ``Polynomial._of`` reduces the sum once.  A row of n
+    terms so costs one gcd reduction instead of one per term; ``+`` and
+    ``-`` are its two-term case, ``*`` by a scalar and unary ``-`` its
+    one-term case, and ``*`` by a polynomial one term per nonzero
+    coefficient.
     """
-    parts = []  # (s_re, s_im, denominator, p_re, p_im) per nonzero term
+    parts = []  # (s_re, s_im, denominator, shift, p_re, p_im) per nonzero term
     common, width = 1, 0
     for s, p in terms:
-        if isinstance(s, Polynomial) and len(p._re) == 1:
-            s, p = p, s  # a constant polynomial scales; only a longer s convolves
         re, im, den = p._re, p._im, p._den
         if not re:
             continue
@@ -567,15 +537,19 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
             sr, si, sd = s, 0, 1
         elif type(s) is tuple:
             sr, si, sd = s
-        elif isinstance(s, Polynomial):
-            if len(s._re) > 1:
-                re, im = _gaussian_convolve(s._re, s._im, re, im)
-                sr, si, sd = 1, 0, s._den
-            elif s._re:
-                sr, sd = s._re[0], s._den
-                si = 0 if s._im is None else s._im[0]
-            else:
-                continue
+        elif isinstance(s, Polynomial):  # one term s_j * X**j * p per nonzero s_j
+            s_re, s_im = s._re, s._im
+            den *= s._den
+            if common % den:
+                common = lcm(common, den)
+            n = len(s_re) + len(re) - 1  # the last term's width
+            if n > width:
+                width = n
+            for j, x in enumerate(s_re):
+                y = 0 if s_im is None else s_im[j]
+                if x or y:
+                    parts.append((x, y, den, j, re, im))
+            continue
         else:
             sr, si, sd = _gaussian_integer_over(s)
         if sr or si:
@@ -583,21 +557,21 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
             if common % den:
                 common = lcm(common, den)
             width = max(width, len(re))
-            parts.append((sr, si, den, re, im))
+            parts.append((sr, si, den, 0, re, im))
     if not parts:
         return Polynomial._of((), None, 1)
     acc_re = acc_im = None
-    for sr, si, d, re, im in parts:
+    for sr, si, d, j, re, im in parts:
         m = common // d
-        # (sr + si*i) * (re + im*i), scaled by m to the common denominator.
+        # (sr + si*i) * X**j * (re + im*i), scaled by m to the common denominator.
         if sr:
-            acc_re = _accumulate(acc_re, re, sr * m, width)
+            acc_re = _accumulate(acc_re, re, sr * m, width, j)
             if im is not None:
-                acc_im = _accumulate(acc_im, im, sr * m, width)
+                acc_im = _accumulate(acc_im, im, sr * m, width, j)
         if si:
-            acc_im = _accumulate(acc_im, re, si * m, width)
+            acc_im = _accumulate(acc_im, re, si * m, width, j)
             if im is not None:
-                acc_re = _accumulate(acc_re, im, -si * m, width)
+                acc_re = _accumulate(acc_re, im, -si * m, width, j)
     if acc_re is None:
         acc_re = [0] * width
     return Polynomial._of(acc_re, acc_im, common * divisor)

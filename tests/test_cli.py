@@ -256,7 +256,7 @@ class TestCoeffsChunks:
         assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_a_failed_tangent_guard_exits_two_with_nothing_written(
+    def test_a_failed_tangent_guard_is_an_internal_error_with_nothing_written(
             self, capsys, monkeypatch, fmt):
         # The guard runs before the first chunk: C_3 + 1 breaks the tangent
         # expansion at n = 3, and no row reaches stdout.
@@ -268,7 +268,8 @@ class TestCoeffsChunks:
 
         monkeypatch.setattr(cli, "build_by_recurrence", corrupted)
         assert invoke(capsys, "coeffs", "alpha-lambda", "--max-n", "5", "--format", fmt) == (
-            cli.EXIT_USAGE, "", "acpolys: error: tangent expansion failed: tangent_expansion/n=3\n")
+            cli.EXIT_INTERNAL, "",
+            "acpolys: internal error: RuntimeError('tangent expansion failed: tangent_expansion/n=3')\n")
 
     @pytest.mark.parametrize("exc, code, line", [
         (ValueError("bad row"), 2, "acpolys: error: bad row"),

@@ -560,8 +560,8 @@ def folded(terms, divisor):
 
 
 triples_st = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))
-# Polynomial factors of every length, constants (read as scalars) and longer
-# ones (convolved), with zero coefficients (skipped by the convolution).
+# Polynomial factors of every length, with zero coefficients: each nonzero
+# coefficient is one shifted term, and the zeros are skipped.
 factors_st = st.one_of(
     scalars_st, triples_st, st.just(0), gaussian_polys_st,
     st.lists(st.one_of(st.just(0), st.just(GaussianRational(0)), fractions_st, gaussians_st),
@@ -605,6 +605,72 @@ class TestLinearCombination:
         got = _linear_combination([(X, X), (Polynomial([I, 1]), Polynomial([-I, 1]))])
         assert got == Polynomial([1, 0, 2])
         assert got._im is None
+
+
+def long_polys(coeffs_st):
+    """Polynomials of 21 to 37 coefficients, zeros among them."""
+    return st.tuples(
+        st.lists(st.one_of(st.just(0), coeffs_st), min_size=20, max_size=36),
+        coeffs_st.filter(bool),
+    ).map(lambda body_lead: Polynomial([*body_lead[0], body_lead[1]]))
+
+
+# No workload multiplies two polynomials this long: in every polynomial
+# product the routes and suites form, the shorter factor has at most 2
+# coefficients.  These tests are what sees a fault in a long product.
+long_polys_st = st.one_of(long_polys(fractions_st),
+                          long_polys(st.one_of(fractions_st, gaussians_st)))
+
+
+def schoolbook_series_product(a, b):
+    """Coefficient n of the series product a*b as a coefficient list,
+    sum_j a_j * b_{n-j}, by per-coefficient schoolbook products."""
+    out = []
+    for n in range(a.order + 1):
+        acc = []
+        for j in range(n + 1):
+            acc = reference_add(acc, reference_mul(list(a.coeffs[j].coeffs),
+                                                   list(b.coeffs[n - j].coeffs)))
+        out.append(stripped(acc))
+    return out
+
+
+class TestLongProducts:
+    @given(long_polys_st, long_polys_st)
+    @example(Polynomial(range(1, 24)), Polynomial(range(-21, 0)))
+    @example(Polynomial([GaussianRational(k, 1 - k) for k in range(1, 22)]),
+             Polynomial([Fraction(k, 3) for k in range(1, 26)]))
+    @settings(max_examples=40)
+    def test_product_matches_schoolbook(self, p, q):
+        ref = stripped(reference_mul(list(p.coeffs), list(q.coeffs)))
+        for got in (p * q, q * p):
+            assert_canonical(got)
+            assert list(got.coeffs) == ref
+            assert is_gaussian(got) == has_imaginary_part(ref)
+
+    @given(long_polys_st, long_polys_st, gaussian_polys_st, st.integers(1, 12))
+    @settings(max_examples=40)
+    def test_linear_combination_with_long_factors_matches_schoolbook(self, s, p, q, divisor):
+        terms = [(s, p), (q, s), (HALF, p), (p, q)]
+        got = _linear_combination(terms, divisor)
+        assert_canonical(got)
+        assert got == folded(terms, divisor)
+
+    def test_series_product_of_order_32_matches_schoolbook(self):
+        # Coefficient n of a has degree min(n, 24) and of b max(24 - n, 1),
+        # so products of two factors longer than 20 coefficients occur;
+        # zeros among the coefficients; a is over Q and b over Q(i).
+        order = 32
+        a = series([Polynomial([Fraction(k - n, n + 1) if (n + k) % 3 else 0
+                                for k in range(min(n, 24) + 1)])
+                    for n in range(order + 1)], order)
+        b = series([Polynomial([GaussianRational(Fraction(1, k + 1), n - 2 * k) if (n * k) % 4 else 1
+                                for k in range(max(24 - n, 1) + 1)])
+                    for n in range(order + 1)], order)
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = x * y
+            assert got.order == order
+            assert [list(c.coeffs) for c in got.coeffs] == schoolbook_series_product(x, y)
 
 
 # ---------------------------------------------------------------------------
