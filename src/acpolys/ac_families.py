@@ -287,7 +287,10 @@ def route_equivalence_checks(baseline: ACFamily) -> list:
     """Every other route of ``ALL_ROUTES``, built here to the same n_max,
     gives exactly the A_n and C_n (A_n alone for the residue route) of
     ``baseline``, which must be the recurrence family.  This is the only
-    check of a route's output: a row that is not over Q fails here."""
+    check of a route's output, and a failed check says why: a row that is
+    not over Q names its first imaginary power, and a builder that raises
+    fails every check of its route with the exception's repr, while the
+    other routes still run."""
     if baseline.route != ROUTE_RECURRENCE:
         raise ValueError(
             f"route equivalence compares against the {ROUTE_RECURRENCE} "
@@ -296,15 +299,36 @@ def route_equivalence_checks(baseline: ACFamily) -> list:
     n_max = baseline.max_n
     checks = []
     for route in ALL_ROUTES[1:]:
-        a_rows, c_rows = route_rows(route, n_max)
-        pairs = (("A", a_rows, baseline.a_polys), ("C", c_rows, baseline.c_polys))
+        letters = "AC" if route in FAMILY_ROUTES else "A"
+        try:
+            rows, failure = route_rows(route, n_max), None
+        except Exception as exc:  # a broken builder fails its own checks only
+            rows, failure = None, repr(exc)
         for n in range(n_max + 1):
-            for letter, rows, base in pairs:
-                if rows:
-                    checks.append(exact_check(
-                        f"route/{route}/{letter.lower()}/n={n}",
-                        f"{letter}_{n} via {route} equals recurrence", rows[n], base[n]))
+            for side, letter in enumerate(letters):
+                check_id = f"route/{route}/{letter.lower()}/n={n}"
+                description = f"{letter}_{n} via {route} equals recurrence"
+                base = (baseline.a_polys, baseline.c_polys)[side][n]
+                if failure:
+                    checks.append(Check(check_id, description, FAIL, "", base, failure))
+                else:
+                    checks.append(_route_check(check_id, description, rows[side][n], base))
     return checks
+
+
+def _route_check(check_id: str, description: str, row: Polynomial,
+                 base: Polynomial) -> Check:
+    """``exact_check`` of a route's ``row`` against the recurrence's
+    ``base``; a failure on a row not over Q says so instead of "exact
+    mismatch"."""
+    check = exact_check(check_id, description, row, base)
+    if check.status == PASS:
+        return check
+    try:
+        row.integers()
+    except ValueError as exc:
+        return check._replace(error_metric=f"not over Q: {exc}")
+    return check
 
 
 def _shifts_by_i(p: Polynomial) -> tuple:

@@ -10,15 +10,17 @@ Subcommands::
 
 Exact values are printed as "p/q" strings, never floats; floats appear
 only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage error, 3 quadrature failed to converge, 4 internal
-error (an unexpected exception) or output that could not be written, each
-reported on one stderr line.
+1 a check failed, 2 argv rejected before anything is computed (by argparse,
+or ``poly``'s one rule it cannot state), 3 quadrature failed to converge,
+4 any exception after that, or output that could not be written, each
+reported on one stderr line.  Every code is decided in ``run``, so no
+module picks an exception type to choose one.
 
 Each subcommand returns its exit code and its output as chunks, strings
 whose concatenation is the whole stdout, and ``run`` writes and flushes
 them one at a time: ``coeffs`` yields one triangle row n per chunk, so no
 table is held as text.  What can fail (a family, its tangent guard,
-``build_uv``) runs before the first chunk, so exit 2 leaves stdout empty.
+``build_uv``) runs before the first chunk, so exit 4 leaves stdout empty.
 
 ``selftest`` runs its integral suites in one forked worker process while
 the exact suites run in the parent; the worker inherits the run's family
@@ -32,7 +34,8 @@ leaves by ``os._exit`` once ``run`` has written the output and stdout and
 stderr are flushed: interpreter teardown would only free what the process
 is about to drop.  Under a trace or profile hook (coverage, cProfile) it
 exits the normal way, so the hook's exit handlers still run.  ``run``
-itself never exits the process.
+itself never exits the process: for a usage error or ``--help`` it
+returns argparse's code, 2 or 0.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ from .ac_families import (
 from .exact_core import Polynomial, format_rational, poly_to_json
 from .generalized_uv import build_uv, check_uv_consistency
 from .report import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_TOLERANCE,
     EXIT_CHECK_FAILED,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -144,8 +149,9 @@ def latex_polynomial(p: Polynomial) -> str:
 
 def _cmd_poly(args) -> tuple:
     n = args.n
-    if args.family == "c" and args.route not in FAMILY_ROUTES:
-        raise ValueError("the residue route builds only the A family")
+    if args.family == "c" and args.route not in FAMILY_ROUTES:  # a usage error
+        return _complain("acpolys: error: the residue route builds only the A family",
+                         EXIT_USAGE), ()
     a_rows, c_rows = route_rows(args.route, n)
     p = (a_rows if args.family == "a" else c_rows)[n]
     if p.conjugate() != p:  # a bug, not a usage error
@@ -188,7 +194,8 @@ def _cmd_numbers(args) -> tuple:
 def _cmd_coeffs(args) -> tuple:
     """One chunk per triangle row n, rendered from the tables' views.  The
     family, its tangent guard and ``build_uv`` run here, before ``run``
-    writes the first chunk."""
+    writes the first chunk, so whatever they raise (exit 4) leaves stdout
+    empty."""
     max_n = args.max_n
     if args.table == "uv":  # first: the first row n and the first column k
         uv = build_uv(max_n)
@@ -282,11 +289,12 @@ def _beside(here, there) -> tuple:
     pipe.  The worker always leaves by ``os._exit``: it never flushes this
     process's stdio buffers or runs its exit handlers.  An exception that
     does not survive a pickle round trip comes back as
-    ``RuntimeError(repr(exc))``.  A worker that ends without a result
-    raises RuntimeError naming its signal or exit status.  The worker is
-    reaped before this returns or raises, also when ``here()`` raises,
-    whose exception then wins (it would have come first).  Without
-    ``os.fork`` both run here, ``here()`` first.
+    ``RuntimeError(repr(exc))``, which ``run`` reports as exit 4 like any
+    exception.  A worker that ends without a result raises RuntimeError
+    naming its signal or exit status.  The worker is reaped before this
+    returns or raises, also when ``here()`` raises, whose exception then
+    wins (it would have come first).  Without ``os.fork`` both run here,
+    ``here()`` first.
     """
     if not hasattr(os, "fork"):
         return here(), there()
@@ -431,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p_report in (p_verify, p_self):
         p_report.add_argument("--max-n", type=_non_negative, default=24, metavar="N",
                               help="the largest n of any A_n, C_n a check reads, in every suite")
-        p_report.add_argument("--tolerance", type=_tolerance, default=1e-8)
+        p_report.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
         p_report.add_argument(
-            "--grid-size", type=_grid_size, default=200,
+            "--grid-size", type=_grid_size, default=DEFAULT_GRID_SIZE,
             help="nodes of the eigenfunction checks' grid of equal 16-node "
             f"Gauss panels, rounded up to a multiple of 32 (2 to {_MAX_GRID_SIZE})",
         )
@@ -453,9 +461,14 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     """Parse argv, execute, write the command's chunks to stdout, each one
-    flushed; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flushed; returns the exit code and never exits.  Exit 2 is decided from
+    argv alone: argparse's rejection (its ``SystemExit``, whose code is
+    returned, also 0 for ``--help``) or ``_cmd_poly``'s family/route rule.
+    Any exception after parsing is exit 4."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), already printed
+        return exc.code
     try:
         code, chunks = _DISPATCH[args.command](args)
         for chunk in chunks:
@@ -468,9 +481,7 @@ def run(argv=None) -> int:
                 code = _complain(f"acpolys: error: cannot write output: {exc}", EXIT_INTERNAL)
                 _discard_stdout()
                 return code
-    except ValueError as exc:
-        return _complain(f"acpolys: error: {exc}", EXIT_USAGE)
-    except Exception as exc:  # a bug: keep exit 1 meaning "a check failed"
+    except Exception as exc:  # nothing computed is a usage error; exit 1 is a failed check
         return _complain(f"acpolys: internal error: {exc!r}", EXIT_INTERNAL)
     return code
 
@@ -531,7 +542,8 @@ def main() -> None:
     Once the output is written and flushed, interpreter teardown (freeing
     every module and object) buys nothing.  Under a trace or profile hook
     the process exits the normal way instead, so the hook's exit handlers
-    still run.  A usage error or ``--help`` leaves argparse's way.
+    still run.  A usage error or ``--help`` leaves the same way as any
+    other run, its text flushed here.
     """
     code = run()
     if _watched():

@@ -281,8 +281,8 @@ class Polynomial:
     @classmethod
     def _of(cls, re: Sequence[int], im, den: int) -> "Polynomial":
         """The polynomial (re + im*i)/den, for integer vectors re and im
-        (im None for all zeros, and no longer than re) and den > 0, in its
-        one encoding: im dropped when all zero, trailing zeros stripped,
+        (im None for all zeros, else exactly as long as re) and den > 0, in
+        its one encoding: im dropped when all zero, trailing zeros stripped,
         reduced once."""
         p = object.__new__(cls)
         n = len(re)
@@ -292,8 +292,6 @@ class Polynomial:
             while n and not re[n - 1]:
                 n -= 1
         else:
-            if len(im) < n:
-                im = [*im, *(0,) * (n - len(im))]
             while n and not (re[n - 1] or im[n - 1]):
                 n -= 1
         if not n:

@@ -49,7 +49,8 @@ import numpy as np
 from .ac_families import ACFamily
 from .exact_core import Polynomial
 from .report import (
-    Check, ERROR, FAIL, PASS, SUITES, VerificationReport, exact_check,
+    DEFAULT_GRID_SIZE, DEFAULT_TOLERANCE, ERROR, FAIL, PASS, SUITES, Check,
+    VerificationReport, exact_check,
 )
 from .special_numbers import bernoulli_numbers
 
@@ -243,7 +244,7 @@ def _mirrored_grid(bounds) -> Grid:
     return Grid(np.concatenate([s, 1.0 - s[::-1]]), np.concatenate([ws, ws[::-1]]))
 
 
-def gauss_legendre_grid(size: int = 200) -> Grid:
+def gauss_legendre_grid(size: int = DEFAULT_GRID_SIZE) -> Grid:
     """Equal-width Gauss panels on (0, 1), ceil(size / 32) per half: that is
     32 ceil(size / 32) nodes, exactly ``size`` when 32 divides it."""
     k = -(-size // (2 * PANEL))
@@ -671,7 +672,8 @@ def transform_moment_identity(a: float, n: int, family: ACFamily, tol: float) ->
 
 
 def integrals_report(family: ACFamily, suite: str = "all",
-                     tolerance: float = 1e-8, grid_size: int = 200):
+                     tolerance: float = DEFAULT_TOLERANCE,
+                     grid_size: int = DEFAULT_GRID_SIZE):
     """Assemble the numeric verification suites into one report.
 
     The exact A_n / C_n are read from ``family``, and a check that reads a

@@ -32,6 +32,13 @@ EXIT_NO_CONVERGENCE = 3
 #: they evaluate at.
 SUITES = ("cform", "aform", "classical", "moments", "eigen")
 
+#: Their defaults, shared by ``integrals_report`` and the CLI's
+#: ``--tolerance`` and ``--grid-size``: the tolerance of the pure
+#: quadrature comparisons (the grid checks run at 10x), and the requested
+#: node count of the eigenfunction checks' grid.
+DEFAULT_TOLERANCE = 1e-8
+DEFAULT_GRID_SIZE = 200
+
 
 class Check(NamedTuple):
     id: str

@@ -33,7 +33,7 @@ from acpolys.ac_families import (
     structural_checks,
 )
 from acpolys.exact_core import GaussianRational, I, Polynomial
-from acpolys.report import EXIT_OK, PASS, Check, VerificationReport
+from acpolys.report import EXIT_OK, FAIL, PASS, Check, VerificationReport
 
 F = Fraction
 
@@ -169,6 +169,38 @@ class TestRouteEquivalence:
                             lambda n_max: built._replace(a_polys=tuple(a_polys)))
         checks = route_equivalence_checks(build_by_recurrence(6))
         assert [c.id for c in checks if c.status != PASS] == ["route/closed_form/a/n=3"]
+
+    def test_a_non_real_route_row_names_its_first_imaginary_power(self, monkeypatch):
+        built = build_by_closed_form(6)
+        a_polys = list(built.a_polys)
+        a_polys[3] = a_polys[3] + Polynomial.monomial(2, I)
+        monkeypatch.setattr(ac_families, "build_by_closed_form",
+                            lambda n_max: built._replace(a_polys=tuple(a_polys)))
+        failed = [c for c in route_equivalence_checks(build_by_recurrence(6))
+                  if c.status != PASS]
+        assert [c.error_metric for c in failed] == [
+            "not over Q: nonzero imaginary part at X^2 of a polynomial of degree 4"]
+
+    @pytest.mark.parametrize("name, route, letters", [
+        ("build_by_generating_function", "generating_function", "ac"),
+        ("build_a_by_residue_recurrence", "residue_recurrence", "a"),
+    ])
+    def test_a_raising_builder_fails_every_check_of_its_route(
+            self, monkeypatch, name, route, letters):
+        def raises(n_max):
+            raise ZeroDivisionError("boom")
+
+        baseline = build_by_recurrence(3)
+        ids = [c.id for c in route_equivalence_checks(baseline)]
+        monkeypatch.setattr(ac_families, name, raises)
+        checks = route_equivalence_checks(baseline)
+        assert [c.id for c in checks] == ids
+        failed = [c for c in checks if c.status != PASS]
+        assert [c.id for c in failed] == [
+            f"route/{route}/{letter}/n={n}" for n in range(4) for letter in letters]
+        assert {(c.status, c.error_metric) for c in failed} == {
+            (FAIL, "ZeroDivisionError('boom')")}
+        assert [c.rhs for c in failed if c.id.split("/")[2] == "a"] == list(baseline.a_polys)
 
     def test_every_builder_is_looked_up_when_called(self, monkeypatch):
         # A tracer rebinds module attributes: each route must run through them.

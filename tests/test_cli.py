@@ -272,7 +272,8 @@ class TestCoeffsChunks:
             "acpolys: internal error: RuntimeError('tangent expansion failed: tangent_expansion/n=3')\n")
 
     @pytest.mark.parametrize("exc, code, line", [
-        (ValueError("bad row"), 2, "acpolys: error: bad row"),
+        # Nothing computed is a usage error, whatever its exception type.
+        (ValueError("bad row"), 4, "acpolys: internal error: ValueError('bad row')"),
         (RuntimeError("boom"), 4, "acpolys: internal error: RuntimeError('boom')"),
         # An OSError of the producer is a bug, not an output that cannot be written.
         (OSError(5, "Input/output error"), 4,
@@ -425,19 +426,13 @@ class TestUsageErrors:
         assert "residue" in err
 
     def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["frobnicate"])
-        assert exc.value.code == 2
+        assert run(["frobnicate"]) == 2
 
     def test_unknown_format(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["poly", "--family", "a", "--n", "1", "--format", "yaml"])
-        assert exc.value.code == 2
+        assert run(["poly", "--family", "a", "--n", "1", "--format", "yaml"]) == 2
 
     def test_verify_rejects_latex(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["verify", "identities", "--format", "latex"])
-        assert exc.value.code == 2
+        assert run(["verify", "identities", "--format", "latex"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -457,12 +452,16 @@ class TestUsageErrors:
         ],
     )
     def test_out_of_range_argument(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(list(argv))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
         assert "usage:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("coeffs", "-h")])
+    def test_help_is_returned_as_exit_0(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: acpolys")
 
 
 class TestInternalError:
@@ -476,14 +475,14 @@ class TestInternalError:
         assert out == ""
         assert err == "acpolys: internal error: RuntimeError('boom')\n"
 
-    def test_value_error_stays_a_usage_error(self, capsys, monkeypatch):
+    def test_value_error_is_an_internal_error(self, capsys, monkeypatch):
         def rejects(args):
             raise ValueError("bad input")
 
         monkeypatch.setitem(cli._DISPATCH, "numbers", rejects)
-        code, _, err = invoke(capsys, "numbers", "--kind", "bernoulli")
-        assert code == cli.EXIT_USAGE
-        assert err == "acpolys: error: bad input\n"
+        code, out, err = invoke(capsys, "numbers", "--kind", "bernoulli")
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "acpolys: internal error: ValueError('bad input')\n"
 
 
 def _subprocess_env() -> dict:
@@ -619,16 +618,6 @@ class TestClosedStderr:
         assert (result.returncode, result.stdout) == invoke(capsys, *argv)[:2]
 
 
-def _in_process(capsys, argv):
-    """``invoke``, also for argv that argparse rejects by SystemExit."""
-    try:
-        code = run(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestProcessExit:
     """``python -m acpolys.cli`` prints what ``run`` prints and exits with
     its code, then leaves by ``os._exit``, except under a profile or trace
@@ -654,7 +643,7 @@ class TestProcessExit:
     def test_exit_codes(self, capsys, code, argv):
         result = self._cli(*argv)
         assert result.returncode == code
-        assert (result.returncode, result.stdout, result.stderr) == _in_process(capsys, argv)
+        assert (result.returncode, result.stdout, result.stderr) == invoke(capsys, *argv)
 
     @pytest.mark.parametrize("hook, runs", [
         ("", False),
@@ -674,6 +663,17 @@ class TestProcessExit:
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "0,0\n1,0\n2,1/2\n" + "exit handler\n" * runs
+
+    def test_help_is_flushed_before_the_process_leaves(self):
+        # main leaves by os._exit, which flushes nothing itself; the help
+        # ends with its own option's line.  Buffered, as stdout is by default.
+        env = _subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        result = subprocess.run([sys.executable, "-m", "acpolys.cli", "--help"], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: acpolys")
+        assert result.stdout.endswith(" show this help message and exit\n")
 
     def test_a_profiler_still_prints_its_stats(self):
         result = self._cli("poly", "--family", "c", "--n", "4",
@@ -710,7 +710,8 @@ class TestIntegralsWorker:
         assert_no_child_process()
 
     @pytest.mark.parametrize("exc, code, line", [
-        (ValueError("bad input"), cli.EXIT_USAGE, "acpolys: error: bad input"),
+        (ValueError("bad input"), cli.EXIT_INTERNAL,
+         "acpolys: internal error: ValueError('bad input')"),
         (RuntimeError("boom"), cli.EXIT_INTERNAL,
          "acpolys: internal error: RuntimeError('boom')"),
     ])
@@ -839,10 +840,7 @@ _argv = st.one_of(
 def run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

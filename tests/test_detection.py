@@ -10,7 +10,9 @@ one of these mutants fails here, even when every other test still passes.
 
 The kernel mutants break one integer kernel of ``exact_core`` instead, in
 a fresh process: a wrong kernel must show as failed checks (exit 1), never
-as a usage error, and ``poly`` must not print a non-real polynomial.
+as a usage error, and ``poly`` must not print a non-real polynomial.  A
+fault that makes a computation raise is exit 4 on one stderr line, or,
+in a route builder, failed checks of that route alone.
 """
 
 import functools
@@ -145,6 +147,22 @@ for module in list(sys.modules.values()):
     if getattr(module, "_linear_combination", None) is _row:
         module._linear_combination = linear_combination
 """,
+    # Adds i*Y to every u/v row of degree 13 or more.
+    "uv_row": """
+from acpolys import generalized_uv
+_row = generalized_uv._linear_combination
+def uv_row(terms, divisor=1):
+    p = _row(terms, divisor)
+    return p + exact_core.I * exact_core.X if p.degree >= 13 else p
+generalized_uv._linear_combination = uv_row
+""",
+    # Drops one order more than asked past order 20.
+    "truncate": """
+_truncate = exact_core.TruncatedSeries.truncate
+def truncate(self, order):
+    return _truncate(self, order - 1 if order > 20 else order)
+exact_core.TruncatedSeries.truncate = truncate
+""",
 }
 
 #: The shift by i goes through both mutated kernels.
@@ -192,3 +210,33 @@ def test_kernel_mutant_stops_poly_on_one_short_line(mutant):
     assert (result.returncode, result.stdout) == (4, "")
     assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 200
     assert "route closed_form built a non-real A_40 of degree 41" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "coeffs"])
+def test_a_non_real_uv_row_is_an_internal_error(command):
+    # build_uv reads each row's integers, which a row over Q(i) has not.
+    result = with_kernel_mutant("uv_row", command, "uv", "--max-n", "48")
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr == ("acpolys: internal error: ValueError('nonzero imaginary part "
+                             "at X^1 of a polynomial of degree 13')\n")
+
+
+def test_a_raising_route_fails_only_its_own_checks():
+    result = with_kernel_mutant("truncate", "verify", "identities", "--max-n", "24",
+                                "--format", "csv")
+    assert (result.returncode, result.stderr) == (1, "")
+    rows = [line.split(",") for line in result.stdout.splitlines()]
+    failed = [row for row in rows if row[2] != "pass"]
+    assert [row[1] for row in failed] == [
+        f"route/generating_function/{letter}/n={n}" for n in range(25) for letter in "ac"]
+    assert {row[3] for row in failed} == {"ValueError('mixed truncation orders: 23 vs 24')"}
+    assert {kernel_prefix(row[1]) for row in rows} > {
+        "route/closed_form", "route/coefficient_formula", "route/residue_recurrence"}
+
+
+def test_a_raising_route_stops_poly_on_one_line():
+    result = with_kernel_mutant("truncate", "poly", "--family", "c", "--n", "24",
+                                "--route", "generating_function")
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr == (
+        "acpolys: internal error: ValueError('mixed truncation orders: 23 vs 24')\n")
