@@ -320,15 +320,15 @@ def _route_check(check_id: str, description: str, row: Polynomial,
                  base: Polynomial) -> Check:
     """``exact_check`` of a route's ``row`` against the recurrence's
     ``base``; a failure on a row not over Q says so instead of "exact
-    mismatch"."""
+    mismatch", in the text of ``integers()``, which raises for every such
+    row."""
     check = exact_check(check_id, description, row, base)
-    if check.status == PASS:
+    if check.status == PASS or row.is_real:
         return check
     try:
         row.integers()
     except ValueError as exc:
         return check._replace(error_metric=f"not over Q: {exc}")
-    return check
 
 
 def _shifts_by_i(p: Polynomial) -> tuple:
@@ -336,7 +336,7 @@ def _shifts_by_i(p: Polynomial) -> tuple:
     for p over Q, which is its own conjugate, p(X-i) is the conjugate of
     p(X+i) and one Taylor shift gives both; any other p is shifted twice."""
     plus = p.compose_affine(1, I)
-    if p.conjugate() == p:
+    if p.is_real:
         return plus, plus.conjugate()
     return plus, p.compose_affine(1, -I)
 
@@ -418,31 +418,29 @@ def check_euler_identity(family: ACFamily) -> list:
     return checks
 
 
-def check_tangent_expansion(family: ACFamily, first_failure: bool = False) -> list:
-    """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly.
+def check_tangent_expansion(family: ACFamily) -> list:
+    """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly,
+    for every n in the family."""
+    return list(_tangent_checks(family))
+
+
+def _tangent_checks(family: ACFamily):
+    """The checks of ``check_tangent_expansion``, made one n at a time.
 
     d_0..d_max_n are read once, as numerators over one denominator (a
     power of two), so each right-hand side is a row of integer products.
-    With ``first_failure``, only the first failing check is kept (none if
-    all pass), and the checks stop there.
     """
     d, _, den = _over_one_denominator(
         [tangent_half_coeff(j) for j in range(family.max_n + 1)])
-    checks = []
     for n in range(family.max_n + 1):
         # ... + 0 X**n + 1 X**(n+1)
         rhs = [*(comb(n, k) * d[n - k] for k in range(n)), 0, den]
-        check = exact_check(
+        yield exact_check(
             f"tangent_expansion/n={n}",
             f"A_{n} + C_{n} = X^{n + 1} + sum binom({n},k) d_({n}-k) X^k",
             family.a(n) + family.c(n),
             Polynomial.from_integers(rhs, den),
         )
-        if not first_failure:
-            checks.append(check)
-        elif check.status != PASS:
-            return [check]
-    return checks
 
 
 def structural_checks(family: ACFamily) -> list:
@@ -494,10 +492,7 @@ def _parity_check(p: Polynomial, n: int, letter: str, has_constant: bool) -> Che
     parity-allowed index must be genuinely nonzero.  The coefficients are
     read as integer numerators, or as scalars for a polynomial over Q(i).
     """
-    try:
-        coeffs = p.integers()[0]
-    except ValueError:
-        coeffs = p.coeffs
+    coeffs = p.integers()[0] if p.is_real else p.coeffs
     bad = []
     for k in range(n + 2):
         allowed = (k % 2 == (n + 1) % 2) and not (k == 0 and not has_constant)
@@ -505,22 +500,12 @@ def _parity_check(p: Polynomial, n: int, letter: str, has_constant: bool) -> Che
         if present != allowed:
             bad.append(k)
     if bad:
-        return Check(
-            f"parity/{letter}/n={n}",
-            f"support of {letter.upper()}_{n} matches parity (n+1) mod 2",
-            FAIL,
-            str(p),
-            f"offending powers: {bad}",
-            "support mismatch",
-        )
-    return Check(
-        f"parity/{letter}/n={n}",
-        f"support of {letter.upper()}_{n} matches parity (n+1) mod 2",
-        PASS,
-        "",
-        "",
-        "0",
-    )
+        status, lhs, rhs, metric = FAIL, str(p), f"offending powers: {bad}", "support mismatch"
+    else:
+        status, lhs, rhs, metric = PASS, "", "", "0"
+    return Check(f"parity/{letter}/n={n}",
+                 f"support of {letter.upper()}_{n} matches parity (n+1) mod 2",
+                 status, lhs, rhs, metric)
 
 
 def _triangle_columns(n: int) -> range:
@@ -532,14 +517,14 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     """The alpha (from A_n) and lambda (from C_n) triangles of the family,
     as views over its polynomials: each entry is read, and built, on lookup.
 
-    Also re-verifies the tangent expansion of A_n + C_n exactly for each n
-    and raises RuntimeError at the first n where it fails, so a corrupted
-    family cannot yield quietly wrong tables: a broken computation, not a
-    usage error.
+    Also re-verifies the tangent expansion of A_n + C_n exactly, making
+    the checks of ``check_tangent_expansion`` one n at a time, and raises
+    RuntimeError at the first that fails, so a corrupted family cannot
+    yield quietly wrong tables: a broken computation, not a usage error.
     """
-    failures = check_tangent_expansion(family, first_failure=True)
-    if failures:
-        raise RuntimeError(f"tangent expansion failed: {failures[0].id}")
+    failed = next((c for c in _tangent_checks(family) if c.status != PASS), None)
+    if failed is not None:
+        raise RuntimeError(f"tangent expansion failed: {failed.id}")
     ns = range(family.max_n + 1)
     return CoeffTables(Triangle(family.a_polys, ns, _triangle_columns),
                        Triangle(family.c_polys, ns, _triangle_columns))
@@ -578,24 +563,17 @@ REFERENCE_C = (
 def golden_table_checks(family: ACFamily) -> list:
     """Compare the built families against the fixed low-order references."""
     checks = []
-    for n in range(min(family.max_n, len(REFERENCE_A) - 1) + 1):
-        checks.append(
-            exact_check(
-                f"golden/a/n={n}",
-                f"A_{n} equals the reference table entry",
-                family.a(n),
-                REFERENCE_A[n],
+    for letter, polys, reference in (("A", family.a_polys, REFERENCE_A),
+                                     ("C", family.c_polys, REFERENCE_C)):
+        for n in range(min(family.max_n + 1, len(reference))):
+            checks.append(
+                exact_check(
+                    f"golden/{letter.lower()}/n={n}",
+                    f"{letter}_{n} equals the reference table entry",
+                    polys[n],
+                    reference[n],
+                )
             )
-        )
-    for n in range(min(family.max_n, len(REFERENCE_C) - 1) + 1):
-        checks.append(
-            exact_check(
-                f"golden/c/n={n}",
-                f"C_{n} equals the reference table entry",
-                family.c(n),
-                REFERENCE_C[n],
-            )
-        )
     return checks
 
 

@@ -8,8 +8,9 @@ Subcommands::
     verify    run a verification suite (identities | uv | integrals)
     selftest  every exact suite plus every quadrature suite
 
-Exact values are printed as "p/q" strings, never floats; floats appear
-only inside ``verify integrals`` reports.  Exit codes: 0 all checks pass,
+Exact values are printed as "p/q" strings of any length (``main`` lifts
+Python's int-to-str digit limit), never floats; floats appear only inside
+``verify integrals`` reports.  Exit codes: 0 all checks pass,
 1 a check failed, 2 argv rejected before anything is computed (by argparse,
 or ``poly``'s one rule it cannot state), 3 quadrature failed to converge,
 4 any exception after that, or output that could not be written, each
@@ -154,7 +155,7 @@ def _cmd_poly(args) -> tuple:
                          EXIT_USAGE), ()
     a_rows, c_rows = route_rows(args.route, n)
     p = (a_rows if args.family == "a" else c_rows)[n]
-    if p.conjugate() != p:  # a bug, not a usage error
+    if not p.is_real:  # a bug, not a usage error
         raise RuntimeError(f"route {args.route} built a non-real "
                            f"{args.family.upper()}_{n} of degree {p.degree}")
     if args.format == "json":
@@ -544,7 +545,14 @@ def main() -> None:
     the process exits the normal way instead, so the hook's exit handlers
     still run.  A usage error or ``--help`` leaves the same way as any
     other run, its text flushed here.
+
+    Python's limit on int-to-str conversion (4300 digits by default) is
+    lifted first: it guards the parsing of untrusted text, and every
+    integer this program prints is one it computed, such as the numerator
+    of B_2064.
     """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     code = run()
     if _watched():
         sys.exit(code)

@@ -10,7 +10,8 @@ the class).  Its arithmetic is integer vector arithmetic, and scalars are
 built only when a coefficient is read or printed.  The layout belongs to
 this module alone: other modules read and build polynomials over Q as
 integers through ``Polynomial.from_integers``, ``integers`` and
-``shifted``, or as scalars through the coefficients.  :class:`Triangle` is
+``shifted``, or as scalars through the coefficients, and ask which field
+a polynomial is over through ``is_real``.  :class:`Triangle` is
 a read-only (n, k) table over rows of polynomials, and
 :class:`TruncatedSeries` a vector of polynomials in x indexed by the power
 of t, exact modulo t**(order+1).
@@ -376,6 +377,13 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._re
+
+    @property
+    def is_real(self) -> bool:
+        """Whether every coefficient is rational (the polynomial is over Q),
+        as for the zero polynomial; then ``integers()`` does not raise and
+        the polynomial is its own conjugate."""
+        return self._im is None
 
     def coefficient(self, power: int) -> Scalar:
         """The coefficient of X**power (zero beyond the degree)."""

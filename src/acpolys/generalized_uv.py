@@ -102,11 +102,8 @@ def _scaled_check(check_id: str, description: str, value: Fraction,
     denominator times the coefficient's numerator.  A pass keeps ``value``
     as both sides, which render alike; only a mismatch builds the
     coefficient."""
-    try:
+    if poly.is_real:
         numerators, den = poly.integers()
-    except ValueError:  # poly over Q(i): compare the built coefficient
-        pass
-    else:
         num = numerators[power] if power < len(numerators) else 0
         if value.numerator * den == (n + 1) * num * value.denominator:
             return Check(check_id, description, PASS, value, value, "0")

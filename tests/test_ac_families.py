@@ -33,7 +33,7 @@ from acpolys.ac_families import (
     structural_checks,
 )
 from acpolys.exact_core import GaussianRational, I, Polynomial
-from acpolys.report import EXIT_OK, FAIL, PASS, Check, VerificationReport
+from acpolys.report import EXIT_OK, FAIL, PASS, Check, VerificationReport, exact_check
 
 F = Fraction
 
@@ -364,15 +364,25 @@ class TestCoefficientTables:
         for n in range(N_MAX + 1):
             assert t.lam[(n, n)] == 0
 
-    def test_tangent_guard_stops_at_the_first_failure(self, family):
-        assert check_tangent_expansion(family, first_failure=True) == []
+    def test_tangent_guard_stops_at_the_first_failure(self, family, monkeypatch):
         broken_c = list(family.c_polys)
         for n in (3, 5):
             broken_c[n] = broken_c[n] + Polynomial([1])
         broken = family._replace(c_polys=tuple(broken_c))
-        failures = check_tangent_expansion(broken, first_failure=True)
-        assert [c.id for c in failures] == ["tangent_expansion/n=3"]
-        assert failures[0] == check_tangent_expansion(broken)[3]
+        assert [c.id for c in check_tangent_expansion(broken) if c.status != PASS] == [
+            "tangent_expansion/n=3", "tangent_expansion/n=5"]
+        made = []
+
+        def counted(check_id, *rest):
+            made.append(check_id)
+            return exact_check(check_id, *rest)
+
+        monkeypatch.setattr(ac_families, "exact_check", counted)
+        with pytest.raises(RuntimeError) as caught:
+            lambda_alpha_tables(broken)
+        assert repr(caught.value) == (
+            "RuntimeError('tangent expansion failed: tangent_expansion/n=3')")
+        assert made == [f"tangent_expansion/n={n}" for n in range(4)]
 
     def test_tangent_guard_holds_one_check_at_a_time(self):
         # Holding all 121 checks, each with A_n + C_n and its right-hand

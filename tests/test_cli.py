@@ -675,6 +675,13 @@ class TestProcessExit:
         assert result.stdout.startswith("usage: acpolys")
         assert result.stdout.endswith(" show this help message and exit\n")
 
+    def test_values_past_the_int_to_str_digit_limit_are_printed(self):
+        # B_448 is the first Bernoulli number whose numerator has over 640 digits.
+        argv = ("numbers", "--kind", "bernoulli", "--max-n", "460", "--format", "csv")
+        limited = self._cli(*argv, python_args=("-X", "int_max_str_digits=640"))
+        assert (limited.returncode, limited.stderr) == (0, "")
+        assert limited.stdout == self._cli(*argv).stdout
+
     def test_a_profiler_still_prints_its_stats(self):
         result = self._cli("poly", "--family", "c", "--n", "4",
                            python_args=("-m", "cProfile"))

@@ -377,6 +377,23 @@ class TestPolynomial:
         assert got.conjugate() == p
         assert (got == p) == (not is_gaussian(p))
 
+    @given(st.one_of(polys_st, gaussian_polys_st))
+    @settings(max_examples=60)
+    def test_is_real_is_being_its_own_conjugate_and_having_integers(self, p):
+        assert p.is_real == (p.conjugate() == p)
+        try:
+            p.integers()
+        except ValueError:
+            assert not p.is_real
+        else:
+            assert p.is_real
+
+    @pytest.mark.parametrize("p", [Polynomial(), Polynomial([I, 1]) * Polynomial([-I, 1])],
+                             ids=["zero", "x_plus_i_times_x_minus_i"])
+    def test_zero_and_a_product_of_conjugates_are_real(self, p):
+        assert p.is_real
+        assert not (p + Polynomial([I])).is_real
+
     @given(polys_st)
     @settings(max_examples=40)
     def test_conjugate_of_a_shift_by_i_is_the_shift_by_minus_i(self, p):
@@ -490,6 +507,13 @@ class TestPolynomial:
         assert (q._re, q._im, q._den) == ((1, 3), (2, 0), 2)
         zero = Polynomial([HALF]) - Polynomial([HALF])
         assert (zero._re, zero._im, zero._den) == ((), None, 1)
+
+    @pytest.mark.parametrize("change", [1, I], ids=["real", "imaginary"])
+    def test_equality_reads_every_coefficient(self, change):
+        p = Polynomial([Fraction(k + 1, k + 2) for k in range(41)])
+        q = p + Polynomial.monomial(35, change)
+        assert q != p and p != q
+        assert q != q.conjugate() if change == I else q == q.conjugate()
 
     def test_zero_imaginary_part_compares_equal_to_rational(self):
         p = Polynomial([HALF, 0, 3])
