@@ -578,14 +578,15 @@ def golden_table_checks(family: ACFamily) -> list:
 
 
 def identities_report(family: ACFamily) -> VerificationReport:
-    """Run every exact suite on the recurrence family: golden tables,
-    pairwise route agreement, shifted-argument identities, the Euler link,
-    the tangent expansion, and structural facts (degrees, roots, parity)."""
-    report = VerificationReport(suite="identities")
-    report.extend(golden_table_checks(family))
-    report.extend(route_equivalence_checks(family))
-    report.extend(check_difference_identities(family))
-    report.extend(check_euler_identity(family))
-    report.extend(check_tangent_expansion(family))
-    report.extend(structural_checks(family))
-    return report
+    """The report of every exact suite on the recurrence family, built once
+    from their checks in this order: golden tables, pairwise route
+    agreement, shifted-argument identities, the Euler link, the tangent
+    expansion, and structural facts (degrees, roots, parity)."""
+    return VerificationReport("identities", (
+        *golden_table_checks(family),
+        *route_equivalence_checks(family),
+        *check_difference_identities(family),
+        *check_euler_identity(family),
+        *check_tangent_expansion(family),
+        *structural_checks(family),
+    ))

@@ -8,13 +8,13 @@ Subcommands::
     verify    run a verification suite (identities | uv | integrals)
     selftest  every exact suite plus every quadrature suite
 
-Exact values are printed as "p/q" strings of any length (``main`` lifts
-Python's int-to-str digit limit), never floats; floats appear only inside
-``verify integrals`` reports.  Exit codes: 0 all checks pass,
-1 a check failed, 2 argv rejected before anything is computed (by argparse,
-or ``poly``'s one rule it cannot state), 3 quadrature failed to converge,
-4 any exception after that, or output that could not be written, each
-reported on one stderr line.  Every code is decided in ``run``, so no
+Exact values are printed as "p/q" strings of any length (``run`` lifts
+Python's int-to-str digit limit while a command runs), never floats;
+floats appear only inside ``verify integrals`` reports.  Exit codes:
+0 all checks pass, 1 a check failed, 2 argv rejected before anything is
+computed (by argparse, or ``poly``'s one rule it cannot state),
+3 quadrature failed to converge, 4 any exception after that, or output
+that could not be written, each reported on one stderr line.  Every code is decided in ``run``, so no
 module picks an exception type to choose one.
 
 Each subcommand returns its exit code and its output as chunks, strings
@@ -265,7 +265,7 @@ def _suite_report(name: str, args, family) -> VerificationReport:
         return identities_report(family)
     if name == "uv":
         uv = build_uv(args.max_n)
-        return VerificationReport(suite="uv").extend(check_uv_consistency(uv, family))
+        return VerificationReport("uv", tuple(check_uv_consistency(uv, family)))
     return _operator_lab().integrals_report(
         family, suite=args.suite, tolerance=args.tolerance, grid_size=args.grid_size
     )
@@ -359,7 +359,7 @@ def _cmd_selftest(args) -> tuple:
     reports = [*exact, integrals]
     code = max(r.exit_code() for r in reports)
     if args.format == "json":
-        joined = VerificationReport("selftest", [c for r in reports for c in r.checks])
+        joined = VerificationReport("selftest", tuple(c for r in reports for c in r.checks))
         doc = {
             "reports": [r.to_json_dict() for r in reports],
             "summary": joined.counts,
@@ -465,11 +465,20 @@ def run(argv=None) -> int:
     flushed; returns the exit code and never exits.  Exit 2 is decided from
     argv alone: argparse's rejection (its ``SystemExit``, whose code is
     returned, also 0 for ``--help``) or ``_cmd_poly``'s family/route rule.
-    Any exception after parsing is exit 4."""
+    Any exception after parsing is exit 4.
+
+    Once argv is parsed, Python's int-to-str digit limit, which guards the
+    parsing of untrusted text such as argv, is lifted until ``run``
+    returns (exit 4 included) and then restored: every integer a command
+    prints is one it computed, such as the numerator of B_2064.  A forked
+    worker inherits the lifted limit."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a usage error (2) or --help (0), already printed
         return exc.code
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code, chunks = _DISPATCH[args.command](args)
         for chunk in chunks:
@@ -484,6 +493,9 @@ def run(argv=None) -> int:
                 return code
     except Exception as exc:  # nothing computed is a usage error; exit 1 is a failed check
         return _complain(f"acpolys: internal error: {exc!r}", EXIT_INTERNAL)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 
@@ -544,15 +556,9 @@ def main() -> None:
     every module and object) buys nothing.  Under a trace or profile hook
     the process exits the normal way instead, so the hook's exit handlers
     still run.  A usage error or ``--help`` leaves the same way as any
-    other run, its text flushed here.
-
-    Python's limit on int-to-str conversion (4300 digits by default) is
-    lifted first: it guards the parsing of untrusted text, and every
-    integer this program prints is one it computed, such as the numerator
-    of B_2064.
+    other run, its text flushed here.  ``run`` lifts Python's int-to-str
+    digit limit for the command it runs, so ``main`` leaves it alone.
     """
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     code = run()
     if _watched():
         sys.exit(code)

@@ -674,7 +674,8 @@ def transform_moment_identity(a: float, n: int, family: ACFamily, tol: float) ->
 def integrals_report(family: ACFamily, suite: str = "all",
                      tolerance: float = DEFAULT_TOLERANCE,
                      grid_size: int = DEFAULT_GRID_SIZE):
-    """Assemble the numeric verification suites into one report.
+    """The report of the numeric verification suites, built once from the
+    checks of each selected suite, in the order of SUITES.
 
     The exact A_n / C_n are read from ``family``, and a check that reads a
     polynomial past ``family.max_n`` is left out: "all" holds its 25 checks
@@ -692,23 +693,23 @@ def integrals_report(family: ACFamily, suite: str = "all",
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite: {suite}")
     grid_tol = 10.0 * tolerance
-    report = VerificationReport(suite=f"integrals/{suite}")
+    checks = []
     if suite in ("cform", "all"):
-        report.extend(c_form_checks(family, tol=tolerance))
+        checks += c_form_checks(family, tol=tolerance)
     if suite in ("aform", "all"):
-        report.extend(a_form_checks(family, tol=tolerance))
+        checks += a_form_checks(family, tol=tolerance)
     if suite in ("classical", "all"):
-        report.extend(classical_checks(tol=tolerance))
+        checks += classical_checks(tol=tolerance)
     if suite in ("moments", "eigen", "all"):
         graded = graded_gauss_grid()
         f = 1.0 / (graded.nodes + 1.0)
         t_phi0, t_f = nystrom_apply(graded, np.stack([phi0(graded), f], axis=1)).T
     if suite in ("moments", "all"):
-        report.extend(moment_check(family, graded, t_phi0, tol=grid_tol))
+        checks += moment_check(family, graded, t_phi0, tol=grid_tol)
         for nn, aa in _TMOMENT_POINTS:
             if nn <= family.max_n:
-                report.extend(transform_moment_identity(aa, nn, family, tol=tolerance))
+                checks += transform_moment_identity(aa, nn, family, tol=tolerance)
     if suite in ("eigen", "all"):
-        report.extend(eigenfunction_checks(gauss_legendre_grid(grid_size), tol=grid_tol))
-        report.checks.append(operator_identity_check(graded, f, t_f, tol=grid_tol))
-    return report
+        checks += eigenfunction_checks(gauss_legendre_grid(grid_size), tol=grid_tol)
+        checks.append(operator_identity_check(graded, f, t_f, tol=grid_tol))
+    return VerificationReport(f"integrals/{suite}", tuple(checks))

@@ -7,6 +7,9 @@ absolute error for numeric checks).  Exact checks keep the compared values
 themselves (polynomials, scalars) and quadrature checks keep repr'd floats;
 ``to_json_dict`` renders both with ``str()``, so only JSON output pays for
 rendering a polynomial.
+
+A VerificationReport is an immutable value built once from one suite's
+finished checks, in order; it compares, hashes and pickles by value.
 """
 
 from __future__ import annotations
@@ -66,25 +69,10 @@ def exact_check(check_id: str, description: str, lhs, rhs) -> Check:
     return Check(check_id, description, FAIL, lhs, rhs, "exact mismatch")
 
 
-class VerificationReport:
-    """The checks of one suite, in order; each report starts with a list
-    of its own unless it is handed one."""
-
-    def __init__(self, suite: str, checks: list | None = None):
-        self.suite = suite
-        self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return (self.suite, self.checks) == (other.suite, other.checks)
-
-    def __repr__(self) -> str:
-        return f"VerificationReport(suite={self.suite!r}, checks={self.checks!r})"
-
-    def extend(self, checks) -> "VerificationReport":
-        self.checks.extend(checks)
-        return self
+class VerificationReport(NamedTuple):
+    """One suite's checks, in order: a value, never changed once built."""
+    suite: str
+    checks: tuple = ()
 
     @property
     def counts(self) -> dict:

@@ -4,6 +4,7 @@ The golden tables below are frozen in this file independently of the
 package's reference constants, so a change to either copy trips the suite.
 """
 
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -414,9 +415,17 @@ class TestReport:
 
     def test_reports_own_their_check_lists(self):
         first, second = VerificationReport("x"), VerificationReport("x")
-        assert first == second
-        first.checks.append(Check("c", "a check", PASS))
-        assert second.checks == [] and first != second
+        assert first == second and first.checks == ()
+        changed = first._replace(checks=(Check("c", "a check", PASS),))
+        assert first.checks == () and first == second != changed
+
+    def test_reports_are_values(self):
+        report = identities_report(build_by_recurrence(8))
+        assert isinstance(report.checks, tuple)
+        again = identities_report(build_by_recurrence(8))
+        assert again == report and hash(again) == hash(report)
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and copy is not report
 
     def test_families_compare_and_hash_by_value(self):
         assert build_by_recurrence(5) == build_by_recurrence(5)

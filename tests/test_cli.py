@@ -682,6 +682,31 @@ class TestProcessExit:
         assert (limited.returncode, limited.stderr) == (0, "")
         assert limited.stdout == self._cli(*argv).stdout
 
+    def test_run_lifts_the_digit_limit_and_restores_it(self):
+        # In a fresh interpreter: run prints what the process prints, and
+        # leaves the limit as it found it, after exit 0 and after exit 4.
+        argv = ("numbers", "--kind", "bernoulli", "--max-n", "460", "--format", "csv")
+        script = (
+            "import contextlib, io, sys\n"
+            "from acpolys import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    ok = cli.run(sys.argv[1:])\n"
+            "after_ok = sys.get_int_max_str_digits()\n"
+            "def broken(args):\n"
+            "    raise RuntimeError(sys.get_int_max_str_digits())\n"
+            "cli._DISPATCH['numbers'] = broken\n"
+            "failed = cli.run(sys.argv[1:])\n"
+            "sys.stdout.write(out.getvalue())\n"
+            "print(ok, after_ok, failed, sys.get_int_max_str_digits(), file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-c", script, *argv],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0
+        assert result.stderr == "acpolys: internal error: RuntimeError(0)\n0 640 4 640\n"
+        assert result.stdout == self._cli(*argv).stdout
+
     def test_a_profiler_still_prints_its_stats(self):
         result = self._cli("poly", "--family", "c", "--n", "4",
                            python_args=("-m", "cProfile"))

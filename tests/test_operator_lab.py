@@ -622,8 +622,8 @@ class TestReportAssembly:
     def test_error_status_produces_exit_code_3(self):
         from acpolys.report import Check, VerificationReport
 
-        report = VerificationReport(suite="x")
-        report.checks.append(Check("q", "stalled", ERROR, "", "", "no convergence"))
+        report = VerificationReport(
+            "x", (Check("q", "stalled", ERROR, "", "", "no convergence"),))
         assert report.exit_code() == 3
 
     @pytest.mark.parametrize("name, suite, check_ids", [
