@@ -38,7 +38,6 @@ from .exact_core import (
     Triangle,
     TruncatedSeries,
     X,
-    _gaussian_integer_over,
     _linear_combination,
     _over_one_denominator,
 )
@@ -233,25 +232,22 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     A_{n+1} = 1/(n+2) [ (X+i)**(n+2) - i**(n+2)
                         - sum_{k<=n} binom(n+2, k) (2i)**(n+1-k) A_k ],
     seeded with A_0 = X.  Each row is one integer sum over the divisor n+2
-    reduced once (``_linear_combination``): its scalars are the integers
-    binom(n+2, k) times the Gaussian-integer numerators of (2i)**(n+1-k),
-    computed once per call.  (X+i)**(n+3) is the two-term row
-    X (X+i)**(n+2) + i (X+i)**(n+2), a shift and a scaling, not a product.
+    reduced once (``_linear_combination``): its scalars are -binom(n+2, k)
+    times (2i)**(n+1-k), each power of 2i computed once per call.
+    (X+i)**(n+3) is the two-term row X (X+i)**(n+2) + i (X+i)**(n+2), a
+    shift and a scaling, not a product.
     The recurrence stays real; each result is checked by route equivalence.
     """
     _require_n_max(n_max)
     a_gauss = [X]
     one = Polynomial([1])
     power = Polynomial([-1, TWO_I, 1])  # (X+i)**(n+2), from (X+i)**2
-    # (2i)**m as (re, im, den), integers with (2i)**m == (re + im*i)/den.
-    two_i_powers = [_gaussian_integer_over(TWO_I ** m) for m in range(n_max + 1)]
+    two_i_powers = [TWO_I ** m for m in range(n_max + 1)]
     for n in range(n_max):
-        terms = [(1, power), (-(I ** (n + 2)), one)]
-        for k in range(n + 1):
-            c = -comb(n + 2, k)
-            re, im, den = two_i_powers[n + 1 - k]
-            terms.append(((c * re, c * im, den), a_gauss[k]))
-        a_gauss.append(_linear_combination(terms, n + 2))
+        a_gauss.append(_linear_combination(
+            [(1, power), (-(I ** (n + 2)), one),
+             *((-comb(n + 2, k) * two_i_powers[n + 1 - k], a_gauss[k]) for k in range(n + 1))],
+            n + 2))
         power = _linear_combination(((1, power.shifted(1)), (I, power)))
     return a_gauss
 

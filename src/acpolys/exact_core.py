@@ -1,8 +1,8 @@
 """Exact arithmetic: Gaussian rationals, dense polynomials, truncated series.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always stored
-reduced with a positive denominator) or :class:`GaussianRational`, a pair
-of Fractions representing ``re + im*i``, i.e. an element of the field Q(i).
+Scalars are ``fractions.Fraction`` (always reduced, denominator > 0) or
+:class:`GaussianRational`, an element of Q(i) stored like one polynomial
+coefficient: Gaussian-integer numerators over one positive denominator.
 
 :class:`Polynomial` is a dense polynomial over Q or Q(i) stored as integer
 numerators over one common denominator (FLINT's ``fmpq_poly`` layout; see
@@ -10,11 +10,11 @@ the class).  Its arithmetic is integer vector arithmetic, and scalars are
 built only when a coefficient is read or printed.  The layout belongs to
 this module alone: other modules read and build polynomials over Q as
 integers through ``Polynomial.from_integers``, ``integers`` and
-``shifted``, or as scalars through the coefficients, and ask which field
-a polynomial is over through ``is_real``.  :class:`Triangle` is
-a read-only (n, k) table over rows of polynomials, and
-:class:`TruncatedSeries` a vector of polynomials in x indexed by the power
-of t, exact modulo t**(order+1).
+``shifted``, or as scalars through the coefficients, ask which field a
+polynomial is over through ``is_real``, and read a Gaussian rational
+through ``re`` and ``im``.  :class:`Triangle` is a read-only (n, k) table
+over rows of polynomials, and :class:`TruncatedSeries` a vector of
+polynomials in x indexed by the power of t, exact modulo t**(order+1).
 
 A sum of scaled polynomials, sum_k s_k * p_k, is one row of scalars times
 shifted integer vectors, reduced once (``_linear_combination``): a
@@ -23,8 +23,8 @@ polynomial factor adds one shifted term per nonzero coefficient.  ``+``,
 ``ac_families``, ``special_numbers`` and ``generalized_uv`` and the series
 product and quotient sum each of their rows with it.
 
-No floating point enters this module.  All values are immutable after
-construction and every operation is a pure function, so values are safe to
+No floating point enters this module.  No public attribute of a value
+can be set, and every operation is a pure function, so values are safe to
 share across threads.
 """
 
@@ -42,81 +42,81 @@ Scalar = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
-    """An element of Q(i): ``re + im*i`` with exact rational parts.
+    """An element ``re + im*i`` of Q(i), stored like a Polynomial coefficient:
+    the value is ``(_x + _y*i) / _d`` with ``_d > 0`` and no factor common
+    to all three, reduced once per operation.  ``re`` and ``im`` are
+    read-only Fractions; a value is real iff ``im == 0``."""
 
-    Arithmetic is exact; a value is real iff ``im == 0`` exactly.
-    """
+    __slots__ = ("_x", "_y", "_d")
 
-    __slots__ = ("re", "im")
+    def __new__(cls, re: Rat = 0, im: Rat = 0):
+        re, im = _exact_rational(re), _exact_rational(im)
+        return cls._of(re.numerator * im.denominator, im.numerator * re.denominator,
+                       re.denominator * im.denominator)
 
-    def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = re if type(re) is Fraction else Fraction(_exact_rational(re))
-        self.im = im if type(im) is Fraction else Fraction(_exact_rational(im))
+    @classmethod
+    def _of(cls, x: int, y: int, d: int) -> "GaussianRational":
+        """(x + y*i)/d for integers x, y and d > 0, reduced once."""
+        z = object.__new__(cls)
+        g = gcd(d, x, y)  # d first: gcd stops at a 1
+        z._x, z._y, z._d = x // g, y // g, d // g
+        return z
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def norm(self) -> Fraction:
         """The field norm re**2 + im**2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 
-    @staticmethod
-    def _coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(value) if _is_exact_rational(value) else None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (parts := _exact_integers(other)) is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        x, y, d = parts
+        return GaussianRational._of(self._x * d + x * self._d, self._y * d + y * self._d,
+                                    self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return NotImplemented if _exact_integers(other) is None else self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (parts := _exact_integers(other)) is None:
             return NotImplemented
-        re, im = other.re, other.im
-        return GaussianRational(self.re * re - self.im * im, self.re * im + self.im * re)
+        x, y, d = parts
+        return GaussianRational._of(self._x * x - self._y * y, self._x * y + self._y * x,
+                                    self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if (parts := _exact_integers(other)) is None:
             return NotImplemented
-        n = other.norm()
-        if n == 0:
+        x, y, d = parts
+        if not (x or y):
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # self times 1/other == d (x - y*i) / (x**2 + y**2)
+        return self * GaussianRational._of(x * d, -y * d, x * x + y * y)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return GaussianRational(other) / self if _is_exact_rational(other) else NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return GaussianRational(1) / self ** (-exponent)
+            return 1 / self ** -exponent
         # Square-and-multiply on the Gaussian integer x + y*i = self * d.
-        x, y, d = _gaussian_integer_over(self)
+        x, y = self._x, self._y
         re, im = 1, 0
         e = exponent
         while e:
@@ -124,20 +124,17 @@ class GaussianRational:
                 re, im = re * x - im * y, re * y + im * x
             x, y = x * x - y * y, 2 * x * y
             e >>= 1
-        d **= exponent
-        return GaussianRational(Fraction(re, d), Fraction(im, d))
+        return GaussianRational._of(re, im, self._d ** exponent)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self._x, -self._y, self._d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._x != 0 or self._y != 0
 
     def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.re == coerced.re and self.im == coerced.im
+        parts = _exact_integers(other)
+        return NotImplemented if parts is None else (self._x, self._y, self._d) == parts
 
     def __hash__(self):
         # Real values hash like their Fraction, keeping mixed-scalar
@@ -176,15 +173,22 @@ I = GaussianRational(0, 1)
 TWO_I = GaussianRational(0, 2)
 
 
-def _gaussian_integer_over(value: Scalar) -> tuple:
-    """``(re, im, d)``: integers with value == (re + im*i)/d and d > 0, for
-    an exact scalar ``value``."""
+def _exact_integers(value) -> "tuple | None":
+    """``(x, y, d)``: integers with value == (x + y*i)/d, d > 0 and
+    gcd(x, y, d) == 1 (a GaussianRational's stored integers), for an exact
+    scalar ``value``; None for any other value."""
     if isinstance(value, GaussianRational):
-        x, y = value.re, value.im
-    else:
-        x, y = _exact_rational(value), 0
-    d = lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+        return value._x, value._y, value._d
+    if _is_exact_rational(value):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _gaussian_integer_over(value: Scalar) -> tuple:
+    """``_exact_integers(value)``; TypeError if value is not an exact scalar."""
+    if (parts := _exact_integers(value)) is None:
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return parts
 
 
 def _over_one_denominator(values: Iterable[Scalar]) -> tuple:
@@ -361,10 +365,9 @@ class Polynomial:
         return cls((coeff,)).shifted(power)
 
     def _scalar(self, k: int) -> Scalar:
-        re = Fraction(self._re[k], self._den)
         if self._im is None:
-            return re
-        return GaussianRational(re, Fraction(self._im[k], self._den))
+            return Fraction(self._re[k], self._den)
+        return GaussianRational._of(self._re[k], self._im[k], self._den)
 
     @property
     def coeffs(self) -> tuple:
@@ -438,7 +441,7 @@ class Polynomial:
         den = self._den * q ** max(self.degree, 0)
         if self._im is None and not isinstance(x, GaussianRational):
             return Fraction(sum(re), den)
-        return GaussianRational(Fraction(sum(re), den), Fraction(sum(im or ()), den))
+        return GaussianRational._of(sum(re), sum(im or ()), den)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """Return p(a*X + b), computed exactly by a Taylor shift by 1 over Z[i].
@@ -520,11 +523,9 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
     """sum_k s_k * p_k / divisor, reduced once.
 
     ``terms`` yields pairs (s_k, p_k): s_k an exact scalar (int, Fraction,
-    GaussianRational), a triple (re, im, den) of integers standing for
-    (re + im*i)/den with den > 0 (the form ``_gaussian_integer_over``
-    returns), or a Polynomial; p_k a Polynomial; ``divisor`` is a positive
-    integer.  A scalar factor is converted once to Gaussian-integer
-    numerators, and a polynomial factor s = sum_j s_j X**j adds one term
+    GaussianRational) or a Polynomial; p_k a Polynomial; ``divisor`` is a
+    positive integer.  A scalar factor adds its Gaussian-integer numerators
+    once, and a polynomial factor s = sum_j s_j X**j adds one term
     s_j * X**j * p_k per nonzero s_j: the numerators of p_k shifted by j.
     The term vectors are summed as integers over the lcm of the term
     denominators, and ``Polynomial._of`` reduces the sum once.  A row of n
@@ -541,8 +542,6 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
             continue
         if type(s) is int:
             sr, si, sd = s, 0, 1
-        elif type(s) is tuple:
-            sr, si, sd = s
         elif isinstance(s, Polynomial):  # one term s_j * X**j * p per nonzero s_j
             s_re, s_im = s._re, s._im
             den *= s._den
@@ -744,11 +743,10 @@ class TruncatedSeries:
             )
         inv = 1 / lead.coefficient(0)
         steps = [(j, dj * -inv) for j, dj in enumerate(den) if j and not dj.is_zero]
-        inv_int = _gaussian_integer_over(inv)
         quotient: list[Polynomial] = []
         for n in range(new_order + 1):
             quotient.append(_linear_combination(
-                [(inv_int, num[n]),
+                [(inv, num[n]),
                  *((dj, quotient[n - j]) for j, dj in steps if j <= n)]))
         return TruncatedSeries(quotient, new_order)
 

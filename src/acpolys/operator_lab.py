@@ -104,8 +104,9 @@ def _tanh_sinh_nodes(level: int) -> tuple:
     h = 2**-level: the nodes u = k h for k = 0, 1, 2, ... at level 0, and
     for the odd k = 1, 3, 5, ... that each later level adds.  The node at
     u = k h lies a distance width * sigma inside each end of the interval
-    and has weight dw, until the nodes reach the ends (y > 350) or the
-    weights underflow.  They depend on the level alone, so each of the
+    and has weight dw, until the nodes reach the ends (y > 350).  Up to
+    there exp(-2y) >= exp(-700) is a normal float, so every sigma and dw is
+    positive.  They depend on the level alone, so each of the
     QUADRATURE_MAX_LEVEL + 1 levels is computed once per process."""
     h = 0.5**level
     k, step = (0, 1) if level == 0 else (1, 2)
@@ -118,8 +119,6 @@ def _tanh_sinh_nodes(level: int) -> tuple:
         e2 = math.exp(-2.0 * y)
         sigma = e2 / (1.0 + e2)
         dw = 2.0 * PI * math.cosh(u) * e2 / ((1.0 + e2) ** 2)
-        if dw == 0.0:
-            break
         nodes.append((sigma, dw))
         k += step
     return tuple(nodes)

@@ -7,7 +7,8 @@ consistent.  The cosecant numbers cs(n) are n! times the t**n Taylor
 coefficient of t/sin(t) (zero for odd n); the tangent-half coefficients
 d_n are n! times the t**n coefficient of tan(t/2) (zero for even n).
 Each closed formula has an independent series-quotient construction in
-this module used as a cross-check.
+this module.  Tier-1 tests and the benchmark oracle compare the two; no
+report check does yet.
 
 The beta_n are computed once per process: ``bernoulli_numbers`` keeps
 them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
@@ -214,7 +215,8 @@ def tangent_half_coeffs_series(n_max: int) -> list:
 def bernoulli_numbers_series(n_max: int) -> list:
     """beta_0..beta_{n_max} as n! times the coefficients of t / (e^t - 1).
 
-    Independent of the defining recurrence; used as a cross-check.
+    Independent of the defining recurrence; tier-1 tests and the benchmark
+    oracle compare the two.
     """
     one = TruncatedSeries([Polynomial([1])], n_max + 1)
     quotient = t_series(n_max + 1) / (exp_series(n_max + 1) - one)

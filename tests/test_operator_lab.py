@@ -185,6 +185,12 @@ class TestTanhSinh:
         for f, a, b, result in calls:
             assert result == tanh_sinh(f, a, b) == reference_tanh_sinh(f, a, b), (a, b)
 
+    @pytest.mark.parametrize("level", range(operator_lab.QUADRATURE_MAX_LEVEL + 1))
+    def test_every_node_has_positive_sigma_and_weight(self, level):
+        # The table stops at y > 350, before exp(-2y) could underflow.
+        nodes = operator_lab._tanh_sinh_nodes(level)
+        assert nodes and all(sigma > 0.0 and dw > 0.0 for sigma, dw in nodes)
+
     def test_a_stall_matches_the_reference(self):
         def f(x, dl, dh):
             return math.sin(100.0 / (x + 1e-3))
