@@ -233,7 +233,8 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
                         - sum_{k<=n} binom(n+2, k) (2i)**(n+1-k) A_k ],
     seeded with A_0 = X.  Each row is one integer sum over the divisor n+2
     reduced once (``_linear_combination``): its scalars are -binom(n+2, k)
-    times (2i)**(n+1-k), each power of 2i computed once per call.
+    times (2i)**(n+1-k), each power of 2i computed once per call, and an
+    even power (-4)**j kept an int, so half the terms take the integer path.
     (X+i)**(n+3) is the two-term row X (X+i)**(n+2) + i (X+i)**(n+2), a
     shift and a scaling, not a product.
     The recurrence stays real; each result is checked by route equivalence.
@@ -242,7 +243,7 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     a_gauss = [X]
     one = Polynomial([1])
     power = Polynomial([-1, TWO_I, 1])  # (X+i)**(n+2), from (X+i)**2
-    two_i_powers = [TWO_I ** m for m in range(n_max + 1)]
+    two_i_powers = [(-4) ** (m // 2) * (TWO_I if m % 2 else 1) for m in range(n_max + 1)]
     for n in range(n_max):
         a_gauss.append(_linear_combination(
             [(1, power), (-(I ** (n + 2)), one),

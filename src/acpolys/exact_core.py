@@ -70,10 +70,6 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._y, self._d)
 
-    def norm(self) -> Fraction:
-        """The field norm re**2 + im**2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
-
     def __add__(self, other):
         if (parts := _exact_integers(other)) is None:
             return NotImplemented
@@ -466,10 +462,10 @@ class Polynomial:
         result, it stores an imaginary vector only when that vector is
         nonzero.
         """
-        if not self._re:
-            return self
         beta_re, beta_im, d_b = _gaussian_integer_over(b)
         alpha_re, alpha_im, d_a = _gaussian_integer_over(a)
+        if not self._re:
+            return self
         n = len(self._re) - 1
         re, im = self._re, self._im
         if beta_re or beta_im:
@@ -523,10 +519,11 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
     """sum_k s_k * p_k / divisor, reduced once.
 
     ``terms`` yields pairs (s_k, p_k): s_k an exact scalar (int, Fraction,
-    GaussianRational) or a Polynomial; p_k a Polynomial; ``divisor`` is a
-    positive integer.  A scalar factor adds its Gaussian-integer numerators
-    once, and a polynomial factor s = sum_j s_j X**j adds one term
-    s_j * X**j * p_k per nonzero s_j: the numerators of p_k shifted by j.
+    GaussianRational), checked even when p_k is zero, or a Polynomial; p_k
+    a Polynomial; ``divisor`` is a positive integer.  A scalar factor adds
+    its Gaussian-integer numerators once, and a polynomial factor
+    s = sum_j s_j X**j adds one term s_j * X**j * p_k per nonzero s_j:
+    the numerators of p_k shifted by j.
     The term vectors are summed as integers over the lcm of the term
     denominators, and ``Polynomial._of`` reduces the sum once.  A row of n
     terms so costs one gcd reduction instead of one per term; ``+`` and
@@ -538,11 +535,11 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
     common, width = 1, 0
     for s, p in terms:
         re, im, den = p._re, p._im, p._den
-        if not re:
-            continue
         if type(s) is int:
             sr, si, sd = s, 0, 1
         elif isinstance(s, Polynomial):  # one term s_j * X**j * p per nonzero s_j
+            if not re:
+                continue
             s_re, s_im = s._re, s._im
             den *= s._den
             if common % den:
@@ -557,7 +554,7 @@ def _linear_combination(terms: Iterable[tuple], divisor: int = 1) -> Polynomial:
             continue
         else:
             sr, si, sd = _gaussian_integer_over(s)
-        if sr or si:
+        if re and (sr or si):
             den *= sd
             if common % den:
                 common = lcm(common, den)

@@ -12,9 +12,7 @@ report check does yet.
 
 The beta_n are computed once per process: ``bernoulli_numbers`` keeps
 them, and ``bernoulli_poly``, ``euler_poly``, ``cosecant_number`` and
-``tangent_half_coeff`` take only ``n`` and read beta from it.  Each
-B_n(X) is also built once per process, so the closed-form route and the
-Euler polynomials read the same B_{n+1}.  The
+``tangent_half_coeff`` take only ``n`` and read beta from it.  The
 series constructions never read that memo.  The memo hands out
 ``Fraction`` values, but the recurrence that extends it sums integers:
 the numerators of the known beta_k over their one common denominator (the
@@ -81,22 +79,12 @@ def bernoulli_numbers(n_max: int) -> tuple:
     return betas[: n_max + 1]
 
 
-# B_n(X) by n, each built once per process.  A plain dict rather than
-# functools.cache keeps ``bernoulli_poly`` a plain function, which
-# bench/tracing.py wraps and counts.
-_B_POLY = {}
-
-
 def bernoulli_poly(n: int) -> Polynomial:
-    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k, built once per process
-    from the memo's integer numerators of the betas, reduced once."""
-    p = _B_POLY.get(n)
-    if p is None:
-        bernoulli_numbers(n)  # extends the memo to beta_n
-        _, nums, den, _ = _MEMO
-        p = _B_POLY[n] = Polynomial.from_integers(
-            [comb(n, k) * nums[n - k] for k in range(n + 1)], den)
-    return p
+    """B_n(X) = sum_k binom(n,k) beta_{n-k} X**k, built from the memo's
+    integer numerators of the betas, reduced once."""
+    bernoulli_numbers(n)  # extends the memo to beta_n
+    _, nums, den, _ = _MEMO
+    return Polynomial.from_integers([comb(n, k) * nums[n - k] for k in range(n + 1)], den)
 
 
 def euler_poly(n: int) -> Polynomial:

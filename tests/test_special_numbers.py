@@ -112,11 +112,12 @@ class TestBernoulliNumbers:
         assert [table[n] for n in range(41)] == series_values
 
 
-class TestBernoulliMemo:
-    @pytest.fixture
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(special_numbers, "_MEMO", ((F(1),), (1,), 1, (1, 1)))
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(special_numbers, "_MEMO", ((F(1),), (1,), 1, (1, 1)))
 
+
+class TestBernoulliMemo:
     def test_values_are_reused(self):
         short, long = bernoulli_numbers(20), bernoulli_numbers(40)
         assert len(short) == 21 and len(long) == 41
@@ -193,14 +194,13 @@ class TestBernoulliPolynomials:
         for n in range(10):
             assert bernoulli_poly(n).leading() == 1
 
-    def test_built_once_and_shared_with_euler(self, monkeypatch):
-        monkeypatch.setattr(special_numbers, "_B_POLY", {})
-        with pytest.raises(ValueError):
-            bernoulli_poly(-1)
-        assert special_numbers._B_POLY == {}
-        euler_poly(7)
-        assert list(special_numbers._B_POLY) == [8]
-        assert bernoulli_poly(8) is special_numbers._B_POLY[8] is bernoulli_poly(8)
+    def test_independent_of_how_far_the_memo_reaches(self, fresh_memo):
+        bernoulli_numbers(10)
+        assert len(special_numbers._MEMO[0]) == 11
+        short = bernoulli_poly(10)
+        bernoulli_numbers(300)
+        long = bernoulli_poly(10)
+        assert long == short and long.integers() == short.integers()
 
 
 class TestEulerPolynomials:
