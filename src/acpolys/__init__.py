@@ -22,7 +22,6 @@ from .ac_families import (
     build_by_coefficient_formula,
     build_by_generating_function,
     build_by_recurrence,
-    build_route,
     check_difference_identities,
     check_euler_identity,
     check_tangent_expansion,
@@ -69,7 +68,6 @@ __all__ = [
     "build_by_coefficient_formula",
     "build_by_generating_function",
     "build_by_recurrence",
-    "build_route",
     "build_uv",
     "check_difference_identities",
     "check_euler_identity",

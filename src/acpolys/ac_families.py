@@ -18,8 +18,9 @@ arguments X +/- i, and to the tangent-half coefficients:
   producing the A family alone.
 
 ``ALL_ROUTES`` lists them and ``route_rows`` builds any of them: a new
-route is one builder plus one entry in ``ALL_ROUTES`` (through
-``FAMILY_ROUTES`` and ``build_route`` when it builds both families).
+route is one builder, one entry in ``ALL_ROUTES`` (through
+``FAMILY_ROUTES`` when it builds C too) and one entry in ``route_rows``'
+table.
 
 All construction and checking is exact; no floating point.
 """
@@ -253,26 +254,23 @@ def build_a_by_residue_recurrence(n_max: int) -> list:
     return a_gauss
 
 
-def build_route(route: str, n_max: int) -> ACFamily:
-    """Dispatch a full-family route name to its builder."""
+def route_rows(route: str, n_max: int) -> tuple:
+    """``(A_0..A_n_max, C_0..C_n_max)`` by any route of ``ALL_ROUTES``, no
+    C rows for the residue route."""
+    # Built per call, so a builder rebound on this module (bench/tracing.py) runs.
     builders = {
         ROUTE_RECURRENCE: build_by_recurrence,
         ROUTE_CLOSED_FORM: build_by_closed_form,
         ROUTE_COEFFICIENT: build_by_coefficient_formula,
         ROUTE_GENERATING_FUNCTION: build_by_generating_function,
+        ROUTE_RESIDUE: build_a_by_residue_recurrence,
     }
     if route not in builders:
-        raise ValueError(f"unknown family route: {route}")
-    return builders[route](n_max)
-
-
-def route_rows(route: str, n_max: int) -> tuple:
-    """``(A_0..A_n_max, C_0..C_n_max)`` by any route of ``ALL_ROUTES``, no
-    C rows for the residue route.  Builders are looked up when called."""
-    if route == ROUTE_RESIDUE:
-        return tuple(build_a_by_residue_recurrence(n_max)), ()
-    family = build_route(route, n_max)
-    return family.a_polys, family.c_polys
+        raise ValueError(f"unknown route: {route}")
+    built = builders[route](n_max)
+    if route not in FAMILY_ROUTES:
+        return tuple(built), ()
+    return built.a_polys, built.c_polys
 
 
 # ---------------------------------------------------------------------------

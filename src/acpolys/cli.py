@@ -172,15 +172,16 @@ def _cmd_poly(args) -> tuple:
     return EXIT_OK, _printed(latex_polynomial(p))
 
 
-_NUMBER_KINDS = {"cosecant": cosecant_number, "tangent": tangent_half_coeff}
+# Each entry reads its function when called, so a rebound name (bench/tracing.py) runs.
+_NUMBER_KINDS = {
+    "bernoulli": lambda max_n: bernoulli_numbers(max_n),
+    "cosecant": lambda max_n: [cosecant_number(n) for n in range(max_n + 1)],
+    "tangent": lambda max_n: [tangent_half_coeff(n) for n in range(max_n + 1)],
+}
 
 
 def _cmd_numbers(args) -> tuple:
-    if args.kind == "bernoulli":
-        values = bernoulli_numbers(args.max_n)
-    else:
-        fn = _NUMBER_KINDS[args.kind]
-        values = [fn(n) for n in range(args.max_n + 1)]
+    values = _NUMBER_KINDS[args.kind](args.max_n)
     if args.format == "json":
         doc = {
             "kind": args.kind,
@@ -414,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_num = sub.add_parser("numbers", help="special-number tables")
-    p_num.add_argument(
-        "--kind", choices=("bernoulli", *_NUMBER_KINDS), required=True
-    )
+    p_num.add_argument("--kind", choices=tuple(_NUMBER_KINDS), required=True)
     p_num.add_argument("--max-n", type=_non_negative, default=24, metavar="N")
     p_num.add_argument("--format", choices=("json", "csv"), default="json")
 

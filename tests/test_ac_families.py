@@ -22,7 +22,6 @@ from acpolys.ac_families import (
     build_by_coefficient_formula,
     build_by_generating_function,
     build_by_recurrence,
-    build_route,
     check_difference_identities,
     check_euler_identity,
     check_tangent_expansion,
@@ -98,12 +97,13 @@ class TestRouteEquivalence:
         assert not failures
 
     def test_each_route_hits_goldens_alone(self):
-        for build in (
+        for route, build in zip(FAMILY_ROUTES[1:], (
             build_by_closed_form,
             build_by_coefficient_formula,
             build_by_generating_function,
-        ):
+        )):
             fam = build(8)
+            assert fam.route == route
             for n, expected in enumerate(GOLDEN_A):
                 assert fam.a(n) == expected, f"{build.__name__} A_{n}"
             for n, expected in enumerate(GOLDEN_C):
@@ -130,13 +130,9 @@ class TestRouteEquivalence:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             build(n_max)
 
-    def test_build_route_dispatch(self):
-        for route in FAMILY_ROUTES:
-            fam = build_route(route, 3)
-            assert fam.route == route
-            assert fam.a(3) == GOLDEN_A[3]
-        with pytest.raises(ValueError):
-            build_route("newton", 3)
+    def test_route_rows_rejects_an_unknown_route(self):
+        with pytest.raises(ValueError, match="newton"):
+            route_rows("newton", 3)
 
     def test_one_route_table(self):
         assert ALL_ROUTES == (*FAMILY_ROUTES, "residue_recurrence")

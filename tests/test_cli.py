@@ -12,7 +12,6 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from acpolys.cli import (
 from acpolys.operator_lab import SUITES
 from acpolys.exact_core import Polynomial, format_rational, poly_from_json, poly_to_json
 from acpolys.generalized_uv import build_uv, row_width
+from subprocess_env import subprocess_env
 
 F = Fraction
 
@@ -252,7 +252,7 @@ class TestCoeffsChunks:
         assert invoke(capsys, "coeffs", "uv", "--max-n", "0", "--format", "csv") == (0, "", "")
         result = subprocess.run(
             [sys.executable, "-m", "acpolys.cli", "coeffs", "uv", "--max-n", "0", "--format", "csv"],
-            env=_subprocess_env(), capture_output=True, timeout=120)
+            env=subprocess_env(), capture_output=True, timeout=120)
         assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -485,20 +485,12 @@ class TestInternalError:
         assert err == "acpolys: internal error: ValueError('bad input')\n"
 
 
-def _subprocess_env() -> dict:
-    """This environment, with the package under test first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
-    return env
-
-
 class TestFailedWrites:
     """Output that cannot be written is exit 4 on one stderr line, with no
     traceback, also none from the interpreter's flush at exit."""
 
     def _run_into(self, stdout, *argv, unbuffered=False, close_stdout=False):
-        env = _subprocess_env()
+        env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -589,7 +581,7 @@ class TestClosedStderr:
         # The interpreter, started with fd 2 closed, sets sys.stderr to None.
         command = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "acpolys.cli",
                    *argv]
-        return subprocess.run(command, stdout=stdout, env=_subprocess_env(), text=True,
+        return subprocess.run(command, stdout=stdout, env=subprocess_env(), text=True,
                               timeout=120)
 
     @pytest.mark.skipif(not shutil.which("sh"), reason="no POSIX shell")
@@ -625,7 +617,7 @@ class TestProcessExit:
 
     def _cli(self, *argv, python_args=()):
         return subprocess.run([sys.executable, *python_args, "-m", "acpolys.cli", *argv],
-                              env=_subprocess_env(), capture_output=True, text=True,
+                              env=subprocess_env(), capture_output=True, text=True,
                               timeout=120)
 
     def test_piped_output_is_the_in_process_output(self, capsys):
@@ -659,7 +651,7 @@ class TestProcessExit:
             "cli.main()\n"
         )
         result = subprocess.run([sys.executable, "-c", script, "poly", "--family", "a",
-                                 "--n", "1", "--format", "csv"], env=_subprocess_env(),
+                                 "--n", "1", "--format", "csv"], env=subprocess_env(),
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "0,0\n1,0\n2,1/2\n" + "exit handler\n" * runs
@@ -667,7 +659,7 @@ class TestProcessExit:
     def test_help_is_flushed_before_the_process_leaves(self):
         # main leaves by os._exit, which flushes nothing itself; the help
         # ends with its own option's line.  Buffered, as stdout is by default.
-        env = _subprocess_env()
+        env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         result = subprocess.run([sys.executable, "-m", "acpolys.cli", "--help"], env=env,
                                 capture_output=True, text=True, timeout=120)
@@ -702,7 +694,7 @@ class TestProcessExit:
         )
         result = subprocess.run(
             [sys.executable, "-X", "int_max_str_digits=640", "-c", script, *argv],
-            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+            env=subprocess_env(), capture_output=True, text=True, timeout=120)
         assert result.returncode == 0
         assert result.stderr == "acpolys: internal error: RuntimeError(0)\n0 640 4 640\n"
         assert result.stdout == self._cli(*argv).stdout
@@ -813,7 +805,7 @@ class TestIntegralsWorker:
             "sys.stdout.write('pending ')\n"
             "sys.exit(cli.run(['selftest', '--max-n', '0', '--format', 'csv']))\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
+        result = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.count("pending ") == 1

@@ -1,11 +1,12 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, with warnings as errors."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from subprocess_env import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,12 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
-    )
     result = subprocess.run(
-        [sys.executable, str(script)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error", str(script)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

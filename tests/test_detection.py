@@ -16,22 +16,20 @@ in a route builder, failed checks of that route alone.
 """
 
 import functools
-import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import acpolys
 from acpolys.ac_families import (
     REFERENCE_A, REFERENCE_C, ACFamily, build_by_recurrence, identities_report,
 )
 from acpolys.exact_core import Polynomial
 from acpolys.generalized_uv import build_uv, check_uv_consistency
 from acpolys.operator_lab import INTEGRALS_MAX_N, integrals_report
+from subprocess_env import subprocess_env
 
 MAX_N = 24
 
@@ -182,10 +180,7 @@ def with_kernel_mutant(mutant, *argv):
     script = ("import sys\nfrom itertools import accumulate\nimport acpolys.cli\n"
               "from acpolys import exact_core\n" + KERNEL_MUTANTS[mutant]
               + "sys.exit(acpolys.cli.run(sys.argv[1:]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(Path(acpolys.__file__).parents[1]), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", script, *argv], env=subprocess_env(),
                           capture_output=True, text=True, timeout=300)
 
 

@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from acpolys.cli import ALL_ROUTES
-
-ROOT = Path(__file__).resolve().parent.parent
+from subprocess_env import subprocess_env
 
 # Runs ``cli.run(argv)`` (if argv is given) with its output discarded, then
 # prints whether numpy was loaded and, where /proc/self/status exists, the
@@ -39,12 +38,9 @@ if os.path.exists("/proc/self/status"):
 def fresh_python(*args, **extra_env) -> subprocess.CompletedProcess:
     """Runs ``python ARGS`` with acpolys importable, without the caller's
     OPENBLAS_NUM_THREADS, and with ``extra_env`` set."""
-    env = dict(os.environ)
+    env = subprocess_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(extra_env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
-    )
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
