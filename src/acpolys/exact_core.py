@@ -283,27 +283,22 @@ class Polynomial:
     def _of(cls, re: Sequence[int], im, den: int) -> "Polynomial":
         """The polynomial (re + im*i)/den, for integer vectors re and im
         (im None for all zeros, else exactly as long as re) and den > 0, in
-        its one encoding: im dropped when all zero, trailing zeros stripped,
-        reduced once."""
+        its one encoding: im dropped when all zero, trailing zero
+        coefficients stripped in one pass, and one gcd over den and every
+        kept numerator deciding the one reduction."""
         p = object.__new__(cls)
-        n = len(re)
         if im is not None and not any(im):
             im = None
-        if im is None:
-            while n and not re[n - 1]:
-                n -= 1
-        else:
-            while n and not (re[n - 1] or im[n - 1]):
-                n -= 1
+        n = len(re)
+        while n and not (re[n - 1] or im is not None and im[n - 1]):
+            n -= 1
         if not n:
             p._re, p._im, p._den = (), None, 1
             return p
         re = re[:n]
-        g = gcd(den, *re)
         if im is not None:
             im = im[:n]
-            if g != 1:
-                g = gcd(g, *im)
+        g = gcd(den, *re, *(im or ()))
         if g != 1:
             re = [x // g for x in re]
             if im is not None:
@@ -766,21 +761,24 @@ class TruncatedSeries:
 
 
 def format_rational(value: Rat) -> str:
-    return str(Fraction(value))
+    """The exact rational value as "p/q", or "p" when q == 1; TypeError
+    for a float, Decimal or bool."""
+    return str(Fraction(_exact_rational(value)))
 
 
 def scalar_to_json(value: Scalar):
     if isinstance(value, GaussianRational):
         return {"re": str(value.re), "im": str(value.im)}
-    return str(Fraction(value))
+    return format_rational(value)
 
 
 def _rational_from_json(value) -> Fraction:
-    # A JSON float is already rounded, and Fraction(True) is 1: neither is
-    # an exact scalar, whose JSON form is an integer or a "p/q" string.
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"not an exact rational: {value!r}")
-    return Fraction(value)
+    # An exact scalar's JSON form is an integer or a "p/q" string.  A float
+    # is already rounded, a Decimal (json.loads(parse_float=Decimal)) is a
+    # JSON number with a fraction part all the same, and Fraction(True) is 1.
+    if isinstance(value, (int, str)) and type(value) is not bool:
+        return Fraction(value)
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def scalar_from_json(obj) -> Scalar:

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact scalar/polynomial/series tower."""
 
 import ast
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -821,22 +822,35 @@ class TestSerialization:
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(5)) == "5"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
+        assert format_rational(-7) == "-7"
 
     def test_scalar_json_shapes(self):
         assert scalar_to_json(Fraction(1, 3)) == "1/3"
+        assert scalar_to_json(7) == "7"
         assert scalar_to_json(GaussianRational(1, -HALF)) == {"re": "1", "im": "-1/2"}
         assert scalar_from_json("1/3") == Fraction(1, 3)
         assert scalar_from_json({"re": "0", "im": "2"}) == TWO_I
 
     @pytest.mark.parametrize("value", [
         0.1, 1.0, True, False, {"re": 0.5, "im": "1"}, {"re": "1", "im": True},
+        Decimal("0.5"), {"re": "1", "im": Decimal(2)},
     ])
     def test_floats_and_bools_are_not_exact_scalars(self, value):
-        # Fraction(0.1) would be 3602879701896397/36028797018963968.
+        # Fraction(0.1) would be 3602879701896397/36028797018963968, and
+        # Fraction(Decimal("0.5")) 1/2, as from json.loads(parse_float=Decimal).
         with pytest.raises(ValueError):
             scalar_from_json(value)
         with pytest.raises(ValueError):
             poly_from_json([value, "1/3"])
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False, Decimal("0.1"), Decimal(2)])
+    def test_writers_refuse_inexact_scalars(self, value):
+        # str(Fraction(value)) would print 0.1 as
+        # 3602879701896397/36028797018963968, True as 1 and Decimal("0.1")
+        # as 1/10: none of them is an exact scalar.
+        for write in (format_rational, scalar_to_json):
+            with pytest.raises(TypeError, match=f"^not an exact scalar: {re.escape(repr(value))}$"):
+                write(value)
 
     def test_integer_scalars_still_parse(self):
         assert poly_from_json([3, "1/3", {"re": 0, "im": -2}]) == Polynomial(
