@@ -582,8 +582,8 @@ class Triangle(Mapping):
     """A read-only view (n, k) -> the coefficient of X**k in ``rows[n]``,
     for n in the range ``ns`` and k in the range ``columns(n)``.  It holds
     no scalar: a lookup builds the coefficient (a Fraction for a row over
-    Q), a key outside the triangle is a KeyError, keys iterate n-major and
-    k ascending, and the view compares equal to the dict of its items."""
+    Q), a key or a row outside the triangle is a KeyError, keys iterate
+    n-major and k ascending, and the view equals the dict of its items."""
 
     __slots__ = ("_rows", "_ns", "_columns")
 
@@ -608,6 +608,8 @@ class Triangle(Mapping):
     def formatted_row(self, n: int) -> list:
         """``format_rational`` of each entry of row n over Q, in column
         order, from the row's integers: one gcd per entry, no Fraction."""
+        if n not in self._ns:
+            raise KeyError(n)
         numerators, den = self._rows[n].integers()
         out = []
         for k in self._columns(n):

@@ -18,13 +18,12 @@ polynomial past that family's max_n is left out of the report.  No check
 reads past ``INTEGRALS_MAX_N``, the largest n of the points the suites
 evaluate at, derived here from those points.
 
-Endpoint singularities of ln-type are handled by evaluating integrands
-with the exact distance to each endpoint (tanh-sinh supplies d_lo, d_hi)
-and, on grids, by reading 1-x as the mirrored node, which a grid mirrored
-about x = 1/2 holds exactly.  Removable singularities are bridged by a
-two-term Taylor rule inside a small guard window in quadrature, and on
-grids by the derivative of each panel's barycentric interpolant, folded
-into the Nystrom matrix.
+In quadrature, a piece with a ln- or power-type endpoint singularity
+starts at it, at 0.0 (see ``tanh_sinh``); on grids, 1-x is read as the
+mirrored node, which a grid mirrored about x = 1/2 holds exactly.
+Removable singularities are bridged by a two-term Taylor rule inside a
+small guard window in quadrature, and on grids by the derivative of each
+panel's barycentric interpolant, folded into the Nystrom matrix.
 
 Every grid is built from one 16-point Gauss-Legendre rule, computed once
 by Newton's method on the Legendre recurrence.  On a grid, T exists only
@@ -125,20 +124,19 @@ def _tanh_sinh_nodes(level: int) -> tuple:
 
 
 def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
-    """Double-exponential quadrature of f over (a, b).
+    """Double-exponential quadrature of f over (a, b), calling ``f(x)``.
 
-    The integrand is called as ``f(x, d_lo, d_hi)`` with d_lo = x - a and
-    d_hi = b - x computed without cancellation, so ln-singular endpoint
-    factors can use the exact distances.  Levels double the node density;
-    from level 3 on, convergence requires the level-to-level change to drop
-    to ``QUADRATURE_TARGET * max(1, |integral|)`` within
-    ``QUADRATURE_MAX_LEVEL`` levels.  Raises QuadratureError otherwise.
-    The nodes and weights of each level come from ``_tanh_sinh_nodes``,
-    shared by every call; only the integrand is evaluated per call.
+    A piece with a ln- or power-type endpoint singularity starts at it, at
+    0.0, where each node is its own exact distance to it (a + d rounds d
+    off for a != 0): fold (t -> 1/t) or reflect (x -> 1-x) to get there.
+    Levels double the node density; from level 3 on, convergence requires
+    the level-to-level change to drop to ``QUADRATURE_TARGET * max(1,
+    |integral|)`` within ``QUADRATURE_MAX_LEVEL`` levels, or raises
+    QuadratureError.  Each level's nodes and weights come from
+    ``_tanh_sinh_nodes``, shared by every call.
     """
-    half = 0.5 * (b - a)
-    mid = a + half
     width = b - a
+    half = 0.5 * width
     evaluations = 0
 
     def row(level: int) -> float:
@@ -147,12 +145,12 @@ def tanh_sinh(f, a: float, b: float) -> QuadratureResult:
         nodes = _tanh_sinh_nodes(level)
         total = 0.0
         if level == 0:
-            total += nodes[0][1] * f(mid, half, half)
+            total += nodes[0][1] * f(a + half)
             evaluations += 1
             nodes = nodes[1:]
         for sigma, dw in nodes:
             d = width * sigma
-            total += dw * (f(a + d, d, width - d) + f(b - d, width - d, d))
+            total += dw * (f(a + d) + f(b - d))
         evaluations += 2 * len(nodes)
         return total
 
@@ -246,6 +244,8 @@ def _mirrored_grid(bounds) -> Grid:
 def gauss_legendre_grid(size: int = DEFAULT_GRID_SIZE) -> Grid:
     """Equal-width Gauss panels on (0, 1), ceil(size / 32) per half: that is
     32 ceil(size / 32) nodes, exactly ``size`` when 32 divides it."""
+    if size < 1:
+        raise ValueError(f"grid size {size} is below 1")
     k = -(-size // (2 * PANEL))
     return _mirrored_grid([(i / (2 * k), (i + 1) / (2 * k)) for i in range(k)])
 
@@ -365,19 +365,18 @@ def integral_a_form(n: int, z: float) -> QuadratureResult:
     """(1 - e^z) * integral_0^inf ln(t)**n / ((t+1)(t+e^z)) dt for z < 0.
 
     The tail (1, inf) is folded onto (0, 1) by t -> 1/t, which maps
-    ln(t)**n to (-ln s)**n and keeps the denominator polynomial.  The
-    only singularities are the integrable ln**n factors at t = 0, handled
-    by tanh-sinh with exact endpoint distances.
+    ln(t)**n to (-ln s)**n and keeps the denominator polynomial, so each
+    piece starts at its one singularity, the integrable ln**n at 0.
     """
     if z >= 0:
         raise ValueError("the a-form integral requires z < 0")
     ez = math.exp(z)
 
-    def head(t, d_lo, d_hi):
-        return math.log(d_lo) ** n / ((t + 1.0) * (t + ez))
+    def head(t):
+        return math.log(t) ** n / ((t + 1.0) * (t + ez))
 
-    def tail(s, d_lo, d_hi):
-        return (-math.log(d_lo)) ** n / ((1.0 + s) * (1.0 + s * ez))
+    def tail(s):
+        return (-math.log(s)) ** n / ((1.0 + s) * (1.0 + s * ez))
 
     return _integrate([(head, 0.0, 1.0), (tail, 0.0, 1.0)], 1.0 - ez)
 
@@ -388,9 +387,9 @@ def integral_c_form(n: int, z: float) -> QuadratureResult:
     The numerator vanishes at the pole t = e^z, so the singularity is
     removable; within GUARD of it the integrand is replaced by the
     two-term Taylor rule built from the first two derivatives of the
-    numerator at the pole.  The integration range is folded at t = 1 and
-    each unit piece is split at the pole location when it falls inside,
-    so the removable point only ever sits at a subinterval endpoint.
+    numerator at the pole.  The range is folded at t = 1, so the ln
+    singularities start pieces, at t = 0 and s = 0, and each unit piece is
+    split at the pole when it falls inside, putting it at a piece's end.
     For n = 0 the numerator is identically zero and the result is exact 0.
     """
     if n == 0:
@@ -404,7 +403,7 @@ def integral_c_form(n: int, z: float) -> QuadratureResult:
     head_d1 = n * z_nm1 * math.exp(-z)
     head_d2 = n * ((n - 1) * z_nm2 - z_nm1) * math.exp(-2.0 * z)
 
-    def head(t, d_lo, d_hi):
+    def head(t):
         h = t - ez
         if abs(h) < GUARD:
             return (head_d1 + 0.5 * head_d2 * h) / (1.0 + t)
@@ -416,14 +415,12 @@ def integral_c_form(n: int, z: float) -> QuadratureResult:
     tail_d1 = -n * z_nm1 * math.exp(z)
     tail_d2 = n * ((n - 1) * z_nm2 + z_nm1) * math.exp(2.0 * z)
 
-    def tail(s, d_lo, d_hi):
+    def tail(s):
         h = s - s0
         if abs(h) < GUARD:
             return (tail_d1 + 0.5 * tail_d2 * h) / ((1.0 + s) * (-ez))
         return ((-math.log(s)) ** n - zn) / ((1.0 + s) * (1.0 - s * ez))
 
-    # math.log(t) needs no d_lo: on a piece from 0.0, tanh_sinh's node is
-    # the exact distance d_lo itself.
     pieces = []
     for f, pole in ((head, ez), (tail, s0)):
         if 0.0 < pole < 1.0:
@@ -444,7 +441,7 @@ def classical_log_integral(n: int) -> QuadratureResult:
         raise ValueError("requires n >= 1")
     m = 2 * n - 1
 
-    def f(s, d_lo, d_hi):
+    def f(s):
         return s**m / math.sinh(s)
 
     return _integrate([(f, 0.0, 1.0), (f, 1.0, 60.0)], 2.0)
@@ -460,15 +457,15 @@ def transform_moment_lhs(n: int, a: float) -> QuadratureResult:
     """integral_0^1 phi_0(x)**n / (x + a) dx by direct quadrature.
 
     Split at 1/2 with the right half reflected by x -> 1-x, so each piece
-    sees its ln singularity at the lower endpoint where tanh-sinh supplies
-    the exact distance; phi_0 is evaluated via log1p on the smooth side.
+    starts at its ln singularity, at 0.0; phi_0 is evaluated via log1p on
+    the smooth side.
     """
 
-    def left(x, d_lo, d_hi):
-        return (math.log(d_lo) - math.log1p(-x)) ** n / (x + a)
+    def left(x):
+        return (math.log(x) - math.log1p(-x)) ** n / (x + a)
 
-    def right(s, d_lo, d_hi):
-        return (math.log1p(-s) - math.log(d_lo)) ** n / (1.0 - s + a)
+    def right(s):
+        return (math.log1p(-s) - math.log(s)) ** n / (1.0 - s + a)
 
     return _integrate([(left, 0.0, 0.5), (right, 0.0, 0.5)])
 

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acpolys
-from acpolys.ac_families import build_by_recurrence
+from acpolys.ac_families import build_by_recurrence, lambda_alpha_tables
+from acpolys.generalized_uv import build_uv
 from acpolys.report import FAIL, PASS, exact_check
 from acpolys.exact_core import (
     _gaussian_integer_over,
@@ -932,6 +933,14 @@ class TestTriangle:
             t[(1, 0)] = Fraction(1)
         with pytest.raises(AttributeError):
             t.extra = 1
+
+    @pytest.mark.parametrize("table, n", [("alpha", -1), ("u", 0), ("alpha", 5), ("u", 4)])
+    def test_a_formatted_row_outside_the_triangle_is_a_key_error(self, table, n):
+        # Row -1 of a list is its last row, and the u/v rows start at 1.
+        triangle = (lambda_alpha_tables(build_by_recurrence(4)).alpha if table == "alpha"
+                    else build_uv(3).u)
+        with pytest.raises(KeyError):
+            triangle.formatted_row(n)
 
     @given(st.lists(st.fractions(max_denominator=10**6), max_size=6).map(Polynomial),
            st.integers(0, 8))

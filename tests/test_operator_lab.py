@@ -109,11 +109,11 @@ def reference_tanh_sinh(f, a, b):
             if dw == 0.0:
                 break
             if k == 0:
-                total += dw * f(mid, half, half)
+                total += dw * f(mid)
                 evaluations += 1
             else:
                 d = width * sigma
-                total += dw * (f(a + d, d, width - d) + f(b - d, width - d, d))
+                total += dw * (f(a + d) + f(b - d))
                 evaluations += 2
             k += step
         return total
@@ -137,34 +137,35 @@ def reference_tanh_sinh(f, a, b):
 
 class TestTanhSinh:
     def test_polynomial(self):
-        r = tanh_sinh(lambda x, dl, dh: x * x, 0.0, 1.0)
+        r = tanh_sinh(lambda x: x * x, 0.0, 1.0)
         assert abs(r.value - 1.0 / 3.0) < 1e-14
         assert r.evaluations > 0
 
-    def test_log_singularity_uses_endpoint_distance(self):
-        # int_0^1 ln x dx = -1; accurate only if ln sees the exact distance
-        r = tanh_sinh(lambda x, dl, dh: math.log(dl), 0.0, 1.0)
+    def test_log_singularity_at_zero(self):
+        # int_0^1 ln x dx = -1; at a = 0.0 each node is its exact distance
+        r = tanh_sinh(lambda x: math.log(x), 0.0, 1.0)
         assert abs(r.value + 1.0) < 1e-14
 
     def test_inverse_sqrt_singularity(self):
-        r = tanh_sinh(lambda x, dl, dh: 1.0 / math.sqrt(dl), 0.0, 1.0)
+        r = tanh_sinh(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
         assert abs(r.value - 2.0) < 1e-12
 
     def test_both_endpoints_singular(self):
-        # int_0^1 dx / sqrt(x(1-x)) = pi
-        r = tanh_sinh(lambda x, dl, dh: 1.0 / math.sqrt(dl * dh), 0.0, 1.0)
-        assert abs(r.value - PI) < 1e-12
+        # int_0^1 dx / sqrt(x(1-x)) = pi: by symmetry twice the integral
+        # over (0, 1/2), whose one singular end is at 0.0
+        r = tanh_sinh(lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 0.5)
+        assert abs(2.0 * r.value - PI) < 1e-12
 
     def test_shifted_interval(self):
-        r = tanh_sinh(lambda x, dl, dh: math.exp(x), -1.0, 2.0)
+        r = tanh_sinh(lambda x: math.exp(x), -1.0, 2.0)
         assert abs(r.value - (math.exp(2) - math.exp(-1))) < 1e-12
 
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureError):
-            tanh_sinh(lambda x, dl, dh: math.sin(100.0 / (x + 1e-3)), 0.0, 1.0)
+            tanh_sinh(lambda x: math.sin(100.0 / (x + 1e-3)), 0.0, 1.0)
 
     def test_error_estimate_is_conservative(self):
-        r = tanh_sinh(lambda x, dl, dh: 1.0 / (1.0 + x * x), 0.0, 1.0)
+        r = tanh_sinh(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)
         assert abs(r.value - PI / 4.0) <= max(r.error_estimate, 1e-15)
 
     def test_every_report_integral_matches_the_reference(self, monkeypatch):
@@ -192,7 +193,7 @@ class TestTanhSinh:
         assert nodes and all(sigma > 0.0 and dw > 0.0 for sigma, dw in nodes)
 
     def test_a_stall_matches_the_reference(self):
-        def f(x, dl, dh):
+        def f(x):
             return math.sin(100.0 / (x + 1e-3))
 
         with pytest.raises(QuadratureError) as raised:
@@ -234,6 +235,13 @@ class TestGrids:
         panel_weights = grid.weights.reshape(panels, -1).sum(axis=1)
         assert np.allclose(panel_weights, 1.0 / panels, rtol=1e-14, atol=0.0)
         assert np.max(np.abs(panel_weights - 1.0 / panels)) <= 1e-15
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_gauss_grid_below_one_node_is_a_value_error(self, size):
+        with pytest.raises(ValueError, match=f"grid size {size} "):
+            gauss_legendre_grid(size)
+        with pytest.raises(ValueError, match=f"grid size {size} "):
+            integrals_report(FAMILY, suite="eigen", grid_size=size)
 
     def test_panel_rule_matches_leggauss(self):
         # numpy's leggauss, from the eigenvalues of the Legendre companion
@@ -281,20 +289,21 @@ class TestTransform:
             assert all(c.status == PASS for c in checks), size
 
     def test_eigenfunction_by_direct_quadrature(self):
-        # T(1/(x+a))(x0) via tanh-sinh equals gamma_a/(x0+a).  The interval
-        # is split at x0 so the difference quotient's denominator t - x0 is
-        # available as an exact endpoint distance on each piece.
+        # T(1/(x+a))(x0) via tanh-sinh equals gamma_a/(x0+a).  Both pieces
+        # are integrated in the distance s from x0, t = x0 - s on (0, x0) and
+        # t = x0 + s on (0, 1 - x0), so the difference quotient's denominator
+        # t - x0 is the node itself, up to sign.
         a, x0 = 1.0, 0.37
         fx0 = 1.0 / (x0 + a)
 
-        def left(t, dl, dh):
-            return (1.0 / (t + a) - fx0) / (-dh)
+        def left(s):
+            return (1.0 / (x0 - s + a) - fx0) / (-s)
 
-        def right(t, dl, dh):
-            return (1.0 / (t + a) - fx0) / dl
+        def right(s):
+            return (1.0 / (x0 + s + a) - fx0) / s
 
         r1 = tanh_sinh(left, 0.0, x0)
-        r2 = tanh_sinh(right, x0, 1.0)
+        r2 = tanh_sinh(right, 0.0, 1.0 - x0)
         gamma = math.log(a / (1.0 + a))
         assert abs(r1.value + r2.value - gamma / (x0 + a)) < 1e-9
 
