@@ -50,7 +50,7 @@ print()
 suites = {
     "shifted-argument identities": check_difference_identities(family),
     "Euler polynomial link": check_euler_identity(family),
-    "tangent-coefficient expansion": check_tangent_expansion(family),
+    "tangent-coefficient expansion": list(check_tangent_expansion(family)),
 }
 for name, checks in suites.items():
     passed = sum(c.status == "pass" for c in checks)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exact_core import (
     I,
@@ -413,14 +413,9 @@ def check_euler_identity(family: ACFamily) -> list:
     return checks
 
 
-def check_tangent_expansion(family: ACFamily) -> list:
+def check_tangent_expansion(family: ACFamily) -> Iterator[Check]:
     """A_n + C_n = X**(n+1) + sum_{k<n} binom(n,k) d_{n-k} X**k, exactly,
-    for every n in the family."""
-    return list(_tangent_checks(family))
-
-
-def _tangent_checks(family: ACFamily):
-    """The checks of ``check_tangent_expansion``, made one n at a time.
+    for every n in the family, made one n at a time as they are read.
 
     d_0..d_max_n are read once, as numerators over one denominator (a
     power of two), so each right-hand side is a row of integer products.
@@ -512,12 +507,12 @@ def lambda_alpha_tables(family: ACFamily) -> CoeffTables:
     """The alpha (from A_n) and lambda (from C_n) triangles of the family,
     as views over its polynomials: each entry is read, and built, on lookup.
 
-    Also re-verifies the tangent expansion of A_n + C_n exactly, making
-    the checks of ``check_tangent_expansion`` one n at a time, and raises
+    Also re-verifies the tangent expansion of A_n + C_n exactly, reading
+    the checks of ``check_tangent_expansion`` one at a time, and raises
     RuntimeError at the first that fails, so a corrupted family cannot
     yield quietly wrong tables: a broken computation, not a usage error.
     """
-    failed = next((c for c in _tangent_checks(family) if c.status != PASS), None)
+    failed = next((c for c in check_tangent_expansion(family) if c.status != PASS), None)
     if failed is not None:
         raise RuntimeError(f"tangent expansion failed: {failed.id}")
     ns = range(family.max_n + 1)

@@ -3,14 +3,17 @@
 This module is the only place floating point appears.  It consumes exact
 polynomials through a single evaluate-to-float bridge and checks:
 
-* four closed-form improper integrals over (0, infinity) against exact
-  A_n / C_n / Bernoulli values, via double-exponential (tanh-sinh)
-  quadrature with the tails folded onto (0, 1] by t -> 1/t;
+* the a-form and c-form integrals over (0, infinity) against exact A_n /
+  C_n values, and a classical log-kernel integral over (0, 1) against its
+  Bernoulli value, by double-exponential (tanh-sinh) quadrature; each form
+  is written once, on (0, 1), and ``_folded`` adds its tail by t -> 1/t;
 * the transform T(f)(x) = integral_0^1 (f(t) - f(x))/(t - x) dt,
   discretized (Nystrom) on grids of 16-point Gauss-Legendre panels
   mirrored about x = 1/2, equal or dyadically graded, against its exact
   eigenfunctions 1/(x+a) with eigenvalues gamma_a = ln(a/(1+a));
-* moment identities of phi_0(x) = ln(x/(1-x)) under powers of T.
+* moment identities of phi_0(x) = ln(x/(1-x)) under powers of T, and the
+  moments integral_0^1 phi_0**n/(x+a) dx, which t = x/(1-x) turns into
+  the a-form at z = gamma_a: the tmoment checks integrate the a-form there.
 
 It builds no family: the exact A_n / C_n come from the family a report is
 handed (the CLI's one recurrence family per run), and a check that reads a
@@ -346,88 +349,87 @@ def evaluate_polynomial_float(p: Polynomial, x: float) -> float:
 GUARD = 1e-6
 
 
-def _integrate(pieces, scale: float = 1.0) -> QuadratureResult:
-    """``scale`` times the sum of the tanh-sinh integrals of the (f, lo, hi)
-    ``pieces``, with their error estimates (times |scale|) and evaluation
-    counts summed alongside."""
+def _integrate(pieces) -> QuadratureResult:
+    """The sum of w * (tanh-sinh integral of f over (lo, hi)) over the
+    (w, f, lo, hi) ``pieces``, with |w| * error estimates and evaluations
+    summed alongside."""
     value = 0.0
     err = 0.0
     evals = 0
-    for f, lo, hi in pieces:
+    for w, f, lo, hi in pieces:
         r = tanh_sinh(f, lo, hi)
-        value += r.value
-        err += r.error_estimate
+        value += w * r.value
+        err += abs(w) * r.error_estimate
         evals += r.evaluations
-    return QuadratureResult(scale * value, abs(scale) * err, evals)
+    return QuadratureResult(value, err, evals)
+
+
+def _folded(head, z: float, scale: float, sign: int) -> QuadratureResult:
+    """scale * integral_0^inf of an integrand whose tail (1, inf), folded
+    onto (0, 1) by t -> 1/t, is sign * e^-z times its head at -z: that is
+    scale * (head(z) + sign e^-z head(-z)), where ``head(w)`` gives the
+    (f, lo, hi) pieces of the head on (0, 1) at w."""
+    tail = sign * math.exp(-z) * scale
+    return _integrate([(scale, *piece) for piece in head(z)]
+                      + [(tail, *piece) for piece in head(-z)])
 
 
 def integral_a_form(n: int, z: float) -> QuadratureResult:
     """(1 - e^z) * integral_0^inf ln(t)**n / ((t+1)(t+e^z)) dt for z < 0.
 
-    The tail (1, inf) is folded onto (0, 1) by t -> 1/t, which maps
-    ln(t)**n to (-ln s)**n and keeps the denominator polynomial, so each
-    piece starts at its one singularity, the integrable ln**n at 0.
+    Folded by t -> 1/t, the tail is (-1)**n e^-z times the head at -z, so
+    both pieces start at their one singularity, the integrable ln**n at 0.
+    At z = gamma_a = ln(a/(1+a)), t = x/(1-x) makes this the moment
+    integral_0^1 phi_0(x)**n / (x+a) dx of ``transform_moment_identity``.
     """
     if z >= 0:
         raise ValueError("the a-form integral requires z < 0")
-    ez = math.exp(z)
 
-    def head(t):
-        return math.log(t) ** n / ((t + 1.0) * (t + ez))
+    def head(w):
+        ew = math.exp(w)
+        return [(lambda t: math.log(t) ** n / ((t + 1.0) * (t + ew)), 0.0, 1.0)]
 
-    def tail(s):
-        return (-math.log(s)) ** n / ((1.0 + s) * (1.0 + s * ez))
+    return _folded(head, z, 1.0 - math.exp(z), (-1) ** n)
 
-    return _integrate([(head, 0.0, 1.0), (tail, 0.0, 1.0)], 1.0 - ez)
+
+def _c_form_head(n: int, w: float) -> list:
+    """The (f, lo, hi) pieces of the c-form head on (0, 1) at w, for n >= 1:
+    H(t) = (ln(t)**n - w**n) / ((1+t)(t - e^w)).
+
+    The numerator vanishes at the pole t = e^w, so the singularity is
+    removable; within GUARD of it H is replaced by the two-term Taylor
+    rule built from the first two derivatives of the numerator there.  A
+    pole inside (0, 1) splits it, so the pole ends a piece.
+    """
+    ew = math.exp(w)
+    wn = w**n
+    w_nm1 = w ** (n - 1)
+    w_nm2 = w ** (n - 2) if n >= 2 else 0.0
+    d1 = n * w_nm1 * math.exp(-w)
+    d2 = n * ((n - 1) * w_nm2 - w_nm1) * math.exp(-2.0 * w)
+
+    def f(t):
+        h = t - ew
+        if abs(h) < GUARD:
+            return (d1 + 0.5 * d2 * h) / (1.0 + t)
+        return (math.log(t) ** n - wn) / ((1.0 + t) * h)
+
+    if 0.0 < ew < 1.0:
+        return [(f, 0.0, ew), (f, ew, 1.0)]
+    return [(f, 0.0, 1.0)]
 
 
 def integral_c_form(n: int, z: float) -> QuadratureResult:
     """(e^z + 1) * integral_0^inf (ln(t)**n - z**n)/((1+t)(t-e^z)) dt.
 
-    The numerator vanishes at the pole t = e^z, so the singularity is
-    removable; within GUARD of it the integrand is replaced by the
-    two-term Taylor rule built from the first two derivatives of the
-    numerator at the pole.  The range is folded at t = 1, so the ln
-    singularities start pieces, at t = 0 and s = 0, and each unit piece is
-    split at the pole when it falls inside, putting it at a piece's end.
-    For n = 0 the numerator is identically zero and the result is exact 0.
+    Folded by t -> 1/t, the tail is (-1)**(n+1) e^-z times the head at -z
+    (``_c_form_head``), so the ln singularities start pieces and the
+    removable pole ends one.  For n = 0 the numerator is identically zero
+    and the result is exact 0.
     """
     if n == 0:
         return QuadratureResult(0.0, 0.0, 0)
-    ez = math.exp(z)
-    zn = z**n
-    z_nm1 = z ** (n - 1)
-    z_nm2 = z ** (n - 2) if n >= 2 else 0.0
-
-    # Head: H(t) = (ln(t)**n - z**n) / ((1+t)(t - e^z)) on (0, 1).
-    head_d1 = n * z_nm1 * math.exp(-z)
-    head_d2 = n * ((n - 1) * z_nm2 - z_nm1) * math.exp(-2.0 * z)
-
-    def head(t):
-        h = t - ez
-        if abs(h) < GUARD:
-            return (head_d1 + 0.5 * head_d2 * h) / (1.0 + t)
-        return (math.log(t) ** n - zn) / ((1.0 + t) * h)
-
-    # Tail after t -> 1/s: G(s) = ((-ln s)**n - z**n) / ((1+s)(1 - s e^z)),
-    # pole at s0 = e^-z with 1 - s e^z = -e^z (s - s0).
-    s0 = math.exp(-z)
-    tail_d1 = -n * z_nm1 * math.exp(z)
-    tail_d2 = n * ((n - 1) * z_nm2 + z_nm1) * math.exp(2.0 * z)
-
-    def tail(s):
-        h = s - s0
-        if abs(h) < GUARD:
-            return (tail_d1 + 0.5 * tail_d2 * h) / ((1.0 + s) * (-ez))
-        return ((-math.log(s)) ** n - zn) / ((1.0 + s) * (1.0 - s * ez))
-
-    pieces = []
-    for f, pole in ((head, ez), (tail, s0)):
-        if 0.0 < pole < 1.0:
-            pieces += [(f, 0.0, pole), (f, pole, 1.0)]
-        else:
-            pieces.append((f, 0.0, 1.0))
-    return _integrate(pieces, ez + 1.0)
+    return _folded(lambda w: _c_form_head(n, w), z, math.exp(z) + 1.0, (-1) ** (n + 1))
 
 
 def classical_log_integral(n: int) -> QuadratureResult:
@@ -444,30 +446,13 @@ def classical_log_integral(n: int) -> QuadratureResult:
     def f(s):
         return s**m / math.sinh(s)
 
-    return _integrate([(f, 0.0, 1.0), (f, 1.0, 60.0)], 2.0)
+    return _integrate([(2.0, f, 0.0, 1.0), (2.0, f, 1.0, 60.0)])
 
 
 def classical_log_target(n: int) -> float:
     """(4**n - 1) * (-1)**(n-1) * beta_{2n} * pi**(2n) / n, as a float."""
     coeff = Fraction((4**n - 1) * (-1) ** (n - 1), n) * bernoulli_numbers(2 * n)[2 * n]
     return rational_to_float(coeff) * PI ** (2 * n)
-
-
-def transform_moment_lhs(n: int, a: float) -> QuadratureResult:
-    """integral_0^1 phi_0(x)**n / (x + a) dx by direct quadrature.
-
-    Split at 1/2 with the right half reflected by x -> 1-x, so each piece
-    starts at its ln singularity, at 0.0; phi_0 is evaluated via log1p on
-    the smooth side.
-    """
-
-    def left(x):
-        return (math.log(x) - math.log1p(-x)) ** n / (x + a)
-
-    def right(s):
-        return (math.log1p(-s) - math.log(s)) ** n / (1.0 - s + a)
-
-    return _integrate([(left, 0.0, 0.5), (right, 0.0, 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +626,13 @@ def moment_check(family: ACFamily, grid: Grid, t_phi0: np.ndarray,
 
 
 def transform_moment_identity(a: float, n: int, family: ACFamily, tol: float) -> list:
-    """integral phi_0**n/(x+a) dx against both exact renderings.
+    """integral_0^1 phi_0**n/(x+a) dx against both exact renderings.
 
-    Compared to -pi**(n+1) A_n(gamma_a/pi) and to the expansion
-    sum_k alpha_n^k pi**(n+1-k) (-gamma_a**k), which agree exactly; the
-    quadrature must match both.
+    The substitution t = x/(1-x) turns the integral into the a-form at
+    z = gamma_a = ln(a/(1+a)), so it is integrated as
+    ``integral_a_form(n, gamma_a)``.  Compared to -pi**(n+1)
+    A_n(gamma_a/pi) and to the expansion sum_k alpha_n^k pi**(n+1-k)
+    (-gamma_a**k), which agree exactly; the quadrature must match both.
     """
     if a <= 0:
         raise ValueError("requires a > 0")
@@ -657,7 +644,7 @@ def transform_moment_identity(a: float, n: int, family: ACFamily, tol: float) ->
         if alpha:
             target_sum -= rational_to_float(alpha) * PI ** (n + 1 - k) * gamma**k
     return _quadrature_checks(
-        lambda: transform_moment_lhs(n, a), tol,
+        lambda: integral_a_form(n, gamma), tol,
         (f"tmoment/n={n},a={a:g}",
          f"int phi_0^{n}/(x+{a:g}) dx = -pi^{n + 1} A_{n}(gamma_a/pi)",
          target_poly),
